@@ -131,7 +131,7 @@ func BenchmarkAblationECTSSupport(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := etsc.NewECTS(train, relaxed, 0)
+				c, err := etsc.Train(etsc.Spec{Algo: etsc.AlgoECTS, Params: map[string]any{"relaxed": relaxed}}, train)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -155,9 +155,7 @@ func BenchmarkAblationTEASERNorm(b *testing.B) {
 			name = "raw-prefix"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := etsc.DefaultTEASERConfig()
-			cfg.ZNormPrefix = znorm
-			c, err := etsc.NewTEASER(train, cfg)
+			c, err := etsc.Train(etsc.Spec{Algo: etsc.AlgoTEASER, Params: map[string]any{"znorm": znorm}}, train)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -181,9 +179,7 @@ func BenchmarkAblationTEASERConsistency(b *testing.B) {
 	train, test := benchSplit(b)
 	for _, v := range []int{1, 2, 3, 4} {
 		b.Run(fmt.Sprintf("v=%d", v), func(b *testing.B) {
-			cfg := etsc.DefaultTEASERConfig()
-			cfg.V = v
-			c, err := etsc.NewTEASER(train, cfg)
+			c, err := etsc.Train(etsc.Spec{Algo: etsc.AlgoTEASER, Params: map[string]any{"v": v}}, train)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,16 +275,13 @@ func replayFromScratch(c etsc.EarlyClassifier, series []float64, step int) {
 // the classifiers whose sessions carry running accumulator state.
 func BenchmarkEngineIncrementalVsPure(b *testing.B) {
 	train, test := benchSplit(b)
-	builds := []struct {
-		name string
-		make func() (etsc.EarlyClassifier, error)
-	}{
-		{"ECTS", func() (etsc.EarlyClassifier, error) { return etsc.NewECTS(train, false, 0) }},
-		{"TEASER", func() (etsc.EarlyClassifier, error) { return etsc.NewTEASER(train, etsc.DefaultTEASERConfig()) }},
-		{"ProbThreshold", func() (etsc.EarlyClassifier, error) { return etsc.NewProbThreshold(train, 0.8, 5) }},
+	builds := []struct{ name, spec string }{
+		{"ECTS", "ects"},
+		{"TEASER", "teaser"},
+		{"ProbThreshold", "probthreshold:threshold=0.8,minprefix=5"},
 	}
 	for _, bc := range builds {
-		c, err := bc.make()
+		c, err := etsc.TrainSpecString(bc.spec, train)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +309,7 @@ func BenchmarkEngineIncrementalVsPure(b *testing.B) {
 // worker counts. All variants produce identical detections.
 func BenchmarkMonitorEngine(b *testing.B) {
 	train, _ := benchSplit(b)
-	c, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	c, err := etsc.Train(etsc.MustParseSpec("teaser"), train)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -529,7 +522,7 @@ func BenchmarkDistanceProfile100k(b *testing.B) {
 
 func BenchmarkMonitorThroughput(b *testing.B) {
 	train, _ := benchSplit(b)
-	c, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	c, err := etsc.Train(etsc.MustParseSpec("teaser"), train)
 	if err != nil {
 		b.Fatal(err)
 	}

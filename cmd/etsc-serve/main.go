@@ -22,8 +22,6 @@
 // Stream registration takes a kind (words, gunpoint, chicken — see
 // hub.DemoKinds) or additionally a declarative classifier spec trained on
 // the kind's dataset, e.g. {"kind":"chicken","spec":"fixedprefix:at=40"}.
-// The unversioned pre-/v1 routes (/push, /stats, /streams, /detections,
-// /detach — text bodies, lazy attach) remain served as frozen aliases.
 //
 // On SIGINT/SIGTERM the server stops accepting requests, drains every
 // stream queue through hub.Close, and prints a final stats line — no
@@ -201,8 +199,8 @@ func main() {
 		log.Fatal(err)
 	}
 	// The engine mode is per-pipeline configuration: apply it to every kind
-	// so lazily attached streams inherit it (transcripts are identical
-	// either way; the knob trades CPU only).
+	// so streams registered without an explicit engine inherit it
+	// (transcripts are identical either way; the knob trades CPU only).
 	for i := range kinds {
 		kinds[i].Config.Engine = mode
 	}
@@ -628,7 +626,8 @@ func quietPipeline(seriesLen int) (hub.StreamConfig, error) {
 	if err != nil {
 		return hub.StreamConfig{}, err
 	}
-	clf, err := etsc.NewFixedPrefix(d, seriesLen, false)
+	clf, err := etsc.Train(etsc.Spec{Algo: etsc.AlgoFixedPrefix, Params: map[string]any{
+		"at": seriesLen, "znorm": false}}, d)
 	if err != nil {
 		return hub.StreamConfig{}, err
 	}

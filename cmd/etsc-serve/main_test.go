@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,131 +12,6 @@ import (
 	"etsc/internal/router"
 	"etsc/internal/serve"
 )
-
-// TestServerRoundTrip drives the HTTP face end to end: lazy attach on
-// first push, stats, snapshot, detections, detach.
-func TestServerRoundTrip(t *testing.T) {
-	kinds, err := hub.DemoKinds(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := hub.New(hub.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler, err := serve.New(h, kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(handler)
-	defer srv.Close()
-
-	// Render a real chicken stream so the pipeline has something to chew.
-	data, err := kinds[2].Gen(rand.New(rand.NewSource(42)), 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	for _, v := range data {
-		sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		sb.WriteByte(' ')
-	}
-	resp, err := http.Post(srv.URL+"/push?stream=coop&kind=chicken", "text/plain", strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("push status %d", resp.StatusCode)
-	}
-	var pushed struct {
-		Queued int `json:"queued"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&pushed); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if pushed.Queued != len(data) {
-		t.Fatalf("queued %d points, pushed %d", pushed.Queued, len(data))
-	}
-
-	h.Flush() // the /streams handler deliberately does not wait for drains
-	resp, err = http.Get(srv.URL + "/streams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]hub.StreamStats
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if snap["coop"].Position != len(data) {
-		t.Fatalf("snapshot position %d, want %d", snap["coop"].Position, len(data))
-	}
-
-	resp, err = http.Get(srv.URL + "/detections?stream=coop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("detections status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Bad inputs are 4xx, not 500s or silent accepts — and a rejected
-	// push must not lazily attach a ghost stream.
-	resp, err = http.Post(srv.URL+"/push?stream=ghost", "text/plain", strings.NewReader("not-a-float"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage push status %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/streams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap = map[string]hub.StreamStats{}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if _, ok := snap["ghost"]; ok {
-		t.Error("rejected push attached stream \"ghost\"")
-	}
-	resp, err = http.Post(srv.URL+"/push?stream=x&kind=nope", "text/plain", strings.NewReader("1 2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown kind status %d, want 400", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL+"/detach?stream=coop", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep hub.StreamReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rep.Stats.Position != len(data) {
-		t.Fatalf("detach report position %d, want %d", rep.Stats.Position, len(data))
-	}
-	resp, err = http.Get(srv.URL + "/detections?stream=coop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("detections after detach status %d, want 404", resp.StatusCode)
-	}
-	if _, err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestLoadgenSmoke runs the generator at a tiny size and checks it
 // completes and reports.

@@ -32,37 +32,25 @@ import (
 // cutoff prunes hard), while ProbThreshold's pruned row tracks the
 // frontier-crossover fallback — per-class minima over few, similar classes
 // prune too weakly to pay for the frontier, so small banks ride the
-// blocked eager kernel (DESIGN.md §Layer 11). RelClass appears twice: the
-// default precomputed suffix-table kernel and the eager Monte Carlo
-// reference it replaced. The remaining classifiers have a single session
-// path (their Extend work is snapshot- or shapelet-driven, not
-// bank-driven) and appear once.
+// blocked eager kernel (DESIGN.md §Layer 11). The remaining classifiers
+// have a single session path (their Extend work is snapshot- or
+// shapelet-driven, not bank-driven) and appear once.
 func BenchmarkEvalAll(b *testing.B) {
 	train, test := benchSplit(b)
 	builds := []struct {
 		name  string
 		modal bool // distinct pruned/eager sessions
-		make  func() (etsc.EarlyClassifier, error)
+		spec  string
 	}{
-		{"ECTS", true, func() (etsc.EarlyClassifier, error) { return etsc.NewECTS(train, false, 0) }},
-		{"ProbThreshold", true, func() (etsc.EarlyClassifier, error) { return etsc.NewProbThreshold(train, 0.8, 10) }},
-		{"TEASER", false, func() (etsc.EarlyClassifier, error) { return etsc.NewTEASER(train, etsc.DefaultTEASERConfig()) }},
-		{"EDSC-CHE", false, func() (etsc.EarlyClassifier, error) { return etsc.NewEDSC(train, etsc.DefaultEDSCConfig(etsc.CHE)) }},
-		{"RelClass", false, func() (etsc.EarlyClassifier, error) {
-			return etsc.NewRelClass(train, etsc.DefaultRelClassConfig(false))
-		}},
-		// The eager Monte Carlo reference kernel, kept in the trajectory so
-		// the suffix-table win stays measured (RelClass above defaults to
-		// the precomputed table; see internal/etsc RelClassMode).
-		{"RelClass-eagerMC", false, func() (etsc.EarlyClassifier, error) {
-			cfg := etsc.DefaultRelClassConfig(false)
-			cfg.Mode = etsc.RelEager
-			return etsc.NewRelClass(train, cfg)
-		}},
-		{"FixedPrefix", false, func() (etsc.EarlyClassifier, error) { return etsc.NewFixedPrefix(train, train.SeriesLen()/3, true) }},
+		{"ECTS", true, "ects"},
+		{"ProbThreshold", true, "probthreshold:threshold=0.8,minprefix=10"},
+		{"TEASER", false, "teaser"},
+		{"EDSC-CHE", false, "edsc:method=che"},
+		{"RelClass", false, "relclass"},
+		{"FixedPrefix", false, fmt.Sprintf("fixedprefix:at=%d,znorm=true", train.SeriesLen()/3)},
 	}
 	for _, bc := range builds {
-		c, err := bc.make()
+		c, err := etsc.TrainSpecString(bc.spec, train)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +157,8 @@ func benchQuietConfig(b *testing.B, seriesLen int) hub.StreamConfig {
 	if err != nil {
 		b.Fatal(err)
 	}
-	clf, err := etsc.NewFixedPrefix(d, seriesLen, false)
+	clf, err := etsc.Train(etsc.Spec{Algo: etsc.AlgoFixedPrefix, Params: map[string]any{
+		"at": seriesLen, "znorm": false}}, d)
 	if err != nil {
 		b.Fatal(err)
 	}

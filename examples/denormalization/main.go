@@ -33,31 +33,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var clf etsc.EarlyClassifier
-	switch strings.ToLower(*algo) {
-	case "ects":
-		clf, err = etsc.NewECTS(train, false, 0)
-	case "relaxed-ects":
-		clf, err = etsc.NewECTS(train, true, 0)
-	case "edsc-che":
-		clf, err = etsc.NewEDSC(train, etsc.DefaultEDSCConfig(etsc.CHE))
-	case "edsc-kde":
-		clf, err = etsc.NewEDSC(train, etsc.DefaultEDSCConfig(etsc.KDE))
-	case "relclass":
-		clf, err = etsc.NewRelClass(train, etsc.DefaultRelClassConfig(false))
-	case "ldg":
-		clf, err = etsc.NewRelClass(train, etsc.DefaultRelClassConfig(true))
-	case "teaser":
-		clf, err = etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
-	case "prob":
-		clf, err = etsc.NewProbThreshold(train, 0.8, 10)
-	case "costaware":
-		clf, err = etsc.NewCostAware(train, etsc.DefaultCostAwareConfig())
-	case "ecdire":
-		clf, err = etsc.NewECDIRE(train, etsc.DefaultECDIREConfig())
-	default:
+	spec, ok := map[string]string{
+		"ects":         "ects",
+		"relaxed-ects": "ects:relaxed=true",
+		"edsc-che":     "edsc:method=che",
+		"edsc-kde":     "edsc:method=kde",
+		"relclass":     "relclass",
+		"ldg":          "relclass:pooled=true",
+		"teaser":       "teaser",
+		"prob":         "probthreshold:threshold=0.8,minprefix=10",
+		"costaware":    "costaware",
+		"ecdire":       "ecdire",
+	}[strings.ToLower(*algo)]
+	if !ok {
 		log.Fatalf("unknown algorithm %q", *algo)
 	}
+	clf, err := etsc.TrainSpecString(spec, train)
 	if err != nil {
 		log.Fatal(err)
 	}

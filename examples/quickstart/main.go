@@ -30,7 +30,7 @@ func main() {
 
 	// 2. Train TEASER (the one algorithm in the paper's Table 1 family
 	//    without the normalization flaw — see footnote 2).
-	clf, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	clf, err := etsc.Train(etsc.MustParseSpec("teaser"), train)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func run(w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	clf, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	clf, err := etsc.Train(etsc.MustParseSpec("teaser"), train)
 	if err != nil {
 		return err
 	}
@@ -76,7 +76,7 @@ func run(w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	gpClf, err := etsc.NewTEASER(gpTrain, etsc.DefaultTEASERConfig())
+	gpClf, err := etsc.Train(etsc.MustParseSpec("teaser"), gpTrain)
 	if err != nil {
 		return err
 	}

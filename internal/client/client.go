@@ -296,7 +296,7 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) error {
 
 // decodeError turns a non-2xx response into an *APIError, preserving the
 // structured code when the body carries the envelope and falling back to
-// the raw body text otherwise (proxies, legacy routes).
+// the raw body text otherwise (e.g. a proxy's error page).
 func decodeError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	var env ErrorEnvelope

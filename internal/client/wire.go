@@ -7,8 +7,7 @@
 // additive only — new endpoints, new optional request fields, new response
 // fields. Renaming or removing a field, changing a type, or changing an
 // error code's meaning requires a new version prefix (`/v2`) served
-// alongside `/v1`. Unversioned legacy routes (`/push`, `/stats`, …) are
-// frozen aliases kept for pre-`/v1` clients.
+// alongside `/v1`.
 package client
 
 import (

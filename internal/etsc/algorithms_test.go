@@ -10,7 +10,7 @@ import (
 
 func TestECTSMPLProperties(t *testing.T) {
 	train, _ := easySplit(t)
-	e, err := NewECTS(train, false, 0)
+	e, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestECTSRelaxedMPLNotLater(t *testing.T) {
 	// non-empty RNN sets, so relaxed MPLs can only be <= strict MPLs
 	// for those instances.
 	train, _ := easySplit(t)
-	strict, err := NewECTS(train, false, 0)
+	strict, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxed, err := NewECTS(train, true, 0)
+	relaxed, err := trainECTS(train, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestECTSRelaxedMPLNotLater(t *testing.T) {
 
 func TestECTSMinSupportRaisesMPL(t *testing.T) {
 	train, test := easySplit(t)
-	loose, err := NewECTS(train, false, 0)
+	loose, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := NewECTS(train, false, 3)
+	tight, err := trainECTS(train, false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestECTSMinSupportRaisesMPL(t *testing.T) {
 }
 
 func TestECTSErrors(t *testing.T) {
-	if _, err := NewECTS(nil, false, 0); err == nil {
+	if _, err := trainECTS(nil, false, 0); err == nil {
 		t.Error("nil train should error")
 	}
 	one, err := dataset.New("one", []dataset.Instance{{Label: 1, Series: ts.Series{1, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewECTS(one, false, 0); err == nil {
+	if _, err := trainECTS(one, false, 0); err == nil {
 		t.Error("single instance should error")
 	}
 }
@@ -92,7 +92,7 @@ func TestEDSCShapeletsComeFromTrainingData(t *testing.T) {
 	cfg := DefaultEDSCConfig(CHE)
 	cfg.MinLen = 10
 	cfg.MaxLen = 30
-	e, err := NewEDSC(train, cfg)
+	e, err := newEDSC(train, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +123,15 @@ func TestEDSCConfigValidation(t *testing.T) {
 	train, _ := easySplit(t)
 	bad := DefaultEDSCConfig(CHE)
 	bad.MinLen = 200 // longer than the series
-	if _, err := NewEDSC(train, bad); err == nil {
+	if _, err := newEDSC(train, bad, 1); err == nil {
 		t.Error("MinLen > series length should error")
 	}
 	bad = DefaultEDSCConfig(CHE)
 	bad.MaxLen = bad.MinLen - 1
-	if _, err := NewEDSC(train, bad); err == nil {
+	if _, err := newEDSC(train, bad, 1); err == nil {
 		t.Error("MaxLen < MinLen should error")
 	}
-	if _, err := NewEDSC(nil, DefaultEDSCConfig(CHE)); err == nil {
+	if _, err := newEDSC(nil, DefaultEDSCConfig(CHE), 1); err == nil {
 		t.Error("nil train should error")
 	}
 }
@@ -159,7 +159,7 @@ func TestBestMatchRaw(t *testing.T) {
 
 func TestRelClassReliabilityIncreasesToOne(t *testing.T) {
 	train, test := easySplit(t)
-	rc, err := NewRelClass(train, DefaultRelClassConfig(false))
+	rc, err := trainRelClass(train, DefaultRelClassConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRelClassReliabilityIncreasesToOne(t *testing.T) {
 
 func TestRelClassPosteriorNormalized(t *testing.T) {
 	train, test := easySplit(t)
-	rc, err := NewRelClass(train, DefaultRelClassConfig(true))
+	rc, err := trainRelClass(train, DefaultRelClassConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,26 +195,26 @@ func TestRelClassConfigValidation(t *testing.T) {
 	train, _ := easySplit(t)
 	cfg := DefaultRelClassConfig(false)
 	cfg.Tau = 0
-	if _, err := NewRelClass(train, cfg); err == nil {
+	if _, err := trainRelClass(train, cfg); err == nil {
 		t.Error("tau=0 should error")
 	}
 	cfg = DefaultRelClassConfig(false)
 	cfg.Tau = 1
-	if _, err := NewRelClass(train, cfg); err == nil {
+	if _, err := trainRelClass(train, cfg); err == nil {
 		t.Error("tau=1 should error")
 	}
-	if _, err := NewRelClass(nil, DefaultRelClassConfig(false)); err == nil {
+	if _, err := trainRelClass(nil, DefaultRelClassConfig(false)); err == nil {
 		t.Error("nil train should error")
 	}
 }
 
 func TestRelClassDeterministic(t *testing.T) {
 	train, test := easySplit(t)
-	a, err := NewRelClass(train, DefaultRelClassConfig(false))
+	a, err := trainRelClass(train, DefaultRelClassConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRelClass(train, DefaultRelClassConfig(false))
+	b, err := trainRelClass(train, DefaultRelClassConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestRelClassDeterministic(t *testing.T) {
 
 func TestTEASERSnapshotsCoverLengths(t *testing.T) {
 	train, _ := easySplit(t)
-	te, err := NewTEASER(train, DefaultTEASERConfig())
+	te, err := trainTEASER(train, DefaultTEASERConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestTEASERSnapshotsCoverLengths(t *testing.T) {
 func TestTEASERConfigClamps(t *testing.T) {
 	train, _ := easySplit(t)
 	cfg := TEASERConfig{Snapshots: 0, V: 0, ZNormPrefix: true, GateSigma: -1}
-	te, err := NewTEASER(train, cfg)
+	te, err := trainTEASER(train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,20 +258,20 @@ func TestTEASERConfigClamps(t *testing.T) {
 
 func TestProbThresholdValidation(t *testing.T) {
 	train, _ := easySplit(t)
-	if _, err := NewProbThreshold(train, 0, 1); err == nil {
+	if _, err := trainProbThreshold(train, 0, 1); err == nil {
 		t.Error("threshold 0 should error")
 	}
-	if _, err := NewProbThreshold(train, 1, 1); err == nil {
+	if _, err := trainProbThreshold(train, 1, 1); err == nil {
 		t.Error("threshold 1 should error")
 	}
-	if _, err := NewProbThreshold(nil, 0.5, 1); err == nil {
+	if _, err := trainProbThreshold(nil, 0.5, 1); err == nil {
 		t.Error("nil train should error")
 	}
 }
 
 func TestFixedPrefixBehaviour(t *testing.T) {
 	train, test := easySplit(t)
-	f, err := NewFixedPrefix(train, 15, true)
+	f, err := trainFixedPrefix(train, 15, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +286,10 @@ func TestFixedPrefixBehaviour(t *testing.T) {
 	if got := f.ForcedLabel(s); got != d.Label {
 		t.Errorf("forced label %d != decision label %d", got, d.Label)
 	}
-	if _, err := NewFixedPrefix(train, 0, true); err == nil {
+	if _, err := trainFixedPrefix(train, 0, true); err == nil {
 		t.Error("at=0 should error")
 	}
-	if _, err := NewFixedPrefix(train, 1000, true); err == nil {
+	if _, err := trainFixedPrefix(train, 1000, true); err == nil {
 		t.Error("at beyond length should error")
 	}
 }

@@ -74,14 +74,13 @@ func TestRelClassPureAllocFree(t *testing.T) {
 	}
 	train, test := smallGunPointSplit(t)
 	series := test.Instances[0].Series
-	for _, mode := range []RelClassMode{RelTable, RelEager} {
-		for _, pooled := range []bool{false, true} {
-			cfg := DefaultRelClassConfig(pooled)
-			cfg.Mode = mode
-			r, err := trainRelClass(train, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, pooled := range []bool{false, true} {
+		cfg := DefaultRelClassConfig(pooled)
+		table, err := trainRelClass(train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*RelClass{table, trainRelClassEager(t, train, cfg)} {
 			// Warm the pool, then measure prefixes of cycling lengths.
 			r.ClassifyPrefix(series[:10])
 			i := 0
@@ -90,7 +89,7 @@ func TestRelClassPureAllocFree(t *testing.T) {
 				i++
 			})
 			if allocs != 0 {
-				t.Fatalf("mode=%v pooled=%v: ClassifyPrefix allocated %v per call, want 0", mode, pooled, allocs)
+				t.Fatalf("table=%v pooled=%v: ClassifyPrefix allocated %v per call, want 0", r.suf != nil, pooled, allocs)
 			}
 		}
 	}

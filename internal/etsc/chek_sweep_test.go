@@ -17,7 +17,7 @@ func TestCHEKSweep(t *testing.T) {
 	for _, k := range []float64{1.5, 2.0, 2.5, 3.0, 3.5} {
 		cfg := DefaultEDSCConfig(CHE)
 		cfg.CHEK = k
-		c, err := NewEDSC(train, cfg)
+		c, err := newEDSC(train, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

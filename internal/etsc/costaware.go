@@ -52,38 +52,6 @@ func DefaultCostAwareConfig() CostAwareConfig {
 	return CostAwareConfig{MisclassCost: 1, DelayCost: 0.5, Snapshots: 20}
 }
 
-// NewCostAware trains the model.
-//
-// Deprecated: use [Train] with a "costaware" Spec — e.g.
-// Train(MustParseSpec("costaware:misclass=1,delay=0.5"), train). This
-// wrapper is pinned byte-identical to the registry path by the
-// registry-equivalence battery.
-func NewCostAware(train *dataset.Dataset, cfg CostAwareConfig) (*CostAware, error) {
-	c, err := Train(Spec{Algo: AlgoCostAware, Params: costAwareParams(cfg)}, train)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*CostAware), nil
-}
-
-// NewCostAwareWith is NewCostAware over a shared TrainContext.
-//
-// Deprecated: use [Train] with a "costaware" Spec and [WithTrainContext].
-func NewCostAwareWith(tc *TrainContext, cfg CostAwareConfig) (*CostAware, error) {
-	c, err := Train(Spec{Algo: AlgoCostAware, Params: costAwareParams(cfg)}, nil, WithTrainContext(tc))
-	if err != nil {
-		return nil, err
-	}
-	return c.(*CostAware), nil
-}
-
-// costAwareParams renders a legacy config as registry spec parameters.
-func costAwareParams(cfg CostAwareConfig) map[string]any {
-	return map[string]any{
-		"misclass": cfg.MisclassCost, "delay": cfg.DelayCost, "snapshots": cfg.Snapshots,
-	}
-}
-
 // trainCostAware is the direct (serial) training path behind the registry.
 func trainCostAware(train *dataset.Dataset, cfg CostAwareConfig) (*CostAware, error) {
 	c, err := costAwareSetup(train, cfg)
@@ -100,7 +68,7 @@ func trainCostAware(train *dataset.Dataset, cfg CostAwareConfig) (*CostAware, er
 // per-snapshot leave-one-out 1NN error curve — the O(snapshots·n²·l) bulk
 // of training — reads the context's memoized raw prefix-distance matrix
 // and fans across its pool. The trained model is byte-identical to
-// NewCostAware for any worker count: the direct scan's early abandoning
+// trainCostAware for any worker count: the direct scan's early abandoning
 // never changes the strict first-wins argmin, matrix entries equal the
 // direct partial sums, and the error tallies are assembled in instance
 // order.

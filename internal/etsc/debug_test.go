@@ -7,7 +7,7 @@ import "testing"
 func TestEDSCDebugStats(t *testing.T) {
 	train, _ := gunPointSplit(t)
 	for _, method := range []ThresholdMethod{CHE, KDE} {
-		e, err := NewEDSC(train, DefaultEDSCConfig(method))
+		e, err := newEDSC(train, DefaultEDSCConfig(method), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,38 +52,6 @@ func DefaultECDIREConfig() ECDIREConfig {
 	return ECDIREConfig{AccFraction: 0.9, Snapshots: 20, Sharpness: 3}
 }
 
-// NewECDIRE trains the model.
-//
-// Deprecated: use [Train] with an "ecdire" Spec — e.g.
-// Train(MustParseSpec("ecdire:acc=0.9,snapshots=20"), train). This wrapper
-// is pinned byte-identical to the registry path by the
-// registry-equivalence battery.
-func NewECDIRE(train *dataset.Dataset, cfg ECDIREConfig) (*ECDIRE, error) {
-	c, err := Train(Spec{Algo: AlgoECDIRE, Params: ecdireParams(cfg)}, train)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*ECDIRE), nil
-}
-
-// NewECDIREWith is NewECDIRE over a shared TrainContext.
-//
-// Deprecated: use [Train] with an "ecdire" Spec and [WithTrainContext].
-func NewECDIREWith(c *TrainContext, cfg ECDIREConfig) (*ECDIRE, error) {
-	clf, err := Train(Spec{Algo: AlgoECDIRE, Params: ecdireParams(cfg)}, nil, WithTrainContext(c))
-	if err != nil {
-		return nil, err
-	}
-	return clf.(*ECDIRE), nil
-}
-
-// ecdireParams renders a legacy config as registry spec parameters.
-func ecdireParams(cfg ECDIREConfig) map[string]any {
-	return map[string]any{
-		"acc": cfg.AccFraction, "snapshots": cfg.Snapshots, "sharpness": cfg.Sharpness,
-	}
-}
-
 // trainECDIRE is the direct (serial) training path behind the registry.
 func trainECDIRE(train *dataset.Dataset, cfg ECDIREConfig) (*ECDIRE, error) {
 	cfg, err := ecdireCheck(train, cfg)
@@ -101,7 +69,7 @@ func trainECDIRE(train *dataset.Dataset, cfg ECDIREConfig) (*ECDIRE, error) {
 // leave-one-out distance scans — the dominant O(snapshots·n²·l) training
 // cost — read the context's memoized raw prefix-distance matrix and fan
 // across its pool, one held-out instance per index-owned slot. The trained
-// model is byte-identical to NewECDIRE for any worker count: matrix entries
+// model is byte-identical to trainECDIRE for any worker count: matrix entries
 // are the exact partial sums the direct scan accumulates, and the recall
 // and margin tallies are assembled in instance order.
 func trainECDIRECtx(c *TrainContext, cfg ECDIREConfig) (*ECDIRE, error) {

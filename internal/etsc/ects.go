@@ -39,21 +39,6 @@ type ECTS struct {
 	full  int
 }
 
-// NewECTS trains an ECTS model.
-//
-// Deprecated: use [Train] with an "ects" Spec — e.g.
-// Train(MustParseSpec("ects:relaxed=false,support=0"), train). This wrapper
-// is pinned byte-identical to the registry path by the
-// registry-equivalence battery.
-func NewECTS(train *dataset.Dataset, relaxed bool, minSupport int) (*ECTS, error) {
-	c, err := Train(Spec{Algo: AlgoECTS, Params: map[string]any{
-		"relaxed": relaxed, "support": minSupport}}, train)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*ECTS), nil
-}
-
 // trainECTS is the direct (serial) ECTS training path behind the registry.
 func trainECTS(train *dataset.Dataset, relaxed bool, minSupport int) (*ECTS, error) {
 	if err := ectsValidate(train); err != nil {
@@ -88,24 +73,12 @@ func trainECTS(train *dataset.Dataset, relaxed bool, minSupport int) (*ECTS, err
 	return ectsFromNN(train, nn, relaxed, minSupport), nil
 }
 
-// NewECTSWith is NewECTS over a shared TrainContext.
-//
-// Deprecated: use [Train] with an "ects" Spec and [WithTrainContext].
-func NewECTSWith(c *TrainContext, relaxed bool, minSupport int) (*ECTS, error) {
-	clf, err := Train(Spec{Algo: AlgoECTS, Params: map[string]any{
-		"relaxed": relaxed, "support": minSupport}}, nil, WithTrainContext(c))
-	if err != nil {
-		return nil, err
-	}
-	return clf.(*ECTS), nil
-}
-
 // trainECTSCtx is trainECTS over a shared TrainContext: the per-length
 // pairwise distance sweep — the O(n²·L) bulk of ECTS training — reads the
 // context's memoized prefix-distance matrix (materialized once, in
 // parallel, and shared with every other trainer on the same context), and
 // the per-length nearest-neighbour scans fan across the context's pool.
-// The trained model is byte-identical to NewECTS for any worker count: the
+// The trained model is byte-identical to trainECTS for any worker count: the
 // matrix stores the exact partial sums the direct loop accumulates, and
 // each length's scan is an independent index-owned unit.
 func trainECTSCtx(c *TrainContext, relaxed bool, minSupport int) (*ECTS, error) {

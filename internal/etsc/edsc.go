@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"etsc/internal/dataset"
 	"etsc/internal/par"
@@ -90,51 +89,13 @@ type EDSC struct {
 	full  int
 }
 
-// NewEDSC mines and selects shapelets from train.
-//
-// Deprecated: use [Train] with an "edsc" Spec — e.g.
-// Train(MustParseSpec("edsc:method=kde"), train). This wrapper is pinned
-// byte-identical to the registry path by the registry-equivalence battery.
-func NewEDSC(train *dataset.Dataset, cfg EDSCConfig) (*EDSC, error) {
-	c, err := Train(Spec{Algo: AlgoEDSC, Params: edscParams(cfg)}, train)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*EDSC), nil
-}
-
-// edscParams renders a legacy config as registry spec parameters.
-func edscParams(cfg EDSCConfig) map[string]any {
-	return map[string]any{
-		"method":       strings.ToLower(cfg.Method.String()),
-		"minlen":       cfg.MinLen,
-		"maxlen":       cfg.MaxLen,
-		"lenstep":      cfg.LenStep,
-		"stride":       cfg.StartStride,
-		"maxseries":    cfg.MaxSeries,
-		"chek":         cfg.CHEK,
-		"kdeodds":      cfg.KDEOdds,
-		"maxshapelets": cfg.MaxShapelets,
-	}
-}
-
-// NewEDSCWith is NewEDSC over a shared TrainContext. EDSC's training cost
-// is subsequence mining, not prefix distances, so it takes nothing from the
-// memoized matrix; what the context contributes is its worker pool: the
-// candidate-scoring sweep — one independent (source, length, offset) unit
-// per slot — fans across it. Candidates are assembled in enumeration order,
-// so the selected shapelet set is byte-identical to NewEDSC for any worker
-// count.
-//
-// Deprecated: use [Train] with an "edsc" Spec and [WithTrainContext].
-func NewEDSCWith(c *TrainContext, cfg EDSCConfig) (*EDSC, error) {
-	clf, err := Train(Spec{Algo: AlgoEDSC, Params: edscParams(cfg)}, nil, WithTrainContext(c))
-	if err != nil {
-		return nil, err
-	}
-	return clf.(*EDSC), nil
-}
-
+// newEDSC mines and selects shapelets from train. EDSC's training cost is
+// subsequence mining, not prefix distances, so it takes nothing from a
+// TrainContext's memoized matrix; what a context contributes is its worker
+// pool: the candidate-scoring sweep — one independent (source, length,
+// offset) unit per slot — fans across workers. Candidates are assembled in
+// enumeration order, so the selected shapelet set is byte-identical for any
+// worker count.
 func newEDSC(train *dataset.Dataset, cfg EDSCConfig, workers int) (*EDSC, error) {
 	if train == nil || train.Len() < 2 {
 		return nil, errors.New("etsc: EDSC needs at least 2 training instances")

@@ -99,11 +99,11 @@ func TestPrunedEagerStepwiseIdentical(t *testing.T) {
 // under both engines, before, at, and after the poison point.
 func TestPrunedEagerNonFiniteIdentical(t *testing.T) {
 	train, test := smallGunPointSplit(t)
-	ects, err := NewECTS(train, false, 0)
+	ects, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob, err := NewProbThreshold(train, 0.8, 5)
+	prob, err := trainProbThreshold(train, 0.8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +140,19 @@ func FuzzPrunedEagerSessions(f *testing.F) {
 
 	eTrain, eTest := easySplitF(f)
 	gTrain, gTest := gunPointSplitF(f)
-	ectsE, err := NewECTS(eTrain, false, 0)
+	ectsE, err := trainECTS(eTrain, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	probE, err := NewProbThreshold(eTrain, 0.8, 5)
+	probE, err := trainProbThreshold(eTrain, 0.8, 5)
 	if err != nil {
 		f.Fatal(err)
 	}
-	ectsG, err := NewECTS(gTrain, false, 0)
+	ectsG, err := trainECTS(gTrain, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	probG, err := NewProbThreshold(gTrain, 0.8, 5)
+	probG, err := trainProbThreshold(gTrain, 0.8, 5)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -50,11 +50,11 @@ func smallGunPointSplit(t testing.TB) (train, test *dataset.Dataset) {
 func engineClassifiers(t testing.TB, train *dataset.Dataset) []EarlyClassifier {
 	t.Helper()
 	cs := allClassifiers(t, train)
-	ecdire, err := NewECDIRE(train, DefaultECDIREConfig())
+	ecdire, err := trainECDIRE(train, DefaultECDIREConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := NewCostAware(train, DefaultCostAwareConfig())
+	cost, err := trainCostAware(train, DefaultCostAwareConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 // TestEvaluateParallelValidation mirrors Evaluate's input checks.
 func TestEvaluateParallelValidation(t *testing.T) {
 	train, _ := easySplit(t)
-	c, err := NewECTS(train, false, 0)
+	c, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestOpenSessionPicksNativeIncremental(t *testing.T) {
 			t.Errorf("%s: expected a native incremental session", c.Name())
 		}
 	}
-	ecdire, err := NewECDIRE(train, DefaultECDIREConfig())
+	ecdire, err := trainECDIRE(train, DefaultECDIREConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestOpenSessionPicksNativeIncremental(t *testing.T) {
 // incremental session honours the whole-prefix Step contract.
 func TestSessionFromIncremental(t *testing.T) {
 	train, test := easySplit(t)
-	c, err := NewECTS(train, false, 0)
+	c, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

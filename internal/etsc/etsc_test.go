@@ -42,45 +42,45 @@ func easySplit(t testing.TB) (train, test *dataset.Dataset) {
 
 func allClassifiers(t testing.TB, train *dataset.Dataset) []EarlyClassifier {
 	t.Helper()
-	ects, err := NewECTS(train, false, 0)
+	ects, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rects, err := NewECTS(train, true, 0)
+	rects, err := trainECTS(train, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edscCfg := DefaultEDSCConfig(CHE)
 	edscCfg.MinLen = 10
 	edscCfg.MaxLen = 30
-	che, err := NewEDSC(train, edscCfg)
+	che, err := newEDSC(train, edscCfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kdeCfg := DefaultEDSCConfig(KDE)
 	kdeCfg.MinLen = 10
 	kdeCfg.MaxLen = 30
-	kde, err := NewEDSC(train, kdeCfg)
+	kde, err := newEDSC(train, kdeCfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := NewRelClass(train, DefaultRelClassConfig(false))
+	rc, err := trainRelClass(train, DefaultRelClassConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ldg, err := NewRelClass(train, DefaultRelClassConfig(true))
+	ldg, err := trainRelClass(train, DefaultRelClassConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	teaser, err := NewTEASER(train, DefaultTEASERConfig())
+	teaser, err := trainTEASER(train, DefaultTEASERConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob, err := NewProbThreshold(train, 0.8, 5)
+	prob, err := trainProbThreshold(train, 0.8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := NewFixedPrefix(train, 20, true)
+	fixed, err := trainFixedPrefix(train, 20, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSummaryMetrics(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	train, _ := easySplit(t)
-	c, err := NewProbThreshold(train, 0.8, 5)
+	c, err := trainProbThreshold(train, 0.8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestEvaluateErrors(t *testing.T) {
 
 func TestTraceRunRecordsPosteriors(t *testing.T) {
 	train, test := easySplit(t)
-	c, err := NewProbThreshold(train, 0.8, 5)
+	c, err := trainProbThreshold(train, 0.8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

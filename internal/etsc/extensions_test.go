@@ -8,7 +8,7 @@ import (
 
 func TestCostAwareBasics(t *testing.T) {
 	train, test := easySplit(t)
-	c, err := NewCostAware(train, DefaultCostAwareConfig())
+	c, err := trainCostAware(train, DefaultCostAwareConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestCostAwareDelayPressure(t *testing.T) {
 	cheap.DelayCost = 0.05
 	expensive := DefaultCostAwareConfig()
 	expensive.DelayCost = 5
-	cc, err := NewCostAware(train, cheap)
+	cc, err := trainCostAware(train, cheap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, err := NewCostAware(train, expensive)
+	ce, err := trainCostAware(train, expensive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,22 +58,22 @@ func TestCostAwareValidation(t *testing.T) {
 	train, _ := easySplit(t)
 	cfg := DefaultCostAwareConfig()
 	cfg.MisclassCost = 0
-	if _, err := NewCostAware(train, cfg); err == nil {
+	if _, err := trainCostAware(train, cfg); err == nil {
 		t.Error("zero misclass cost should error")
 	}
 	cfg = DefaultCostAwareConfig()
 	cfg.DelayCost = -1
-	if _, err := NewCostAware(train, cfg); err == nil {
+	if _, err := trainCostAware(train, cfg); err == nil {
 		t.Error("negative delay cost should error")
 	}
-	if _, err := NewCostAware(nil, DefaultCostAwareConfig()); err == nil {
+	if _, err := trainCostAware(nil, DefaultCostAwareConfig()); err == nil {
 		t.Error("nil train should error")
 	}
 }
 
 func TestECDIREBasics(t *testing.T) {
 	train, test := easySplit(t)
-	e, err := NewECDIRE(train, DefaultECDIREConfig())
+	e, err := trainECDIRE(train, DefaultECDIREConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,15 +103,15 @@ func TestECDIREValidation(t *testing.T) {
 	train, _ := easySplit(t)
 	cfg := DefaultECDIREConfig()
 	cfg.AccFraction = 0
-	if _, err := NewECDIRE(train, cfg); err == nil {
+	if _, err := trainECDIRE(train, cfg); err == nil {
 		t.Error("AccFraction 0 should error")
 	}
 	cfg = DefaultECDIREConfig()
 	cfg.AccFraction = 1.5
-	if _, err := NewECDIRE(train, cfg); err == nil {
+	if _, err := trainECDIRE(train, cfg); err == nil {
 		t.Error("AccFraction > 1 should error")
 	}
-	if _, err := NewECDIRE(nil, DefaultECDIREConfig()); err == nil {
+	if _, err := trainECDIRE(nil, DefaultECDIREConfig()); err == nil {
 		t.Error("nil train should error")
 	}
 }
@@ -123,8 +123,8 @@ func TestExtensionsShareTheFlaw(t *testing.T) {
 	train, test := gunPointSplit(t)
 	denorm := test.Denormalize(synth.NewRand(99), 1.0)
 	builders := []func() (EarlyClassifier, error){
-		func() (EarlyClassifier, error) { return NewCostAware(train, DefaultCostAwareConfig()) },
-		func() (EarlyClassifier, error) { return NewECDIRE(train, DefaultECDIREConfig()) },
+		func() (EarlyClassifier, error) { return trainCostAware(train, DefaultCostAwareConfig()) },
+		func() (EarlyClassifier, error) { return trainECDIRE(train, DefaultECDIREConfig()) },
 	}
 	for _, mk := range builders {
 		c, err := mk()

@@ -27,24 +27,24 @@ func fourClassSplit(t testing.TB) (train, test *dataset.Dataset) {
 func TestAllClassifiersHandleFourClasses(t *testing.T) {
 	train, test := fourClassSplit(t)
 	builders := []func() (EarlyClassifier, error){
-		func() (EarlyClassifier, error) { return NewECTS(train, false, 0) },
-		func() (EarlyClassifier, error) { return NewECTS(train, true, 0) },
+		func() (EarlyClassifier, error) { return trainECTS(train, false, 0) },
+		func() (EarlyClassifier, error) { return trainECTS(train, true, 0) },
 		func() (EarlyClassifier, error) {
 			cfg := DefaultEDSCConfig(CHE)
 			cfg.MinLen, cfg.MaxLen = 10, 30
-			return NewEDSC(train, cfg)
+			return newEDSC(train, cfg, 1)
 		},
 		func() (EarlyClassifier, error) {
 			cfg := DefaultEDSCConfig(KDE)
 			cfg.MinLen, cfg.MaxLen = 10, 30
-			return NewEDSC(train, cfg)
+			return newEDSC(train, cfg, 1)
 		},
-		func() (EarlyClassifier, error) { return NewRelClass(train, DefaultRelClassConfig(false)) },
-		func() (EarlyClassifier, error) { return NewRelClass(train, DefaultRelClassConfig(true)) },
-		func() (EarlyClassifier, error) { return NewTEASER(train, DefaultTEASERConfig()) },
-		func() (EarlyClassifier, error) { return NewProbThreshold(train, 0.7, 5) },
-		func() (EarlyClassifier, error) { return NewCostAware(train, DefaultCostAwareConfig()) },
-		func() (EarlyClassifier, error) { return NewECDIRE(train, DefaultECDIREConfig()) },
+		func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(false)) },
+		func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(true)) },
+		func() (EarlyClassifier, error) { return trainTEASER(train, DefaultTEASERConfig()) },
+		func() (EarlyClassifier, error) { return trainProbThreshold(train, 0.7, 5) },
+		func() (EarlyClassifier, error) { return trainCostAware(train, DefaultCostAwareConfig()) },
+		func() (EarlyClassifier, error) { return trainECDIRE(train, DefaultECDIREConfig()) },
 	}
 	for _, mk := range builders {
 		c, err := mk()
@@ -79,7 +79,7 @@ func TestAllClassifiersHandleFourClasses(t *testing.T) {
 // per-exemplar affine transform with positive scale.
 func TestTEASERShiftScaleInvariance(t *testing.T) {
 	train, test := fourClassSplit(t)
-	c, err := NewTEASER(train, DefaultTEASERConfig())
+	c, err := trainTEASER(train, DefaultTEASERConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +103,9 @@ func TestTEASERShiftScaleInvariance(t *testing.T) {
 func TestFlawedModelsAreNotShiftInvariant(t *testing.T) {
 	train, test := fourClassSplit(t)
 	builders := []func() (EarlyClassifier, error){
-		func() (EarlyClassifier, error) { return NewECTS(train, false, 0) },
-		func() (EarlyClassifier, error) { return NewRelClass(train, DefaultRelClassConfig(false)) },
-		func() (EarlyClassifier, error) { return NewProbThreshold(train, 0.7, 5) },
+		func() (EarlyClassifier, error) { return trainECTS(train, false, 0) },
+		func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(false)) },
+		func() (EarlyClassifier, error) { return trainProbThreshold(train, 0.7, 5) },
 	}
 	for _, mk := range builders {
 		c, err := mk()

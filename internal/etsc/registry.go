@@ -3,6 +3,7 @@ package etsc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,9 +12,8 @@ import (
 	"etsc/internal/dataset"
 )
 
-// This file is the package's unified construction API. Four generations of
-// knobs grew 16 exported constructors (8 algorithms × direct/TrainContext
-// flavors); the registry collapses them behind one entry point:
+// This file is the package's construction API. Every algorithm is built
+// through one entry point:
 //
 //	c, err := etsc.Train(etsc.MustParseSpec("ects:support=0"), train,
 //		etsc.WithWorkers(8))
@@ -24,10 +24,6 @@ import (
 // algorithm plugs in by registering a named Builder; nothing else in the
 // system needs to change to make it reachable from every CLI flag and
 // serving endpoint that accepts a spec.
-//
-// The legacy New*/New*With constructors remain as thin deprecated wrappers
-// over Train and are pinned byte-identical to it by the
-// registry-equivalence battery (registry_test.go).
 
 // Spec names an algorithm and its parameters. The zero Params means "all
 // defaults". Param values are JSON scalars: bool, float64 (all numbers),
@@ -252,22 +248,31 @@ func (p *Params) Bool(key string, def bool) bool {
 	return b
 }
 
-// Float reads a float64 parameter (bare ints are accepted).
+// Float reads a finite float64 parameter (bare ints are accepted).
 func (p *Params) Float(key string, def float64) float64 {
 	v, ok := p.lookup(key)
 	if !ok {
 		return def
 	}
+	var f float64
 	switch n := v.(type) {
 	case float64:
-		return n
+		f = n
 	case int:
-		return float64(n)
+		f = float64(n)
 	case int64:
-		return float64(n)
+		f = float64(n)
+	default:
+		p.setErr(fmt.Errorf("etsc: %s parameter %q: want number, got %v (%T)", p.algo, key, v, v))
+		return def
 	}
-	p.setErr(fmt.Errorf("etsc: %s parameter %q: want number, got %v (%T)", p.algo, key, v, v))
-	return def
+	// NaN slips through every trainer's range check (each comparison is
+	// false), and specs arrive from outside the program.
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		p.setErr(fmt.Errorf("etsc: %s parameter %q: want a finite number, got %v", p.algo, key, f))
+		return def
+	}
+	return f
 }
 
 // Int reads an int parameter; float64 values (the JSON number decoding)
@@ -432,15 +437,15 @@ func AlgorithmDocs() []string {
 // construction entry point behind which every algorithm in the package
 // (and any externally Registered one) is reachable:
 //
-//   - Train(spec, train) trains directly (the legacy New* path).
+//   - Train(spec, train) trains directly, serially.
 //   - Train(spec, train, WithWorkers(n)) trains through a fresh
-//     TrainContext with an n-worker pool (the legacy New*With path).
+//     TrainContext with an n-worker pool.
 //   - Train(spec, nil, WithTrainContext(ctx)) shares ctx's memoized
 //     distances with every other trainer on the same context.
 //
 // All three produce byte-identical models (decision-for-decision,
 // posterior-for-posterior) for any worker count; the registry-equivalence
-// battery pins this against every legacy constructor.
+// battery pins this for every algorithm.
 func Train(spec Spec, train *dataset.Dataset, opts ...Option) (EarlyClassifier, error) {
 	o := NewOptions(opts...)
 	b, ok := Lookup(spec.Algo)
@@ -603,7 +608,7 @@ func init() {
 	})
 	MustRegister(Builder{
 		Name: AlgoRelClass,
-		Doc:  "reliability-thresholded Gaussian models; params: tau=float (default 0.1), pooled=bool (LDG variant), samples, minstd=float, seed, minprefix, mode=table|eager (reliability kernel; table precomputes suffix completions, eager is the pinned MC reference)",
+		Doc:  "reliability-thresholded Gaussian models; params: tau=float (default 0.1), pooled=bool (LDG variant), samples, minstd=float, seed, minprefix",
 		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
 			cfg := DefaultRelClassConfig(p.Bool("pooled", false))
 			cfg.Tau = p.Float("tau", cfg.Tau)
@@ -611,11 +616,6 @@ func init() {
 			cfg.MinStd = p.Float("minstd", cfg.MinStd)
 			cfg.Seed = p.Int64("seed", o.SeedOr(cfg.Seed))
 			cfg.MinPrefix = p.Int("minprefix", cfg.MinPrefix)
-			mode, err := ParseRelClassMode(p.String("mode", cfg.Mode.String()))
-			if err != nil {
-				return nil, err
-			}
-			cfg.Mode = mode
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package etsc
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -10,155 +11,96 @@ import (
 	"etsc/internal/dataset"
 )
 
-// specPair names one algorithm variant three ways: its registry spec (flag
-// form) and the two legacy constructor flavors it must match.
-type specPair struct {
-	name   string
-	spec   string
-	direct func(train *dataset.Dataset) (EarlyClassifier, error)
-	with   func(c *TrainContext) (EarlyClassifier, error)
-}
-
-// specPairs covers every registered algorithm, including the variants
+// batterySpecs names every registered algorithm, including the variants
 // whose training paths differ (relaxed ECTS, KDE thresholds, pooled
-// RelClass, raw-prefix TEASER) — the spec-side mirror of trainerPairs.
-func specPairs(d *dataset.Dataset) []specPair {
-	edscCHE := batteryEDSCConfig(CHE, d)
-	edscKDE := batteryEDSCConfig(KDE, d)
-	return []specPair{
-		{"ECTS", "ects:relaxed=false,support=0",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewECTS(d, false, 0) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewECTSWith(c, false, 0) }},
-		{"RelaxedECTS", "ects:relaxed=true,support=1",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewECTS(d, true, 1) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewECTSWith(c, true, 1) }},
-		{"EDSC-CHE", specFromEDSC(edscCHE),
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewEDSC(d, edscCHE) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewEDSCWith(c, edscCHE) }},
-		{"EDSC-KDE", specFromEDSC(edscKDE),
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewEDSC(d, edscKDE) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewEDSCWith(c, edscKDE) }},
-		{"RelClass", "relclass:tau=0.1,pooled=false,samples=64,minstd=0.35,seed=5,minprefix=10",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewRelClass(d, DefaultRelClassConfig(false)) },
-			func(c *TrainContext) (EarlyClassifier, error) {
-				return NewRelClassWith(c, DefaultRelClassConfig(false))
-			}},
-		{"LDG-RelClass", "relclass:tau=0.1,pooled=true,samples=64,minstd=0.35,seed=5,minprefix=10",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewRelClass(d, DefaultRelClassConfig(true)) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewRelClassWith(c, DefaultRelClassConfig(true)) }},
-		{"ECDIRE", "ecdire:acc=0.9,snapshots=20,sharpness=3",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewECDIRE(d, DefaultECDIREConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewECDIREWith(c, DefaultECDIREConfig()) }},
-		{"CostAware", "costaware:misclass=1,delay=0.5,snapshots=20",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewCostAware(d, DefaultCostAwareConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewCostAwareWith(c, DefaultCostAwareConfig()) }},
-		{"TEASER", "teaser:snapshots=20,v=3,znorm=true,sigma=2.5",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewTEASER(d, DefaultTEASERConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewTEASERWith(c, DefaultTEASERConfig()) }},
-		{"TEASER-raw", "teaser:snapshots=20,v=3,znorm=false,sigma=2.5",
-			func(d *dataset.Dataset) (EarlyClassifier, error) {
-				cfg := DefaultTEASERConfig()
-				cfg.ZNormPrefix = false
-				return NewTEASER(d, cfg)
-			},
-			func(c *TrainContext) (EarlyClassifier, error) {
-				cfg := DefaultTEASERConfig()
-				cfg.ZNormPrefix = false
-				return NewTEASERWith(c, cfg)
-			}},
-		{"ProbThreshold", "probthreshold:threshold=0.8,minprefix=5",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewProbThreshold(d, 0.8, 5) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewProbThresholdWith(c, 0.8, 5) }},
-		{"FixedPrefix", "fixedprefix:at=20,znorm=true",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewFixedPrefix(d, 20, true) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewFixedPrefixWith(c, 20, true) }},
+// RelClass, raw-prefix TEASER). The EDSC rows spell out the builder's whole
+// parameter surface, with candidate lengths sized to the dataset so one
+// table runs on both battery datasets.
+func batterySpecs(d *dataset.Dataset) []struct{ name, spec string } {
+	lens := "minlen=15,maxlen=60"
+	if d.SeriesLen() < 60 {
+		lens = "minlen=10,maxlen=30"
+	}
+	edsc := "lenstep=15,stride=8,maxseries=30,chek=1.5,kdeodds=2,maxshapelets=40," + lens
+	return []struct{ name, spec string }{
+		{"ECTS", "ects:relaxed=false,support=0"},
+		{"RelaxedECTS", "ects:relaxed=true,support=1"},
+		{"EDSC-CHE", "edsc:method=che," + edsc},
+		{"EDSC-KDE", "edsc:method=kde," + edsc},
+		{"RelClass", "relclass:tau=0.1,pooled=false,samples=64,minstd=0.35,seed=5,minprefix=10"},
+		{"LDG-RelClass", "relclass:tau=0.1,pooled=true,samples=64,minstd=0.35,seed=5,minprefix=10"},
+		{"ECDIRE", "ecdire:acc=0.9,snapshots=20,sharpness=3"},
+		{"CostAware", "costaware:misclass=1,delay=0.5,snapshots=20"},
+		{"TEASER", "teaser:snapshots=20,v=3,znorm=true,sigma=2.5"},
+		{"TEASER-raw", "teaser:snapshots=20,v=3,znorm=false,sigma=2.5"},
+		{"ProbThreshold", "probthreshold:threshold=0.8,minprefix=5"},
+		{"FixedPrefix", "fixedprefix:at=20,znorm=true"},
 	}
 }
 
-// specFromEDSC renders the battery EDSC config in spec form, exercising
-// the full parameter surface of the edsc builder.
-func specFromEDSC(cfg EDSCConfig) string {
-	return Spec{Algo: AlgoEDSC, Params: edscParams(cfg)}.String()
-}
-
-// TestRegistryEquivalenceBattery is the registry's core contract:
-// Train(spec, …) is byte-identical — decisions and posteriors,
-// prefix-for-prefix, in both engine modes — to every legacy New*/New*With
-// constructor, for workers ∈ {1, 4, GOMAXPROCS}. One shared TrainContext
-// per worker count keeps cross-trainer cache reuse under test.
+// TestRegistryEquivalenceBattery is the construction API's core contract:
+// for every algorithm, Train(spec, train) — the direct serial path — is
+// byte-identical to training with a worker bound (WithWorkers, a fresh
+// context) and over a shared caller context (WithTrainContext), for
+// workers ∈ {1, 4, GOMAXPROCS} on both battery datasets. One TrainContext
+// per (dataset, workers) cell is shared by every algorithm, so
+// cross-trainer cache reuse is under test too.
 func TestRegistryEquivalenceBattery(t *testing.T) {
-	train, test := easySplit(t)
-	pairs := specPairs(train)
-
-	// Legacy direct models, trained once each.
-	direct := make([]EarlyClassifier, len(pairs))
-	for pi, p := range pairs {
-		c, err := p.direct(train)
-		if err != nil {
-			t.Fatalf("%s direct: %v", p.name, err)
+	type split struct {
+		name        string
+		train, test *dataset.Dataset
+		ctxs        []*TrainContext // one per workers entry
+	}
+	eTrain, eTest := easySplit(t)
+	gTrain, gTest := smallGunPointSplit(t)
+	splits := []*split{{name: "easy", train: eTrain, test: eTest}, {name: "gunpoint", train: gTrain, test: gTest}}
+	workers := []int{1, 4, runtime.GOMAXPROCS(0)}
+	for _, sp := range splits {
+		for _, w := range workers {
+			ctx, err := NewTrainContext(sp.train, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.ctxs = append(sp.ctxs, ctx)
 		}
-		direct[pi] = c
 	}
 
-	for _, p := range pairs {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
-			pi := indexOfPair(pairs, p.name)
-			spec, err := ParseSpec(p.spec)
-			if err != nil {
-				t.Fatalf("ParseSpec(%q): %v", p.spec, err)
-			}
-
-			// Spec-trained, no options: must equal the legacy direct path.
-			got, err := Train(spec, train)
-			if err != nil {
-				t.Fatalf("Train(%q): %v", p.spec, err)
-			}
-			assertSpecEquivalent(t, p.name+"/direct", direct[pi], got, test)
-
-			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				// Spec-trained with a worker bound: Train builds its own
-				// context; must equal the legacy paths.
-				got, err := Train(spec, train, WithWorkers(workers))
-				if err != nil {
-					t.Fatalf("Train(%q, workers=%d): %v", p.spec, workers, err)
-				}
-				assertSpecEquivalent(t, p.name+"/workers", direct[pi], got, test)
-
-				// Spec-trained over a shared caller context: must equal the
-				// legacy With path over the same context.
-				ctx, err := NewTrainContext(train, workers)
+	for ai, row := range batterySpecs(eTrain) {
+		ai := ai
+		t.Run(row.name, func(t *testing.T) {
+			for _, sp := range splits {
+				spec, err := ParseSpec(batterySpecs(sp.train)[ai].spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				legacy, err := p.with(ctx)
+				name := sp.name + "/" + spec.String()
+				direct, err := Train(spec, sp.train)
 				if err != nil {
-					t.Fatalf("%s with(workers=%d): %v", p.name, workers, err)
+					t.Fatalf("%s direct: %v", name, err)
 				}
-				got, err = Train(spec, nil, WithTrainContext(ctx))
-				if err != nil {
-					t.Fatalf("Train(%q, ctx workers=%d): %v", p.spec, workers, err)
+				for wi, w := range workers {
+					got, err := Train(spec, sp.train, WithWorkers(w))
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", name, w, err)
+					}
+					assertEquivalent(t, fmt.Sprintf("%s/workers=%d", name, w), direct, got, sp.test)
+					got, err = Train(spec, nil, WithTrainContext(sp.ctxs[wi]))
+					if err != nil {
+						t.Fatalf("%s ctx workers=%d: %v", name, w, err)
+					}
+					assertEquivalent(t, fmt.Sprintf("%s/ctx=%d", name, w), direct, got, sp.test)
 				}
-				assertSpecEquivalent(t, p.name+"/ctx", legacy, got, test)
 			}
 		})
 	}
 }
 
-func indexOfPair(pairs []specPair, name string) int {
-	for i, p := range pairs {
-		if p.name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// assertSpecEquivalent compares two models decision-for-decision and
-// posterior-for-posterior: incremental sessions in both engine modes on a
-// few exemplars (every step), the RunOne commitment triple on every test
-// exemplar, and PosteriorPrefix maps (when implemented) bit-for-bit.
-func assertSpecEquivalent(t *testing.T, name string, want, got EarlyClassifier, test *dataset.Dataset) {
+// assertEquivalent compares two models decision-for-decision and
+// posterior-for-posterior: the full per-length ClassifyPrefix transcript,
+// incremental sessions in both engine modes, and PosteriorPrefix maps
+// (when implemented) bit-for-bit on a few exemplars, plus the RunOne
+// commitment triple on every test exemplar.
+func assertEquivalent(t *testing.T, name string, want, got EarlyClassifier, test *dataset.Dataset) {
 	t.Helper()
 	if want.FullLength() != got.FullLength() {
 		t.Fatalf("%s: full length %d != %d", name, got.FullLength(), want.FullLength())
@@ -168,10 +110,17 @@ func assertSpecEquivalent(t *testing.T, name string, want, got EarlyClassifier, 
 	wpp, wok := want.(PosteriorProvider)
 	gpp, gok := got.(PosteriorProvider)
 	if wok != gok {
-		t.Fatalf("%s: posterior support differs: legacy %v, spec %v", name, wok, gok)
+		t.Fatalf("%s: posterior support differs: want %v, got %v", name, wok, gok)
 	}
 	for i, in := range test.Instances {
 		if i < 2 {
+			for l := 1; l <= full; l++ {
+				dw := want.ClassifyPrefix(in.Series[:l])
+				dg := got.ClassifyPrefix(in.Series[:l])
+				if dw != dg {
+					t.Fatalf("%s instance %d length %d: want %+v, got %+v", name, i, l, dw, dg)
+				}
+			}
 			for _, mode := range []EngineMode{Pruned, Eager} {
 				ws := OpenSessionMode(want, mode)
 				gs := OpenSessionMode(got, mode)
@@ -180,7 +129,7 @@ func assertSpecEquivalent(t *testing.T, name string, want, got EarlyClassifier, 
 					dw := ws.Extend(in.Series[prev:l])
 					dg := gs.Extend(in.Series[prev:l])
 					if dw != dg {
-						t.Fatalf("%s instance %d mode=%s length %d: legacy %+v != spec %+v",
+						t.Fatalf("%s instance %d mode=%s length %d: want %+v, got %+v",
 							name, i, mode, l, dw, dg)
 					}
 					prev = l
@@ -197,7 +146,7 @@ func assertSpecEquivalent(t *testing.T, name string, want, got EarlyClassifier, 
 		wl, wn, wf := RunOne(want, in.Series, 4)
 		gl, gn, gf := RunOne(got, in.Series, 4)
 		if wl != gl || wn != gn || wf != gf {
-			t.Fatalf("%s instance %d: legacy (label=%d len=%d forced=%v) != spec (label=%d len=%d forced=%v)",
+			t.Fatalf("%s instance %d: want (label=%d len=%d forced=%v), got (label=%d len=%d forced=%v)",
 				name, i, wl, wn, wf, gl, gn, gf)
 		}
 	}
@@ -271,7 +220,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSpecEquivalent(t, "json-roundtrip", a, b, test)
+	assertEquivalent(t, "json-roundtrip", a, b, test)
 }
 
 func TestTrainErrors(t *testing.T) {
@@ -290,6 +239,16 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := Train(MustParseSpec("edsc:method=nope"), train); err == nil {
 		t.Error("bad edsc method accepted")
+	}
+	// Non-finite numbers: NaN passes every trainer's range comparison, so
+	// the parameter reader itself must refuse them.
+	for _, bad := range []string{
+		"relclass:tau=nan", "probthreshold:threshold=nan", "costaware:delay=inf",
+		"ecdire:acc=nan", "teaser:sigma=nan", "costaware:misclass=-inf",
+	} {
+		if _, err := Train(MustParseSpec(bad), train); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s: %v, want a finite-number error", bad, err)
+		}
 	}
 	if _, err := Train(MustParseSpec("ects"), nil); err == nil {
 		t.Error("nil training set accepted")
@@ -314,21 +273,21 @@ func TestWithSeed(t *testing.T) {
 	}
 	cfg := DefaultRelClassConfig(false)
 	cfg.Seed = 99
-	legacy, err := NewRelClass(train, cfg)
+	direct, err := trainRelClass(train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSpecEquivalent(t, "seed-option", legacy, viaOption, test)
+	assertEquivalent(t, "seed-option", direct, viaOption, test)
 
 	viaParam, err := Train(MustParseSpec("relclass:seed=5"), train, WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deflt, err := NewRelClass(train, DefaultRelClassConfig(false))
+	deflt, err := trainRelClass(train, DefaultRelClassConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSpecEquivalent(t, "seed-param-wins", deflt, viaParam, test)
+	assertEquivalent(t, "seed-param-wins", deflt, viaParam, test)
 }
 
 func TestRegistryRegister(t *testing.T) {

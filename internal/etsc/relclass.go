@@ -34,7 +34,6 @@ type RelClass struct {
 	Tau       float64
 	Pooled    bool
 	MinPrefix int
-	Mode      RelClassMode
 
 	labels []int
 	prior  []float64
@@ -48,16 +47,17 @@ type RelClass struct {
 	classU []float64
 	noise  [][]float64 // [sample][t]
 
-	// suf is the precomputed suffix-completion table behind RelTable mode:
-	// for sample s, completing class ci, scored class cj, and prefix length
-	// l, suf holds Σ_{t=l}^{full-1} logN(mean[ci][t]+std[ci][t]·noise[s][t];
+	// suf is the precomputed suffix-completion table: for sample s,
+	// completing class ci, scored class cj, and prefix length l, suf holds
+	// Σ_{t=l}^{full-1} logN(mean[ci][t]+std[ci][t]·noise[s][t];
 	// mean[cj][t], std[cj][t]) — the whole per-sample suffix walk of the
 	// eager Monte Carlo loop, which depends only on (s, ci, cj, l) and never
 	// on the stream. Layout is [s][ci][l][cj] (cj contiguous), built as a
 	// reverse-cumulative sum over l, so a reliability estimate is
 	// O(samples · classes) table lookups instead of
-	// O(samples · classes · suffix-length) Gaussian evaluations. nil in
-	// RelEager mode (and when the table would exceed relTableMaxFloats).
+	// O(samples · classes · suffix-length) Gaussian evaluations. nil when
+	// the table would exceed relTableMaxFloats; reliability then falls back
+	// to the eager Monte Carlo walk (agreeEager).
 	suf []float64
 
 	// scratch pools per-call working memory so the pure
@@ -67,63 +67,20 @@ type RelClass struct {
 	scratch sync.Pool
 }
 
-// RelClassMode selects the reliability-estimate kernel. Unlike EngineMode
-// (whose variants are pinned byte-identical), the two modes reassociate the
-// suffix log-likelihood summation and agree only to floating-point
-// tolerance: decisions are pinned identical and reliabilities
-// tolerance-equal by the mode battery, but not bit-equal.
-type RelClassMode int
-
-const (
-	// RelTable (the zero value, and the default) serves reliability from
-	// the precomputed suffix-completion table: O(samples · classes) per
-	// decision.
-	RelTable RelClassMode = iota
-	// RelEager re-walks the unseen suffix for every sample × class on every
-	// decision — the original Monte Carlo loop, kept verbatim as the pinned
-	// reference path (the same pattern as the Pruned/Eager engine split).
-	RelEager
-)
-
-// String returns the mode name.
-func (m RelClassMode) String() string {
-	switch m {
-	case RelTable:
-		return "table"
-	case RelEager:
-		return "eager"
-	default:
-		return fmt.Sprintf("RelClassMode(%d)", int(m))
-	}
-}
-
-// ParseRelClassMode parses "table" or "eager".
-func ParseRelClassMode(s string) (RelClassMode, error) {
-	switch s {
-	case "table":
-		return RelTable, nil
-	case "eager":
-		return RelEager, nil
-	default:
-		return 0, fmt.Errorf("etsc: unknown RelClass mode %q (want table or eager)", s)
-	}
-}
-
 // relTableMaxFloats caps the suffix table at 8M float64s (64 MB): a
 // pathological samples × classes² × length product falls back to the eager
 // kernel instead of exploding training memory. A variable so tests can
-// exercise the fallback.
+// exercise the fallback and train the eager reference oracle.
 var relTableMaxFloats = 1 << 23
 
 // RelClassConfig controls model fitting.
 type RelClassConfig struct {
-	Tau       float64      // commit when reliability >= 1-Tau (paper: τ = 0.1)
-	Pooled    bool         // LDG variant
-	Samples   int          // Monte Carlo completions per decision
-	MinStd    float64      // variance floor (shrinkage)
-	Seed      int64        // seed for the frozen Monte Carlo draws
-	MinPrefix int          // never commit before this many points
-	Mode      RelClassMode // reliability kernel (default: precomputed table)
+	Tau       float64 // commit when reliability >= 1-Tau (paper: τ = 0.1)
+	Pooled    bool    // LDG variant
+	Samples   int     // Monte Carlo completions per decision
+	MinStd    float64 // variance floor (shrinkage)
+	Seed      int64   // seed for the frozen Monte Carlo draws
+	MinPrefix int     // never commit before this many points
 }
 
 // DefaultRelClassConfig mirrors the paper's τ=0.1 setting.
@@ -131,46 +88,10 @@ func DefaultRelClassConfig(pooled bool) RelClassConfig {
 	return RelClassConfig{Tau: 0.1, Pooled: pooled, Samples: 64, MinStd: 0.35, Seed: 5, MinPrefix: 10}
 }
 
-// NewRelClassWith is NewRelClass over a shared TrainContext. RelClass fits
+// trainRelClass is the fitting path behind the registry. RelClass fits
 // per-timestep Gaussians and freezes Monte Carlo draws — an O(n·L) pass
-// with no pairwise-distance component — so it takes nothing from the
-// memoized matrix and delegates to the direct path; the constructor exists
-// so the whole suite trains through one context-driven API. Trivially
-// byte-identical to NewRelClass.
-//
-// Deprecated: use [Train] with a "relclass" Spec and [WithTrainContext].
-func NewRelClassWith(c *TrainContext, cfg RelClassConfig) (*RelClass, error) {
-	clf, err := Train(Spec{Algo: AlgoRelClass, Params: relClassParams(cfg)}, nil, WithTrainContext(c))
-	if err != nil {
-		return nil, err
-	}
-	return clf.(*RelClass), nil
-}
-
-// NewRelClass fits the model to train.
-//
-// Deprecated: use [Train] with a "relclass" Spec — e.g.
-// Train(MustParseSpec("relclass:tau=0.1,pooled=false"), train). This
-// wrapper is pinned byte-identical to the registry path by the
-// registry-equivalence battery.
-func NewRelClass(train *dataset.Dataset, cfg RelClassConfig) (*RelClass, error) {
-	c, err := Train(Spec{Algo: AlgoRelClass, Params: relClassParams(cfg)}, train)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*RelClass), nil
-}
-
-// relClassParams renders a legacy config as registry spec parameters.
-func relClassParams(cfg RelClassConfig) map[string]any {
-	return map[string]any{
-		"tau": cfg.Tau, "pooled": cfg.Pooled, "samples": cfg.Samples,
-		"minstd": cfg.MinStd, "seed": cfg.Seed, "minprefix": cfg.MinPrefix,
-		"mode": cfg.Mode.String(),
-	}
-}
-
-// trainRelClass is the direct fitting path behind the registry.
+// with no pairwise-distance component — so it takes nothing from a
+// TrainContext and every option path delegates here.
 func trainRelClass(train *dataset.Dataset, cfg RelClassConfig) (*RelClass, error) {
 	if train == nil || train.Len() < 2 {
 		return nil, errors.New("etsc: RelClass needs at least 2 training instances")
@@ -180,9 +101,6 @@ func trainRelClass(train *dataset.Dataset, cfg RelClassConfig) (*RelClass, error
 	}
 	if cfg.Tau <= 0 || cfg.Tau >= 1 {
 		return nil, fmt.Errorf("etsc: RelClass τ must be in (0,1), got %v", cfg.Tau)
-	}
-	if cfg.Mode != RelTable && cfg.Mode != RelEager {
-		return nil, fmt.Errorf("etsc: RelClass mode must be table or eager, got %d", int(cfg.Mode))
 	}
 	if cfg.Samples < 8 {
 		cfg.Samples = 8
@@ -210,7 +128,6 @@ func trainRelClass(train *dataset.Dataset, cfg RelClassConfig) (*RelClass, error
 		Tau:       cfg.Tau,
 		Pooled:    cfg.Pooled,
 		MinPrefix: cfg.MinPrefix,
-		Mode:      cfg.Mode,
 		labels:    labels,
 		full:      L,
 	}
@@ -263,12 +180,8 @@ func trainRelClass(train *dataset.Dataset, cfg RelClassConfig) (*RelClass, error
 		}
 		r.noise[s] = row
 	}
-	if r.Mode == RelTable {
-		if entries := cfg.Samples * len(labels) * len(labels) * (L + 1); entries <= relTableMaxFloats {
-			r.buildSuffixTable()
-		} else {
-			r.Mode = RelEager
-		}
+	if entries := cfg.Samples * len(labels) * len(labels) * (L + 1); entries <= relTableMaxFloats {
+		r.buildSuffixTable()
 	}
 	return r, nil
 }
@@ -410,9 +323,10 @@ func (r *RelClass) getScratch() *relScratch {
 // reliabilityFromLogScratch is the allocation-free estimate core shared by
 // the pure and incremental paths on an already-accumulated per-class log
 // posterior of the first l points. The MAP decision and the class-sampling
-// cumulative are mode-independent; the per-sample agreement count comes
-// from the suffix table (RelTable) or the original Monte Carlo suffix walk
-// (RelEager). lp is not modified (and may alias scr.lp).
+// cumulative are kernel-independent; the per-sample agreement count comes
+// from the suffix table, or from the original Monte Carlo suffix walk when
+// the table was too large to build. lp is not modified (and may alias
+// scr.lp).
 func (r *RelClass) reliabilityFromLogScratch(lp []float64, l int, scr *relScratch) (label int, reliability float64) {
 	posteriorFromLogInto(scr.post, lp)
 	mapIdx := argmax(scr.post)
@@ -426,7 +340,7 @@ func (r *RelClass) reliabilityFromLogScratch(lp []float64, l int, scr *relScratc
 		scr.cum[i] = acc
 	}
 	var agree int
-	if r.suf != nil && r.Mode == RelTable {
+	if r.suf != nil {
 		agree = r.agreeTable(lp, l, mapIdx, scr)
 	} else {
 		agree = r.agreeEager(lp, l, mapIdx, scr)
@@ -464,10 +378,9 @@ func (r *RelClass) agreeTable(lp []float64, l, mapIdx int, scr *relScratch) int 
 	return agree
 }
 
-// agreeEager is the original per-decision Monte Carlo suffix walk, kept
-// verbatim as the pinned reference the table kernel is validated against:
-// identical arithmetic to the pre-table implementation, with the per-sample
-// completion buffer reused via copy instead of cloned.
+// agreeEager is the per-decision Monte Carlo suffix walk: the fallback for
+// models whose suffix table would exceed relTableMaxFloats, and the
+// reference the table kernel is validated against.
 func (r *RelClass) agreeEager(lp []float64, l, mapIdx int, scr *relScratch) int {
 	agree := 0
 	for s := range r.noise {

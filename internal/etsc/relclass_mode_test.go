@@ -2,21 +2,38 @@ package etsc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"etsc/internal/dataset"
 )
 
-// This file is the RelClass half of the mode battery: the precomputed
-// suffix-completion kernel (RelTable) must be indistinguishable from the
-// original Monte Carlo walk (RelEager) in everything but CPU work. The two
-// kernels reassociate the suffix log-likelihood summation, so the contract
-// is decisions identical and reliabilities within Monte Carlo-step
-// tolerance (one flipped sample = 1/Samples), not bit-equality — weaker
-// than the byte-identical Pruned/Eager engine contract, which is why
-// RelClassMode is its own knob.
+// This file is the RelClass kernel battery: the precomputed
+// suffix-completion table must be indistinguishable from the original
+// Monte Carlo walk (agreeEager, the fallback for tables over
+// relTableMaxFloats) in everything but CPU work. The two kernels
+// reassociate the suffix log-likelihood summation, so the contract is
+// decisions identical and reliabilities within Monte Carlo-step tolerance
+// (one flipped sample = 1/Samples), not bit-equality.
 
-// relClassModePair trains one classifier per mode from the same config.
+// trainRelClassEager trains cfg with the table cap lowered to zero, so the
+// model runs on the Monte Carlo walk: the reference oracle.
+func trainRelClassEager(t testing.TB, train *dataset.Dataset, cfg RelClassConfig) *RelClass {
+	t.Helper()
+	saved := relTableMaxFloats
+	relTableMaxFloats = 0
+	defer func() { relTableMaxFloats = saved }()
+	r, err := trainRelClass(train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.suf != nil {
+		t.Fatal("capped training built a suffix table")
+	}
+	return r
+}
+
+// relClassModePair trains one classifier per kernel from the same config.
 func relClassModePair(t testing.TB, train *dataset.Dataset, pooled bool) (table, eager *RelClass) {
 	t.Helper()
 	cfg := DefaultRelClassConfig(pooled)
@@ -25,18 +42,10 @@ func relClassModePair(t testing.TB, train *dataset.Dataset, pooled bool) (table,
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Mode = RelEager
-	eag, err := trainRelClass(train, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if tbl.suf == nil {
+		t.Fatal("default training did not build the suffix table")
 	}
-	if tbl.Mode != RelTable || tbl.suf == nil {
-		t.Fatal("table-mode classifier did not build its suffix table")
-	}
-	if eag.Mode != RelEager || eag.suf != nil {
-		t.Fatal("eager-mode classifier built a suffix table")
-	}
-	return tbl, eag
+	return tbl, trainRelClassEager(t, train, cfg)
 }
 
 // relTolerance is the allowed reliability gap between the kernels: the
@@ -114,33 +123,28 @@ func TestRelClassSessionModesIdentical(t *testing.T) {
 	}
 }
 
-// TestRelClassModeSpec pins the registry plumbing: the default spec trains
-// in table mode, mode=eager selects the reference kernel, and an unknown
-// mode is a configuration error, not a silent default.
+// TestRelClassModeSpec pins the registry plumbing: the kernel follows from
+// the table size alone, so a spec trains the table whenever it fits, and
+// a "mode" parameter is an unknown-parameter error, not a silent default.
 func TestRelClassModeSpec(t *testing.T) {
 	train, _ := easySplit(t)
 	def, err := Train(MustParseSpec("relclass:tau=0.1"), train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := def.(*RelClass); r.Mode != RelTable || r.suf == nil {
-		t.Fatalf("default spec trained mode %v (table built: %v), want table", r.Mode, r.suf != nil)
+	if def.(*RelClass).suf == nil {
+		t.Fatal("default spec did not build the suffix table")
 	}
-	eag, err := Train(MustParseSpec("relclass:mode=eager"), train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := eag.(*RelClass); r.Mode != RelEager || r.suf != nil {
-		t.Fatalf("mode=eager spec trained mode %v (table built: %v), want eager", r.Mode, r.suf != nil)
-	}
-	if _, err := Train(MustParseSpec("relclass:mode=lazy"), train); err == nil {
-		t.Fatal("mode=lazy trained successfully, want error")
+	for _, spec := range []string{"relclass:mode=eager", "relclass:mode=table"} {
+		if _, err := Train(MustParseSpec(spec), train); err == nil || !strings.Contains(err.Error(), "unknown relclass parameter") {
+			t.Errorf("%s: %v, want the unknown-parameter error", spec, err)
+		}
 	}
 }
 
 // TestRelClassTableMemoryFallback pins the memory guard: when the suffix
 // table would exceed relTableMaxFloats, training falls back to the eager
-// kernel (recorded in Mode) instead of allocating it.
+// kernel instead of allocating it.
 func TestRelClassTableMemoryFallback(t *testing.T) {
 	train, test := easySplit(t)
 	saved := relTableMaxFloats
@@ -151,8 +155,8 @@ func TestRelClassTableMemoryFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Mode != RelEager || r.suf != nil {
-		t.Fatalf("capped training kept mode %v (table built: %v), want eager fallback", r.Mode, r.suf != nil)
+	if r.suf != nil {
+		t.Fatal("capped training built the suffix table, want eager fallback")
 	}
 	if d := r.ClassifyPrefix(test.Instances[0].Series); d.Label == 0 && !d.Ready {
 		t.Fatalf("fallback classifier returned zero decision %+v", d)

@@ -86,7 +86,7 @@ func TestSessionSnapshotEquivalence(t *testing.T) {
 // a panic, because folded accumulators cannot seed a lazy frontier.
 func TestSessionSnapshotCrossEngine(t *testing.T) {
 	train, test := smallGunPointSplit(t)
-	ects, err := NewECTS(train, false, 0)
+	ects, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,12 @@ func TestTable1Mechanics(t *testing.T) {
 		name string
 		make func() (EarlyClassifier, error)
 	}{
-		{"ECTS", func() (EarlyClassifier, error) { return NewECTS(train, false, 0) }},
-		{"RelaxedECTS", func() (EarlyClassifier, error) { return NewECTS(train, true, 0) }},
-		{"EDSC-CHE", func() (EarlyClassifier, error) { return NewEDSC(train, DefaultEDSCConfig(CHE)) }},
-		{"EDSC-KDE", func() (EarlyClassifier, error) { return NewEDSC(train, DefaultEDSCConfig(KDE)) }},
-		{"RelClass", func() (EarlyClassifier, error) { return NewRelClass(train, DefaultRelClassConfig(false)) }},
-		{"LDG-RelClass", func() (EarlyClassifier, error) { return NewRelClass(train, DefaultRelClassConfig(true)) }},
+		{"ECTS", func() (EarlyClassifier, error) { return trainECTS(train, false, 0) }},
+		{"RelaxedECTS", func() (EarlyClassifier, error) { return trainECTS(train, true, 0) }},
+		{"EDSC-CHE", func() (EarlyClassifier, error) { return newEDSC(train, DefaultEDSCConfig(CHE), 1) }},
+		{"EDSC-KDE", func() (EarlyClassifier, error) { return newEDSC(train, DefaultEDSCConfig(KDE), 1) }},
+		{"RelClass", func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(false)) }},
+		{"LDG-RelClass", func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(true)) }},
 	}
 	for _, b := range build {
 		b := b
@@ -71,7 +71,7 @@ func TestTable1Mechanics(t *testing.T) {
 func TestTEASERSurvivesDenormalization(t *testing.T) {
 	train, test := gunPointSplit(t)
 	denorm := test.Denormalize(synth.NewRand(99), 1.0)
-	c, err := NewTEASER(train, DefaultTEASERConfig())
+	c, err := trainTEASER(train, DefaultTEASERConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

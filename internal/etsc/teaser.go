@@ -77,38 +77,6 @@ func (g oneClassGate) accept(top, margin float64) bool {
 	return true
 }
 
-// NewTEASER trains the snapshot classifiers and masters.
-//
-// Deprecated: use [Train] with a "teaser" Spec — e.g.
-// Train(MustParseSpec("teaser:snapshots=20,v=3,znorm=true"), train). This
-// wrapper is pinned byte-identical to the registry path by the
-// registry-equivalence battery.
-func NewTEASER(train *dataset.Dataset, cfg TEASERConfig) (*TEASER, error) {
-	c, err := Train(Spec{Algo: AlgoTEASER, Params: teaserParams(cfg)}, train)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*TEASER), nil
-}
-
-// NewTEASERWith is NewTEASER over a shared TrainContext.
-//
-// Deprecated: use [Train] with a "teaser" Spec and [WithTrainContext].
-func NewTEASERWith(c *TrainContext, cfg TEASERConfig) (*TEASER, error) {
-	clf, err := Train(Spec{Algo: AlgoTEASER, Params: teaserParams(cfg)}, nil, WithTrainContext(c))
-	if err != nil {
-		return nil, err
-	}
-	return clf.(*TEASER), nil
-}
-
-// teaserParams renders a legacy config as registry spec parameters.
-func teaserParams(cfg TEASERConfig) map[string]any {
-	return map[string]any{
-		"snapshots": cfg.Snapshots, "v": cfg.V, "znorm": cfg.ZNormPrefix, "sigma": cfg.GateSigma,
-	}
-}
-
 // trainTEASER is the direct (serial) training path behind the registry.
 func trainTEASER(train *dataset.Dataset, cfg TEASERConfig) (*TEASER, error) {
 	t, cfg, err := teaserSetup(train, cfg)
@@ -141,7 +109,7 @@ func trainTEASER(train *dataset.Dataset, cfg TEASERConfig) (*TEASER, error) {
 // O(snapshots·n²·l) training cost — read the memoized prefix-distance
 // matrix (z-normalized flavor under the published footnote-2 setting, raw
 // under the counterfactual) and fan across the context's pool. The trained
-// model is byte-identical to NewTEASER for any worker count: matrix entries
+// model is byte-identical to trainTEASER for any worker count: matrix entries
 // equal the direct SquaredEuclidean over the same cached prefixes, and the
 // gate statistics are assembled in instance order.
 func trainTEASERCtx(c *TrainContext, cfg TEASERConfig) (*TEASER, error) {

@@ -30,24 +30,10 @@ type ProbThreshold struct {
 	full   int
 }
 
-// NewProbThreshold builds the model. threshold is the user's commitment
-// probability (the paper's example uses 0.8); minPrefix guards against
-// trivial commitments on the first couple of points.
-//
-// Deprecated: use [Train] with a "probthreshold" Spec — e.g.
-// Train(MustParseSpec("probthreshold:threshold=0.8,minprefix=10"), train).
-// This wrapper is pinned byte-identical to the registry path by the
-// registry-equivalence battery.
-func NewProbThreshold(train *dataset.Dataset, threshold float64, minPrefix int) (*ProbThreshold, error) {
-	c, err := Train(Spec{Algo: AlgoProbThreshold, Params: map[string]any{
-		"threshold": threshold, "minprefix": minPrefix}}, train)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*ProbThreshold), nil
-}
-
-// trainProbThreshold is the direct construction path behind the registry.
+// trainProbThreshold is the construction path behind the registry.
+// threshold is the user's commitment probability (the paper's example uses
+// 0.8); minPrefix guards against trivial commitments on the first couple of
+// points.
 func trainProbThreshold(train *dataset.Dataset, threshold float64, minPrefix int) (*ProbThreshold, error) {
 	if train == nil || train.Len() < 2 {
 		return nil, errors.New("etsc: ProbThreshold needs at least 2 training instances")
@@ -72,23 +58,6 @@ func trainProbThreshold(train *dataset.Dataset, threshold float64, minPrefix int
 		refs:      seriesRefs(train),
 		full:      train.SeriesLen(),
 	}, nil
-}
-
-// NewProbThresholdWith is NewProbThreshold over a shared TrainContext.
-// ProbThreshold has no training-time computation beyond caching the label
-// set, so it takes nothing from the memoized matrix and delegates to the
-// direct path; the constructor exists so the whole suite trains through one
-// context-driven API. Trivially byte-identical to NewProbThreshold.
-//
-// Deprecated: use [Train] with a "probthreshold" Spec and
-// [WithTrainContext].
-func NewProbThresholdWith(c *TrainContext, threshold float64, minPrefix int) (*ProbThreshold, error) {
-	clf, err := Train(Spec{Algo: AlgoProbThreshold, Params: map[string]any{
-		"threshold": threshold, "minprefix": minPrefix}}, nil, WithTrainContext(c))
-	if err != nil {
-		return nil, err
-	}
-	return clf.(*ProbThreshold), nil
 }
 
 // Name implements EarlyClassifier.
@@ -249,21 +218,6 @@ type FixedPrefix struct {
 	full   int
 }
 
-// NewFixedPrefix builds the baseline.
-//
-// Deprecated: use [Train] with a "fixedprefix" Spec — e.g.
-// Train(MustParseSpec("fixedprefix:at=20,znorm=true"), train). This wrapper
-// is pinned byte-identical to the registry path by the
-// registry-equivalence battery.
-func NewFixedPrefix(train *dataset.Dataset, at int, znorm bool) (*FixedPrefix, error) {
-	c, err := Train(Spec{Algo: AlgoFixedPrefix, Params: map[string]any{
-		"at": at, "znorm": znorm}}, train)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*FixedPrefix), nil
-}
-
 // trainFixedPrefix is the direct construction path behind the registry.
 func trainFixedPrefix(train *dataset.Dataset, at int, znorm bool) (*FixedPrefix, error) {
 	if train == nil || train.Len() == 0 {
@@ -279,23 +233,11 @@ func trainFixedPrefix(train *dataset.Dataset, at int, znorm bool) (*FixedPrefix,
 	return &FixedPrefix{At: at, ZNorm: znorm, train: train, prefix: pre, full: train.SeriesLen()}, nil
 }
 
-// NewFixedPrefixWith is NewFixedPrefix over a shared TrainContext.
-//
-// Deprecated: use [Train] with a "fixedprefix" Spec and [WithTrainContext].
-func NewFixedPrefixWith(c *TrainContext, at int, znorm bool) (*FixedPrefix, error) {
-	clf, err := Train(Spec{Algo: AlgoFixedPrefix, Params: map[string]any{
-		"at": at, "znorm": znorm}}, nil, WithTrainContext(c))
-	if err != nil {
-		return nil, err
-	}
-	return clf.(*FixedPrefix), nil
-}
-
 // trainFixedPrefixCtx is trainFixedPrefix over a shared TrainContext: the
 // prepared training prefixes come from the context's truncation cache, so
 // N FixedPrefix models at the same decision length (the hub's warm-start
 // shape) share one prepared set instead of truncating and re-normalizing N
-// times. Byte-identical to NewFixedPrefix: the cache stores exactly
+// times. Byte-identical to trainFixedPrefix: the cache stores exactly
 // train.Truncate's output.
 func trainFixedPrefixCtx(c *TrainContext, at int, znorm bool) (*FixedPrefix, error) {
 	train := c.train

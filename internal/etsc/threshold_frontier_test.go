@@ -15,7 +15,7 @@ import "testing"
 // zero it builds the grouped frontier.
 func TestProbThresholdFrontierCrossover(t *testing.T) {
 	train, _ := smallGunPointSplit(t)
-	p, err := NewProbThreshold(train, 0.8, 5)
+	p, err := trainProbThreshold(train, 0.8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestProbThresholdFrontierStillPinned(t *testing.T) {
 	defer func() { probThresholdLazyMin = saved }()
 	for name, sp := range modeSplits(t) {
 		train, test := sp[0], sp[1]
-		p, err := NewProbThreshold(train, 0.8, 5)
+		p, err := trainProbThreshold(train, 0.8, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,17 +19,17 @@ import (
 // paper's whole algorithm suite on one dataset pays the dominant O(n²·L)
 // distance work up to five times. A TrainContext pays it once, in parallel.
 //
-// Every algorithm gains a TrainWith-style constructor (NewECTSWith,
-// NewTEASERWith, …) that reads from the context instead of recomputing;
-// each is pinned by the train-equivalence battery to produce a model whose
-// decisions are identical to the direct New* path, for any worker count.
+// Train(spec, nil, WithTrainContext(ctx)) makes a trainer read from the
+// context instead of recomputing; the registry-equivalence battery pins
+// each such model decision-identical to the direct Train(spec, train)
+// path, for any worker count.
 //
 // Ownership and immutability: the context must be built over a training
 // set that is never mutated afterwards. Cached prefix datasets and the
 // matrix are shared across trainers and must be treated read-only; the
 // trained models themselves hold references into them. Lazy materialization
 // is internally synchronized, so trainers may be built from the same
-// context sequentially or concurrently (each TrainWith constructor
+// context sequentially or concurrently (each context-driven trainer
 // materializes what it needs before fanning out lock-free reads).
 type TrainContext struct {
 	train   *dataset.Dataset

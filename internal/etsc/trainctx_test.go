@@ -1,15 +1,17 @@
 package etsc
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"etsc/internal/dataset"
 )
 
-// trainerPair names one algorithm with its direct and context-driven
-// training paths. The battery requires the two to produce models whose
-// decisions are identical — prefix for prefix, instance for instance.
+// trainerPair names one algorithm variant with its two typed trainers: the
+// direct serial path and the context-driven path behind the registry
+// builders. The battery requires the two to produce models whose decisions
+// are identical — prefix for prefix, instance for instance.
 type trainerPair struct {
 	name   string
 	direct func(train *dataset.Dataset) (EarlyClassifier, error)
@@ -18,58 +20,67 @@ type trainerPair struct {
 
 // trainerPairs covers every algorithm in the package, including the
 // variants whose training paths differ (relaxed ECTS, the KDE threshold
-// learner, pooled RelClass, raw-prefix TEASER).
+// learner, pooled RelClass, raw-prefix TEASER). RelClass and ProbThreshold
+// have no context-driven trainer of their own; their context path is the
+// registry builder over the shared context. Names match batterySpecs.
 func trainerPairs() []trainerPair {
 	rawTeaser := DefaultTEASERConfig()
 	rawTeaser.ZNormPrefix = false
+	viaContext := func(spec string) func(c *TrainContext) (EarlyClassifier, error) {
+		return func(c *TrainContext) (EarlyClassifier, error) {
+			return Train(MustParseSpec(spec), nil, WithTrainContext(c))
+		}
+	}
 	return []trainerPair{
 		{"ECTS",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewECTS(d, false, 0) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewECTSWith(c, false, 0) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainECTS(d, false, 0) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainECTSCtx(c, false, 0) }},
 		{"RelaxedECTS",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewECTS(d, true, 1) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewECTSWith(c, true, 1) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainECTS(d, true, 1) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainECTSCtx(c, true, 1) }},
 		{"EDSC-CHE",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewEDSC(d, batteryEDSCConfig(CHE, d)) },
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return newEDSC(d, batteryEDSCConfig(CHE, d), 1) },
 			func(c *TrainContext) (EarlyClassifier, error) {
-				return NewEDSCWith(c, batteryEDSCConfig(CHE, c.Train()))
+				return newEDSC(c.Train(), batteryEDSCConfig(CHE, c.Train()), c.Workers())
 			}},
 		{"EDSC-KDE",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewEDSC(d, batteryEDSCConfig(KDE, d)) },
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return newEDSC(d, batteryEDSCConfig(KDE, d), 1) },
 			func(c *TrainContext) (EarlyClassifier, error) {
-				return NewEDSCWith(c, batteryEDSCConfig(KDE, c.Train()))
+				return newEDSC(c.Train(), batteryEDSCConfig(KDE, c.Train()), c.Workers())
 			}},
 		{"RelClass",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewRelClass(d, DefaultRelClassConfig(false)) },
-			func(c *TrainContext) (EarlyClassifier, error) {
-				return NewRelClassWith(c, DefaultRelClassConfig(false))
-			}},
+			func(d *dataset.Dataset) (EarlyClassifier, error) {
+				return trainRelClass(d, DefaultRelClassConfig(false))
+			},
+			viaContext("relclass:pooled=false")},
 		{"LDG-RelClass",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewRelClass(d, DefaultRelClassConfig(true)) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewRelClassWith(c, DefaultRelClassConfig(true)) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) {
+				return trainRelClass(d, DefaultRelClassConfig(true))
+			},
+			viaContext("relclass:pooled=true")},
 		{"ECDIRE",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewECDIRE(d, DefaultECDIREConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewECDIREWith(c, DefaultECDIREConfig()) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainECDIRE(d, DefaultECDIREConfig()) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainECDIRECtx(c, DefaultECDIREConfig()) }},
 		{"TEASER",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewTEASER(d, DefaultTEASERConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewTEASERWith(c, DefaultTEASERConfig()) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainTEASER(d, DefaultTEASERConfig()) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainTEASERCtx(c, DefaultTEASERConfig()) }},
 		{"TEASER-raw",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewTEASER(d, rawTeaser) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewTEASERWith(c, rawTeaser) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainTEASER(d, rawTeaser) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainTEASERCtx(c, rawTeaser) }},
 		{"ProbThreshold",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewProbThreshold(d, 0.8, 5) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewProbThresholdWith(c, 0.8, 5) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainProbThreshold(d, 0.8, 5) },
+			viaContext("probthreshold:threshold=0.8,minprefix=5")},
 		{"FixedPrefix",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewFixedPrefix(d, 20, true) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewFixedPrefixWith(c, 20, true) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainFixedPrefix(d, 20, true) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainFixedPrefixCtx(c, 20, true) }},
 		{"CostAware",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return NewCostAware(d, DefaultCostAwareConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return NewCostAwareWith(c, DefaultCostAwareConfig()) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainCostAware(d, DefaultCostAwareConfig()) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainCostAwareCtx(c, DefaultCostAwareConfig()) }},
 	}
 }
 
 // batteryEDSCConfig sizes EDSC's candidate lengths to the dataset so the
-// same pair definition runs on both battery datasets.
+// same pair definition runs on both battery datasets, as batterySpecs does.
 func batteryEDSCConfig(m ThresholdMethod, d *dataset.Dataset) EDSCConfig {
 	cfg := DefaultEDSCConfig(m)
 	if d.SeriesLen() < cfg.MaxLen {
@@ -79,12 +90,14 @@ func batteryEDSCConfig(m ThresholdMethod, d *dataset.Dataset) EDSCConfig {
 	return cfg
 }
 
-// TestTrainEquivalenceBattery is the train path's core property: for every
-// algorithm, training through a shared TrainContext — memoized distance
-// matrix, shared prefix cache, parallel fan-out — produces a model whose
-// decisions agree with the direct New* path prefix-for-prefix, for workers
-// ∈ {1, 4, GOMAXPROCS}. One context is shared by all trainers per
+// TestTrainEquivalenceBattery is the typed trainers' core property: for
+// every algorithm, training through a shared TrainContext — memoized
+// distance matrix, shared prefix cache, parallel fan-out — produces a model
+// whose decisions agree with the direct trainer prefix-for-prefix, for
+// workers ∈ {1, 4, GOMAXPROCS}. One context is shared by all trainers per
 // (dataset, workers) cell, so cross-trainer cache reuse is under test too.
+// The direct model must also equal Train over the variant's batterySpecs
+// row, which pins each builder's parameter-to-config mapping.
 func TestTrainEquivalenceBattery(t *testing.T) {
 	type split struct {
 		name        string
@@ -96,6 +109,10 @@ func TestTrainEquivalenceBattery(t *testing.T) {
 	pairs := trainerPairs()
 
 	for _, sp := range splits {
+		specs := map[string]string{}
+		for _, row := range batterySpecs(sp.train) {
+			specs[row.name] = row.spec
+		}
 		// Direct models, trained once per dataset.
 		direct := make([]EarlyClassifier, len(pairs))
 		for pi, p := range pairs {
@@ -104,6 +121,15 @@ func TestTrainEquivalenceBattery(t *testing.T) {
 				t.Fatalf("%s/%s direct: %v", sp.name, p.name, err)
 			}
 			direct[pi] = c
+			spec, ok := specs[p.name]
+			if !ok {
+				t.Fatalf("%s: no batterySpecs row", p.name)
+			}
+			viaSpec, err := Train(MustParseSpec(spec), sp.train)
+			if err != nil {
+				t.Fatalf("%s/%s Train(%q): %v", sp.name, p.name, spec, err)
+			}
+			assertEquivalent(t, sp.name+"/"+p.name+"/spec", c, viaSpec, sp.test)
 		}
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			ctx, err := NewTrainContext(sp.train, workers)
@@ -115,37 +141,8 @@ func TestTrainEquivalenceBattery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d with: %v", sp.name, p.name, workers, err)
 				}
-				assertSameDecisions(t, sp.name, p.name, workers, direct[pi], got, sp.test)
+				assertEquivalent(t, fmt.Sprintf("%s/%s/workers=%d", sp.name, p.name, workers), direct[pi], got, sp.test)
 			}
-		}
-	}
-}
-
-// assertSameDecisions compares two models decision-for-decision: the full
-// per-length ClassifyPrefix transcript on a few exemplars, and the RunOne
-// commitment point (label, length, forced) on every test exemplar.
-func assertSameDecisions(t *testing.T, ds, name string, workers int, want, got EarlyClassifier, test *dataset.Dataset) {
-	t.Helper()
-	if want.FullLength() != got.FullLength() {
-		t.Fatalf("%s/%s workers=%d: full length %d != %d", ds, name, workers, got.FullLength(), want.FullLength())
-	}
-	full := want.FullLength()
-	for i, in := range test.Instances {
-		if i < 2 {
-			for l := 1; l <= full; l++ {
-				dw := want.ClassifyPrefix(in.Series[:l])
-				dg := got.ClassifyPrefix(in.Series[:l])
-				if dw != dg {
-					t.Fatalf("%s/%s workers=%d instance %d length %d: direct %+v != context %+v",
-						ds, name, workers, i, l, dw, dg)
-				}
-			}
-		}
-		wl, wn, wf := RunOne(want, in.Series, 4)
-		gl, gn, gf := RunOne(got, in.Series, 4)
-		if wl != gl || wn != gn || wf != gf {
-			t.Fatalf("%s/%s workers=%d instance %d: direct (label=%d len=%d forced=%v) != context (label=%d len=%d forced=%v)",
-				ds, name, workers, i, wl, wn, wf, gl, gn, gf)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func RunAppendixB(cfg Config) (*AppendixBResult, error) {
 		return nil, err
 	}
 
-	c, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	c, err := etsc.Train(etsc.MustParseSpec("teaser"), train)
 	if err != nil {
 		return nil, err
 	}

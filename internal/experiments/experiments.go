@@ -34,9 +34,9 @@ type Config struct {
 	// TrainCache, when true, trains the algorithm suites through a shared
 	// etsc.TrainContext — one memoized prefix-distance matrix and prefix
 	// cache per training set, materialized in parallel (Parallelism) and
-	// reused across every trainer — instead of letting each New* call
+	// reused across every trainer — instead of letting each trainer
 	// recompute its own distances. The trained models, and therefore every
-	// rendered table, are identical either way (the train-equivalence
+	// rendered table, are identical either way (the registry-equivalence
 	// battery pins this); the flag trades training wall-clock time only.
 	TrainCache bool
 	// Engine selects the inference engine the evaluation and monitoring

@@ -39,7 +39,7 @@ func RunFig2(cfg Config) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	c, err := etsc.Train(etsc.MustParseSpec("teaser"), train)
 	if err != nil {
 		return nil, err
 	}

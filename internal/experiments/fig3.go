@@ -32,11 +32,11 @@ func RunFig3(cfg Config) (*Fig3Result, error) {
 	}
 	exemplar := test.Instances[0]
 
-	teaser, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	teaser, err := etsc.Train(etsc.MustParseSpec("teaser"), train)
 	if err != nil {
 		return nil, err
 	}
-	prob, err := etsc.NewProbThreshold(train, 0.8, 10)
+	prob, err := etsc.Train(etsc.MustParseSpec("probthreshold:threshold=0.8,minprefix=10"), train)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 
 	// With cfg.TrainCache the suite trains through one shared context —
 	// every trainer reads the same memoized prefix-distance matrix and
-	// prefix cache — otherwise each New* call recomputes its own distances.
+	// prefix cache — otherwise each trainer recomputes its own distances.
 	// The models, and therefore the table, are identical either way.
 	tc, err := trainContext(cfg, train)
 	if err != nil {

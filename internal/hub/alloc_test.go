@@ -28,7 +28,8 @@ func quietStreamConfig(t testing.TB, seriesLen int) StreamConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf, err := etsc.NewFixedPrefix(d, seriesLen, false)
+	clf, err := etsc.Train(etsc.Spec{Algo: etsc.AlgoFixedPrefix, Params: map[string]any{
+		"at": seriesLen, "znorm": false}}, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func FuzzHubPush(f *testing.F) {
 	f.Add(inf, uint8(4), uint8(4))
 
 	train := tinyTrainSet(f)
-	clf, err := etsc.NewFixedPrefix(train, 8, false)
+	clf, err := etsc.TrainSpecString("fixedprefix:at=8,znorm=false", train)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func FuzzShardedHubPush(f *testing.F) {
 	f.Add(inf, uint8(4), uint8(4))
 
 	train := tinyTrainSet(f)
-	clf, err := etsc.NewFixedPrefix(train, 8, false)
+	clf, err := etsc.TrainSpecString("fixedprefix:at=8,znorm=false", train)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -40,10 +40,10 @@ var demoVocab = []string{"cat", "dog", "cattle", "catalog", "catholic", "dogmati
 
 const demoWordLen = 44
 
-// trainMode selects how a kind's detector is trained: directly (the legacy
-// New* path) or through a shared etsc.TrainContext over the kind's training
-// set. The detectors are byte-identical either way (the etsc
-// train-equivalence battery pins the trainers; TestDemoKindsSharedMatches
+// trainMode selects how a kind's detector is trained: directly, or through
+// a shared etsc.TrainContext over the kind's training set. The detectors
+// are byte-identical either way (the etsc registry-equivalence battery
+// pins the trainers; TestDemoKindsSharedMatches
 // pins the kinds end to end) — shared training only changes wall-clock
 // time, which is what warm-start is for: N streams of a kind always train
 // its detector once, and with the context that one training is memoized

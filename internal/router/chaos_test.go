@@ -69,7 +69,11 @@ func TestChaosKillBackend(t *testing.T) {
 	// on any error a rewind to the stream's reported watermark. CodeGap is
 	// the expected post-recovery signal (the survivor restored a slightly
 	// stale checkpoint); anything else gets a bounded number of retries on
-	// top of the client's own backoff.
+	// top of the client's own backoff. Each pusher holds its final batch
+	// until the kill has returned, so the kill always lands mid-traffic: a
+	// pusher that finished first would never learn that batches acknowledged
+	// within the last checkpoint interval died with the victim.
+	killed := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, ds := range streams {
 		wg.Add(1)
@@ -84,8 +88,9 @@ func TestChaosKillBackend(t *testing.T) {
 					return
 				}
 				end := at + batch
-				if end > len(ds.Data) {
+				if end >= len(ds.Data) {
 					end = len(ds.Data)
+					<-killed
 				}
 				_, err := f.c.PushAt(ctx, ds.ID, at, ds.Data[at:end])
 				if err == nil {
@@ -111,6 +116,7 @@ func TestChaosKillBackend(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	t.Logf("killing %s", victim.name)
 	victim.kill()
+	close(killed)
 	f.waitDead(victimIdx)
 
 	wg.Wait()

@@ -2,7 +2,6 @@ package serve_test
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -17,7 +16,8 @@ import (
 // TestV1ErrorPaths covers every /v1 failure class: malformed JSON,
 // missing/unknown ids, unknown kind, bad spec, bad engine, wrong method,
 // unknown endpoint, duplicate registration, and bad cursor values —
-// each with its machine-readable code.
+// each with its machine-readable code — and pins that the unversioned
+// pre-/v1 routes are gone.
 func TestV1ErrorPaths(t *testing.T) {
 	kinds := servetest.DemoKinds(t)
 	srv := servetest.New(t, hub.Config{Workers: 1}, kinds)
@@ -49,8 +49,9 @@ func TestV1ErrorPaths(t *testing.T) {
 	_, err = c.CreateStream(ctx, client.CreateStreamRequest{ID: "x", Kind: "lobster"})
 	servetest.APIErrOf(t, err, http.StatusBadRequest, client.CodeUnknownKind)
 
-	// Bad specs: unparseable, unknown algorithm, unknown parameter.
-	for _, spec := range []string{":=", "nonesuch", "ects:suport=1"} {
+	// Bad specs: unparseable, unknown algorithm, unknown parameter,
+	// non-finite number.
+	for _, spec := range []string{":=", "nonesuch", "ects:suport=1", "probthreshold:threshold=nan"} {
 		_, err = c.CreateStream(ctx, client.CreateStreamRequest{ID: "x", Kind: "chicken", Spec: spec})
 		servetest.APIErrOf(t, err, http.StatusBadRequest, client.CodeBadSpec)
 	}
@@ -105,6 +106,22 @@ func TestV1ErrorPaths(t *testing.T) {
 		t.Errorf("unknown endpoint: %d %s", status, body)
 	}
 
+	// The removed unversioned routes answer 404 and attach nothing.
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/push?stream=ghost&kind=chicken"},
+		{http.MethodGet, "/stats"},
+		{http.MethodGet, "/streams"},
+		{http.MethodGet, "/detections?stream=coop"},
+		{http.MethodPost, "/detach?stream=coop"},
+	} {
+		if status, body := servetest.RawStatus(t, tc.method, ts.URL+tc.path, "1 2 3"); status != http.StatusNotFound {
+			t.Errorf("%s %s: %d %s, want 404", tc.method, tc.path, status, body)
+		}
+	}
+	if _, err := c.Stream(ctx, "ghost"); !client.IsCode(err, client.CodeUnknownStream) {
+		t.Errorf("POST /push attached a stream: %v", err)
+	}
+
 	// Bad detections cursor values.
 	status, body = servetest.RawStatus(t, http.MethodGet, ts.URL+"/v1/detections?stream=coop&since=-3", "")
 	if status != http.StatusBadRequest || servetest.EnvelopeCode(t, body) != client.CodeBadRequest {
@@ -139,54 +156,6 @@ func TestV1ErrorPaths(t *testing.T) {
 	}
 	_, err = c.Watch(ctx, "nonesuch", 0)
 	servetest.APIErrOf(t, err, http.StatusNotFound, client.CodeUnknownStream)
-
-	if _, err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyErrorPaths pins the frozen alias behaviour: plain-text 4xx
-// errors, lazy attach, and no ghost streams on rejected pushes.
-func TestLegacyErrorPaths(t *testing.T) {
-	kinds := servetest.DemoKinds(t)
-	srv := servetest.New(t, hub.Config{Workers: 1}, kinds)
-	h, ts := srv.Hub, srv.HTTP
-
-	// Wrong methods.
-	if status, _ := servetest.RawStatus(t, http.MethodGet, ts.URL+"/push?stream=x", ""); status != http.StatusMethodNotAllowed {
-		t.Errorf("GET /push: %d", status)
-	}
-	if status, _ := servetest.RawStatus(t, http.MethodGet, ts.URL+"/detach?stream=x", ""); status != http.StatusMethodNotAllowed {
-		t.Errorf("GET /detach: %d", status)
-	}
-
-	// Missing stream id, bad floats, unknown kind — all plain-text 400s.
-	if status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/push", "1 2"); status != http.StatusBadRequest {
-		t.Errorf("missing stream: %d", status)
-	}
-	if status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/push?stream=ghost", "not-a-float"); status != http.StatusBadRequest {
-		t.Errorf("garbage body: %d", status)
-	}
-	if status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/push?stream=x&kind=lobster", "1 2"); status != http.StatusBadRequest {
-		t.Errorf("unknown kind: %d", status)
-	}
-	// No ghost streams from rejected pushes.
-	var snap map[string]hub.StreamStats
-	_, body := servetest.RawStatus(t, http.MethodGet, ts.URL+"/streams", "")
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap) != 0 {
-		t.Errorf("ghost streams attached: %v", snap)
-	}
-
-	// Unknown stream on read endpoints.
-	if status, _ := servetest.RawStatus(t, http.MethodGet, ts.URL+"/detections?stream=nope", ""); status != http.StatusNotFound {
-		t.Errorf("unknown detections: %d", status)
-	}
-	if status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/detach?stream=nope", ""); status != http.StatusNotFound {
-		t.Errorf("unknown detach: %d", status)
-	}
 
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)
@@ -241,32 +210,6 @@ func TestV1PushBackpressure429(t *testing.T) {
 	}
 	if lastRetry == "" {
 		t.Error("429 without Retry-After")
-	}
-	if _, err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyPushBackpressure429 pins the same Drop-policy 429 on the
-// legacy /push alias.
-func TestLegacyPushBackpressure429(t *testing.T) {
-	srv := servetest.New(t, hub.Config{Workers: 1, QueueDepth: 1, Policy: hub.Drop}, []hub.Kind{servetest.SlowKind()})
-	h, ts := srv.Hub, srv.HTTP
-
-	points := strings.Repeat("0.5 ", 256)
-	saw429 := false
-	for i := 0; i < 8 && !saw429; i++ {
-		status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/push?stream=s1&kind=slow", points)
-		switch status {
-		case http.StatusOK:
-		case http.StatusTooManyRequests:
-			saw429 = true
-		default:
-			t.Fatalf("legacy push status %d", status)
-		}
-	}
-	if !saw429 {
-		t.Fatal("no 429 after 8 rapid legacy pushes against a full depth-1 queue")
 	}
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func TestMonitorEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := etsc.NewProbThreshold(train, 0.8, 5)
+	c, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=5", train)
 	if err != nil {
 		t.Fatal(err)
 	}

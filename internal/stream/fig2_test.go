@@ -17,7 +17,7 @@ func wordModel(t testing.TB, length int) (*dataset.Dataset, etsc.EarlyClassifier
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	c, err := etsc.TrainSpecString("teaser", train)
 	if err != nil {
 		t.Fatal(err)
 	}

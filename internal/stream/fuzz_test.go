@@ -43,10 +43,10 @@ func FuzzOnlinePush(f *testing.F) {
 
 	train := fuzzTrainSet(f)
 	classifiers := []etsc.EarlyClassifier{}
-	if c, err := etsc.NewFixedPrefix(train, 10, true); err == nil {
+	if c, err := etsc.TrainSpecString("fixedprefix:at=10,znorm=true", train); err == nil {
 		classifiers = append(classifiers, c)
 	}
-	if c, err := etsc.NewProbThreshold(train, 0.8, 4); err == nil {
+	if c, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train); err == nil {
 		classifiers = append(classifiers, c)
 	}
 	if len(classifiers) == 0 {

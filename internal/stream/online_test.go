@@ -53,7 +53,7 @@ func TestOnlineMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := etsc.NewProbThreshold(train, 0.95, 10)
+	c, err := etsc.TrainSpecString("probthreshold:threshold=0.95,minprefix=10", train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestOnlineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := etsc.NewProbThreshold(train, 0.8, 5)
+	c, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=5", train)
 	if err != nil {
 		t.Fatal(err)
 	}

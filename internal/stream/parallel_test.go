@@ -21,7 +21,7 @@ func monitorFixture(t *testing.T) (etsc.EarlyClassifier, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig())
+	c, err := etsc.TrainSpecString("teaser", train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMonitorParallelWithFallbackClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := etsc.NewECDIRE(train, etsc.DefaultECDIREConfig())
+	c, err := etsc.TrainSpecString("ecdire", train)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,11 +37,11 @@ func sameDetections(t *testing.T, ctx string, got, want []Detection) {
 // shapes, and batch sizes from single points to several windows at once.
 func TestOnlinePushBatchMatchesPointwise(t *testing.T) {
 	train := fuzzTrainSet(t)
-	fixed, err := etsc.NewFixedPrefix(train, 10, true)
+	fixed, err := etsc.TrainSpecString("fixedprefix:at=10,znorm=true", train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob, err := etsc.NewProbThreshold(train, 0.8, 4)
+	prob, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestOnlinePushBatchMatchesPointwise(t *testing.T) {
 // the pointwise transcript.
 func TestOnlinePushBatchWholeStream(t *testing.T) {
 	train := fuzzTrainSet(t)
-	prob, err := etsc.NewProbThreshold(train, 0.8, 4)
+	prob, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func FuzzOnlinePushBatch(f *testing.F) {
 
 	train := fuzzTrainSet(f)
 	classifiers := []etsc.EarlyClassifier{}
-	if c, err := etsc.NewFixedPrefix(train, 10, true); err == nil {
+	if c, err := etsc.TrainSpecString("fixedprefix:at=10,znorm=true", train); err == nil {
 		classifiers = append(classifiers, c)
 	}
-	if c, err := etsc.NewProbThreshold(train, 0.8, 4); err == nil {
+	if c, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train); err == nil {
 		classifiers = append(classifiers, c)
 	}
 	if len(classifiers) == 0 {

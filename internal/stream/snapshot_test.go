@@ -17,7 +17,7 @@ import (
 // splits inside open candidate windows.
 func TestOnlineSnapshotEquivalence(t *testing.T) {
 	train := fuzzTrainSet(t)
-	prob, err := etsc.NewProbThreshold(train, 0.8, 4)
+	prob, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestOnlineSnapshotEquivalence(t *testing.T) {
 // used monitor is refused.
 func TestOnlineRestoreRejectsCorruption(t *testing.T) {
 	train := fuzzTrainSet(t)
-	prob, err := etsc.NewProbThreshold(train, 0.8, 4)
+	prob, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +184,10 @@ func FuzzOnlineRestoreEquivalence(f *testing.F) {
 
 	train := fuzzTrainSet(f)
 	classifiers := []etsc.EarlyClassifier{}
-	if c, err := etsc.NewFixedPrefix(train, 10, true); err == nil {
+	if c, err := etsc.TrainSpecString("fixedprefix:at=10,znorm=true", train); err == nil {
 		classifiers = append(classifiers, c)
 	}
-	if c, err := etsc.NewProbThreshold(train, 0.8, 4); err == nil {
+	if c, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train); err == nil {
 		classifiers = append(classifiers, c)
 	}
 	if len(classifiers) == 0 {

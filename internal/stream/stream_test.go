@@ -80,7 +80,7 @@ func TestMonitorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := etsc.NewProbThreshold(train, 0.9, 5)
+	c, err := etsc.TrainSpecString("probthreshold:threshold=0.9,minprefix=5", train)
 	if err != nil {
 		t.Fatal(err)
 	}

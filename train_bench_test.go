@@ -1,8 +1,8 @@
 // BenchmarkTrainAll measures training the paper's full 8-algorithm suite on
-// one training set, direct (every New* recomputing its own distances,
+// one training set, direct (every trainer recomputing its own distances,
 // serially) versus through a shared etsc.TrainContext (one memoized
 // prefix-distance matrix + prefix cache, parallel trainers) at several
-// worker counts. The trained models are identical (the train-equivalence
+// worker counts. The trained models are identical (the registry-equivalence
 // battery pins that); this bench is the wall-clock side of the contract —
 // the acceptance target is >= 2× at 4 workers. CI runs it at -benchtime=1x
 // and appends the output to BENCH_train.json so training-path regressions
@@ -17,47 +17,21 @@ import (
 	"etsc/internal/etsc"
 )
 
-// trainSuiteDirect trains all 8 algorithms through the legacy constructors.
-func trainSuiteDirect(b *testing.B, train *dataset.Dataset) {
+// trainSuite trains the paper's full 8-algorithm suite through Train with
+// the given options.
+func trainSuite(b *testing.B, train *dataset.Dataset, opts ...etsc.Option) {
 	b.Helper()
-	steps := []func() error{
-		func() error { _, err := etsc.NewECTS(train, false, 0); return err },
-		func() error { _, err := etsc.NewEDSC(train, etsc.DefaultEDSCConfig(etsc.CHE)); return err },
-		func() error { _, err := etsc.NewRelClass(train, etsc.DefaultRelClassConfig(false)); return err },
-		func() error { _, err := etsc.NewECDIRE(train, etsc.DefaultECDIREConfig()); return err },
-		func() error { _, err := etsc.NewTEASER(train, etsc.DefaultTEASERConfig()); return err },
-		func() error { _, err := etsc.NewProbThreshold(train, 0.8, 10); return err },
-		func() error { _, err := etsc.NewFixedPrefix(train, train.SeriesLen()/3, true); return err },
-		func() error { _, err := etsc.NewCostAware(train, etsc.DefaultCostAwareConfig()); return err },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// trainSuiteShared trains the same 8 algorithms through one fresh shared
-// context (context construction and matrix materialization are part of the
-// measured cost — that is the deployment shape).
-func trainSuiteShared(b *testing.B, train *dataset.Dataset, workers int) {
-	b.Helper()
-	ctx, err := etsc.NewTrainContext(train, workers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	steps := []func() error{
-		func() error { _, err := etsc.NewECTSWith(ctx, false, 0); return err },
-		func() error { _, err := etsc.NewEDSCWith(ctx, etsc.DefaultEDSCConfig(etsc.CHE)); return err },
-		func() error { _, err := etsc.NewRelClassWith(ctx, etsc.DefaultRelClassConfig(false)); return err },
-		func() error { _, err := etsc.NewECDIREWith(ctx, etsc.DefaultECDIREConfig()); return err },
-		func() error { _, err := etsc.NewTEASERWith(ctx, etsc.DefaultTEASERConfig()); return err },
-		func() error { _, err := etsc.NewProbThresholdWith(ctx, 0.8, 10); return err },
-		func() error { _, err := etsc.NewFixedPrefixWith(ctx, train.SeriesLen()/3, true); return err },
-		func() error { _, err := etsc.NewCostAwareWith(ctx, etsc.DefaultCostAwareConfig()); return err },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
+	for _, spec := range []string{
+		"ects",
+		"edsc:method=che",
+		"relclass",
+		"ecdire",
+		"teaser",
+		"probthreshold:threshold=0.8,minprefix=10",
+		fmt.Sprintf("fixedprefix:at=%d,znorm=true", train.SeriesLen()/3),
+		"costaware",
+	} {
+		if _, err := etsc.TrainSpecString(spec, train, opts...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,13 +41,19 @@ func BenchmarkTrainAll(b *testing.B) {
 	train, _ := benchSplit(b)
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			trainSuiteDirect(b, train)
+			trainSuite(b, train)
 		}
 	})
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shared/workers=%d", workers), func(b *testing.B) {
+			// Context construction and matrix materialization are part of
+			// the measured cost — that is the deployment shape.
 			for i := 0; i < b.N; i++ {
-				trainSuiteShared(b, train, workers)
+				ctx, err := etsc.NewTrainContext(train, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				trainSuite(b, train, etsc.WithTrainContext(ctx))
 			}
 		})
 	}
