@@ -185,60 +185,3 @@ func TestPercentileEmpty(t *testing.T) {
 		t.Errorf("percentile(nil) = %v, want 0", got)
 	}
 }
-
-// TestLoadgenShardedSmoke runs the in-process generator over a sharded
-// hub — the -shards path of load-generator mode — and checks the report
-// renders the same shape as the flat hub's.
-func TestLoadgenShardedSmoke(t *testing.T) {
-	kinds, err := hub.DemoKinds(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := hub.NewSharded(hub.ShardedConfig{Shards: 4, Config: hub.Config{Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp, err := os.Create(filepath.Join(t.TempDir(), "loadgen-sharded.out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tmp.Close()
-	if err := loadgen(tmp, sh, kinds, 3, 3, 3000, 64, 0); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(tmp.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"points/sec aggregate", "push latency", "kind chicken"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("sharded loadgen report missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestScalingSweepSmoke runs the -scaling sweep at a tiny size: all nine
-// shard × stream cells complete and each prints its throughput line and
-// per-shard breakdown.
-func TestScalingSweepSmoke(t *testing.T) {
-	tmp, err := os.Create(filepath.Join(t.TempDir(), "scaling.out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tmp.Close()
-	if err := scalingSweep(tmp, 2, 0, hub.Block, 30, 6000, 64); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(tmp.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"scaling sweep:", "shards= 1 streams=", "shards= 4 streams=", "shards=16 streams=    30", "per-shard points:"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("scaling report missing %q:\n%s", want, out)
-		}
-	}
-	if n := strings.Count(string(out), "pts/sec"); n != 9 {
-		t.Errorf("scaling sweep printed %d cells, want 9:\n%s", n, out)
-	}
-}

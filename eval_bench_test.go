@@ -2,8 +2,8 @@
 // loop the deployment argument lives on. BenchmarkEvalAll pits the pruned
 // lazy-frontier engine against the eager reference engine for every native
 // classifier on the demo datasets; BenchmarkHubPush measures the hub's
-// steady-state ingest path with allocation reporting; BenchmarkHubPushSharded
-// sweeps the sharded hub across shard × stream-count cells. CI runs all
+// steady-state ingest path with allocation reporting; BenchmarkHubPushStreams
+// measures cold and steady ingest as the stream count grows. CI runs all
 // three at -benchtime=1x and appends the output to BENCH_eval.json (with
 // host cpus and go version), building the eval-path performance trajectory
 // alongside BENCH_train.json's training trajectory.
@@ -139,10 +139,10 @@ func BenchmarkHubPush(b *testing.B) {
 	}
 }
 
-// benchQuietConfig builds the deliberately cheap pipeline the sharded
-// sweep attaches everywhere: a FixedPrefix detector over two constant
+// benchQuietConfig builds the deliberately cheap pipeline the many-streams
+// bench attaches everywhere: a FixedPrefix detector over two constant
 // exemplars, evaluation stride pushed to the exemplar length, so the
-// measurement isolates routing, queueing, and lock contention rather than
+// measurement isolates queueing and lock contention rather than
 // classifier CPU.
 func benchQuietConfig(b *testing.B, seriesLen int) hub.StreamConfig {
 	b.Helper()
@@ -165,16 +165,23 @@ func benchQuietConfig(b *testing.B, seriesLen int) hub.StreamConfig {
 	return hub.StreamConfig{Classifier: clf, Stride: seriesLen, Step: 8}
 }
 
-// BenchmarkHubPushSharded sweeps the sharded hub across shards {1,4,16} ×
-// stream counts {16, 1k, 100k}: GOMAXPROCS pusher goroutines partitioned
-// over the streams, batch-64 pushes against quiet pipelines, one op = a
-// fixed ~1M-point budget split evenly across the cell's streams (floor one
-// batch per stream). Hub construction and the attach storm sit outside the
-// timer. On a multi-core host the multi-shard cells scale with the shard
-// count — the shards share nothing on the push path; a single-core runner
-// pins GOMAXPROCS=1 and measures routing overhead instead (see the cpus
-// field of each BENCH_eval.json record).
-func BenchmarkHubPushSharded(b *testing.B) {
+// BenchmarkHubPushStreams measures hub ingest as the stream count grows:
+// quiet pipelines, GOMAXPROCS pusher goroutines partitioned over the
+// streams, batch-64 pushes, one op = a fixed ~1M-point budget split evenly
+// across the cell's streams (floor one batch per stream), drained by
+// Flush. Each stream count runs in two regimes:
+//
+//   - cold: every op pushes into a freshly built hub, so the op includes
+//     each stream's first touch (queue buffers, session state) and, at
+//     100k streams, 100k drains queued at once on the worker pool. Hub
+//     construction, the attach storm and Close sit outside the timer.
+//   - steady: one hub and one untimed warm pass, then every op re-pushes
+//     the budget into warm streams.
+//
+// Until 2026-10 this bench was BenchmarkHubPushSharded, whose shards=1
+// rows were the cold cells here; the BENCH_eval.json trajectory restarts
+// under the new name.
+func BenchmarkHubPushStreams(b *testing.B) {
 	const (
 		seriesLen   = 512
 		batch       = 64
@@ -182,34 +189,31 @@ func BenchmarkHubPushSharded(b *testing.B) {
 	)
 	sc := benchQuietConfig(b, seriesLen)
 	pushers := runtime.GOMAXPROCS(0)
-	for _, nShards := range []int{1, 4, 16} {
+	for _, regime := range []string{"cold", "steady"} {
 		for _, nStreams := range []int{16, 1024, 100_000} {
-			b.Run(fmt.Sprintf("shards=%d/streams=%d", nShards, nStreams), func(b *testing.B) {
-				sh, err := hub.NewSharded(hub.ShardedConfig{
-					Shards: nShards,
-					Config: hub.Config{Workers: pushers, QueueDepth: 4},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+			b.Run(fmt.Sprintf("%s/streams=%d", regime, nStreams), func(b *testing.B) {
 				ids := make([]string, nStreams)
 				for i := range ids {
 					ids[i] = fmt.Sprintf("s-%06d", i)
-					if err := sh.Attach(ids[i], sc); err != nil {
-						b.Fatal(err)
-					}
 				}
-				perStream := totalBudget / nStreams
-				if perStream < batch {
-					perStream = batch
-				}
+				perStream := max(totalBudget/nStreams, batch)
 				data := make([]float64, perStream)
 				for i := range data {
 					data[i] = float64(i%7) * 0.25
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				attach := func() *hub.Hub {
+					h, err := hub.New(hub.Config{Workers: pushers, QueueDepth: 4})
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, id := range ids {
+						if err := h.Attach(id, sc); err != nil {
+							b.Fatal(err)
+						}
+					}
+					return h
+				}
+				push := func(h *hub.Hub) {
 					var wg sync.WaitGroup
 					for p := 0; p < pushers; p++ {
 						wg.Add(1)
@@ -217,11 +221,7 @@ func BenchmarkHubPushSharded(b *testing.B) {
 							defer wg.Done()
 							for s := p; s < nStreams; s += pushers {
 								for off := 0; off < perStream; off += batch {
-									end := off + batch
-									if end > perStream {
-										end = perStream
-									}
-									if err := sh.Push(ids[s], data[off:end]); err != nil {
+									if err := h.Push(ids[s], data[off:min(off+batch, perStream)]); err != nil {
 										b.Error(err)
 										return
 									}
@@ -230,13 +230,36 @@ func BenchmarkHubPushSharded(b *testing.B) {
 						}(p)
 					}
 					wg.Wait()
-					sh.Flush()
+					h.Flush()
 				}
-				b.StopTimer()
+				closeHub := func(h *hub.Hub) {
+					if _, err := h.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+
+				b.ReportAllocs()
+				if regime == "cold" {
+					b.StopTimer()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						h := attach()
+						b.StartTimer()
+						push(h)
+						b.StopTimer()
+						closeHub(h)
+					}
+				} else {
+					h := attach()
+					push(h)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						push(h)
+					}
+					b.StopTimer()
+					closeHub(h)
+				}
 				b.SetBytes(int64(nStreams) * int64(perStream) * 8)
-				if _, err := sh.Close(); err != nil {
-					b.Fatal(err)
-				}
 			})
 		}
 	}

@@ -152,15 +152,6 @@ func (c *Client) Stats(ctx context.Context) (Totals, error) {
 	return out, err
 }
 
-// ShardStats fetches the full stats body (GET /v1/stats): hub-wide totals
-// plus the per-shard breakdown — queue backlog and drop counters per
-// shard — when the server runs a sharded hub (Shards is empty otherwise).
-func (c *Client) ShardStats(ctx context.Context) (StatsResponse, error) {
-	var out StatsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out, true)
-	return out, err
-}
-
 // Detections fetches a stream's settled detections from the since cursor
 // onward (GET /v1/detections?stream=ID&since=N). Poll with the returned
 // Next to consume the transcript incrementally: each detection arrives

@@ -126,9 +126,9 @@ type CreateStreamRequest struct {
 }
 
 // StreamInfo is one registered stream's description and live stats. Shard
-// is the index of the hub shard owning the stream (always 0 on an
-// unsharded server): hub.ShardedHub's documented FNV-1a placement, echoed
-// so clients and external routers can verify their own hash computation.
+// is always 0: a server runs one hub, and the field stays on the wire
+// because /v1 changes are additive only. Streams spread across processes
+// instead, placed by etsc-router with placement.Index.
 type StreamInfo struct {
 	ID     string          `json:"id"`
 	Kind   string          `json:"kind"`
@@ -249,14 +249,4 @@ type BackendTotals struct {
 type RouterStatsResponse struct {
 	hub.Totals
 	Backends []BackendTotals `json:"backends,omitempty"`
-}
-
-// StatsResponse is the full GET /v1/stats body: the hub-wide totals
-// (flattened — pre-shard clients decoding into Totals keep working
-// unchanged) plus, when the server runs a sharded hub, one entry per
-// shard with its own load, queue backlog, and drop counters. Shards is
-// in shard-index order and absent on an unsharded server.
-type StatsResponse struct {
-	hub.Totals
-	Shards []hub.ShardTotals `json:"shards,omitempty"`
 }

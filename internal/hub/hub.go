@@ -142,9 +142,9 @@ type StreamStats struct {
 	Watchers         int // live Watch subscriptions on the stream
 }
 
-// Totals aggregates StreamStats across the hub. QueuedBatches is the
-// instantaneous backlog (batches accepted but not yet drained) — the
-// saturation signal the serving layer exposes per shard.
+// Totals aggregates StreamStats across the hub; GET /v1/stats serves it
+// as is. QueuedBatches is the instantaneous backlog (batches accepted but
+// not yet drained), the hub's saturation signal.
 type Totals struct {
 	Streams        int
 	Batches        int64
@@ -835,21 +835,20 @@ func (h *Hub) Stats() Totals {
 
 // SetMetrics registers the hub's hot-path instruments on reg and turns on
 // Push instrumentation: batch/point/drop/shed counters and a push-latency
-// histogram, all under the given constant labels (a ShardedHub passes
-// shard="i"). Instruments are atomic, so the zero-allocation Push contract
+// histogram. Instruments are atomic, so the zero-allocation Push contract
 // holds with metrics enabled; with SetMetrics never called, Push pays
 // nothing. Call before traffic — it is safe to call later, but batches
 // pushed first are not retroactively counted. Scrape-time per-stream and
 // per-kind families live in the serving layer (which joins Snapshot with
 // stream metadata); the hub registers only what the hot path touches.
-func (h *Hub) SetMetrics(reg *metrics.Registry, labels ...metrics.Label) {
+func (h *Hub) SetMetrics(reg *metrics.Registry) {
 	m := &hubMetrics{
-		push:    reg.Histogram("etsc_hub_push_seconds", "Push call latency in seconds (enqueue only; drains are asynchronous).", metrics.DefaultLatencyBuckets, labels...),
-		batches: reg.Counter("etsc_hub_batches_total", "Batches accepted by Push.", labels...),
-		points:  reg.Counter("etsc_hub_points_total", "Points accepted by Push.", labels...),
-		dropped: reg.Counter("etsc_hub_dropped_batches_total", "Batches rejected with ErrDropped under the Drop policy.", labels...),
-		shedB:   reg.Counter("etsc_hub_shed_batches_total", "Queued batches evicted under the Shed policy.", labels...),
-		shedP:   reg.Counter("etsc_hub_shed_points_total", "Points discarded by Shed-policy evictions.", labels...),
+		push:    reg.Histogram("etsc_hub_push_seconds", "Push call latency in seconds (enqueue only; drains are asynchronous).", metrics.DefaultLatencyBuckets),
+		batches: reg.Counter("etsc_hub_batches_total", "Batches accepted by Push."),
+		points:  reg.Counter("etsc_hub_points_total", "Points accepted by Push."),
+		dropped: reg.Counter("etsc_hub_dropped_batches_total", "Batches rejected with ErrDropped under the Drop policy."),
+		shedB:   reg.Counter("etsc_hub_shed_batches_total", "Queued batches evicted under the Shed policy."),
+		shedP:   reg.Counter("etsc_hub_shed_points_total", "Points discarded by Shed-policy evictions."),
 	}
 	h.mu.Lock()
 	h.met = m

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -352,6 +353,91 @@ func TestStatsTotals(t *testing.T) {
 	}
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseIdempotentUnderPush is the regression test for the Close
+// contract: Close racing with in-flight Pushes and with other Close calls
+// must neither panic nor hang, every Close call must return the same
+// drained reports, and no accepted batch may be lost.
+func TestCloseIdempotentUnderPush(t *testing.T) {
+	h, err := New(Config{Workers: 2, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &gateClassifier{full: 16}
+	const nStreams = 8
+	for i := 0; i < nStreams; i++ {
+		if err := h.Attach(fmt.Sprintf("s%d", i), StreamConfig{Classifier: c, Stride: 4, Step: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pushers hammer until the hub closes under them; every push must
+	// either succeed or fail with ErrClosed/ErrUnknownStream.
+	stop := make(chan struct{})
+	var pushers sync.WaitGroup
+	for i := 0; i < nStreams; i++ {
+		pushers.Add(1)
+		go func(id string) {
+			defer pushers.Done()
+			batch := make([]float64, 8)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				err := h.Push(id, batch)
+				if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrUnknownStream) {
+					t.Errorf("%s: push during close: %v", id, err)
+					return
+				}
+				if err != nil {
+					return
+				}
+			}
+		}(fmt.Sprintf("s%d", i))
+	}
+
+	const nClosers = 4
+	results := make([][]StreamReport, nClosers)
+	errs := make([]error, nClosers)
+	var closers sync.WaitGroup
+	for i := 0; i < nClosers; i++ {
+		closers.Add(1)
+		go func(i int) {
+			defer closers.Done()
+			results[i], errs[i] = h.Close()
+		}(i)
+	}
+	closers.Wait()
+	close(stop)
+	pushers.Wait()
+
+	for i := 0; i < nClosers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("closer %d: %v", i, errs[i])
+		}
+		if len(results[i]) != nStreams {
+			t.Fatalf("closer %d got %d reports, want %d", i, len(results[i]), nStreams)
+		}
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Errorf("closer %d reports differ from closer 0", i)
+		}
+	}
+	// Every accepted batch was applied: position == accepted points.
+	for _, r := range results[0] {
+		if int64(r.Stats.Position) != r.Stats.Points {
+			t.Errorf("%s: position %d != accepted points %d", r.ID, r.Stats.Position, r.Stats.Points)
+		}
+	}
+	// A straggler Close after the fact returns the same thing again.
+	again, err := h.Close()
+	if err != nil {
+		t.Fatalf("post-hoc Close: %v", err)
+	}
+	if !reflect.DeepEqual(again, results[0]) {
+		t.Error("post-hoc Close reports differ")
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,25 +33,6 @@ func recoveryKinds(t testing.TB) []Kind {
 	return recKinds
 }
 
-// recoveryHub abstracts the flat and sharded hubs behind the handful of
-// calls the battery drives, so one battery body proves both topologies.
-type recoveryHub interface {
-	Attach(id string, sc StreamConfig) error
-	Push(id string, points []float64) error
-	PushAt(id string, at int, points []float64) error
-	Export(id string) ([]byte, error)
-	Restore(data []byte, sc StreamConfig) (string, error)
-	Flush()
-	Close() ([]StreamReport, error)
-}
-
-// flatHub adapts *Hub (whose Restore returns only the id) to recoveryHub.
-type flatHub struct{ *Hub }
-
-func (f flatHub) Restore(data []byte, sc StreamConfig) (string, error) {
-	return f.Hub.Restore(data, sc)
-}
-
 // TestCrashRecoveryBattery is the tentpole proof: run the demo workload,
 // checkpoint every stream mid-flight, keep pushing, then kill each
 // stream's drain worker at a random later batch — the SIGKILL-equivalent:
@@ -60,8 +41,8 @@ func (f flatHub) Restore(data []byte, sc StreamConfig) (string, error) {
 // and replays from the snapshot watermark with deliberate overlap and
 // duplicated pushes (the watermark dedup must make replay idempotent). The
 // final per-stream transcripts must be byte-identical to the uninterrupted
-// serial Reference oracle — flat and sharded, workers {1, 4, GOMAXPROCS},
-// and the whole battery runs under -race in CI.
+// serial Reference oracle at workers {1, 4, GOMAXPROCS}, two kill
+// schedules each, and the whole battery runs under -race in CI.
 func TestCrashRecoveryBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-recovery battery replays the demo workload many times")
@@ -89,26 +70,21 @@ func TestCrashRecoveryBattery(t *testing.T) {
 		}
 	}
 
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, sharded := range []bool{false, true} {
-		for _, workers := range workerCounts {
-			name := fmt.Sprintf("sharded=%v/workers=%d", sharded, workers)
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(workers)*31 + int64(len(name))))
-				newHub := func() recoveryHub {
-					if sharded {
-						sh, err := NewSharded(ShardedConfig{Shards: 3,
-							Config: Config{Workers: workers, QueueDepth: maxBatches, Policy: Block}})
-						if err != nil {
-							t.Fatal(err)
-						}
-						return sh
-					}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		// The two kill schedules per worker count are the ones the flat and
+		// the since-deleted sharded cells drew, seeded by workers*31 plus
+		// the length of their names ("sharded=false/workers=N" and
+		// "sharded=true/workers=N").
+		digits := int64(len(strconv.Itoa(workers)))
+		for _, seed := range []int64{int64(workers)*31 + 22 + digits, int64(workers)*31 + 21 + digits} {
+			t.Run(fmt.Sprintf("workers=%d/seed=%d", workers, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				newHub := func() *Hub {
 					h, err := New(Config{Workers: workers, QueueDepth: maxBatches, Policy: Block})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return flatHub{h}
+					return h
 				}
 
 				// batches splits a stream's data into uneven chunks, the
@@ -308,93 +284,6 @@ func TestExportIsNonDestructive(t *testing.T) {
 			t.Errorf("%s: transcript changed by mid-flight exports\n got %s\nwant %s", ds.ID, got, want)
 		}
 	}
-}
-
-// TestMigrate pins the rebalancing building block: a live stream moves to
-// another shard mid-flight — pending verifications travelling inside the
-// snapshot, not recanted — routing follows it, and the final transcript is
-// byte-identical to Reference. Moving a stream back to its hash-owned
-// shard drops the placement override.
-func TestMigrate(t *testing.T) {
-	kinds := recoveryKinds(t)
-	streams, err := DemoStreams(kinds, 79, 3, 3_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewSharded(ShardedConfig{Shards: 4, Config: Config{Workers: 4, QueueDepth: 256}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ds := range streams {
-		if err := sh.Attach(ds.ID, ds.Config); err != nil {
-			t.Fatal(err)
-		}
-	}
-	moved := map[string]int{}
-	for i, ds := range streams {
-		for at := 0; at < len(ds.Data); at += 50 {
-			end := at + 50
-			if end > len(ds.Data) {
-				end = len(ds.Data)
-			}
-			if err := sh.Push(ds.ID, ds.Data[at:end]); err != nil {
-				t.Fatal(err)
-			}
-			if at == 500 {
-				home := shardIndex(ds.ID, sh.Shards())
-				to := (home + 1 + i) % sh.Shards()
-				if to == home {
-					to = (to + 1) % sh.Shards()
-				}
-				if err := sh.Migrate(ds.ID, to, ds.Config); err != nil {
-					t.Fatalf("%s: migrate: %v", ds.ID, err)
-				}
-				if got := sh.ShardFor(ds.ID); got != to {
-					t.Fatalf("%s: ShardFor = %d after migrate to %d", ds.ID, got, to)
-				}
-				moved[ds.ID] = to
-			}
-		}
-	}
-	// Migrating one stream home again must clear its override.
-	first := streams[0].ID
-	home := shardIndex(first, sh.Shards())
-	if err := sh.Migrate(first, home, streams[0].Config); err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.ShardFor(first); got != home {
-		t.Fatalf("%s: ShardFor = %d after moving home to %d", first, got, home)
-	}
-
-	reports, err := sh.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reports {
-		var data []float64
-		for _, ds := range streams {
-			if ds.ID == r.ID {
-				data = ds.Data
-			}
-		}
-		ref, err := Reference(kindFor(kinds, r.ID).Config, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fmt.Sprintf("%+v", r.Detections), fmt.Sprintf("%+v", ref); got != want {
-			t.Errorf("%s: migrated transcript != Reference\n got %s\nwant %s", r.ID, got, want)
-		}
-	}
-}
-
-func kindFor(kinds []Kind, id string) Kind {
-	name := strings.SplitN(id, "-", 2)[0]
-	for _, k := range kinds {
-		if k.Name == name {
-			return k
-		}
-	}
-	panic("unknown kind for " + id)
 }
 
 // TestRestoreRejectsCorruptSnapshots is the hub half of the

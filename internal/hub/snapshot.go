@@ -14,7 +14,7 @@ import (
 // detection transcript with verification cursors and the settled watch
 // boundary, and the raw sample tail pending verifications still need —
 // exports as one self-validating snap frame and restores into another Hub
-// (another shard, another process, a post-crash reboot).
+// (another process, a post-crash reboot).
 //
 // What is NOT in the snapshot: the trained classifier and the verifier.
 // Those are configuration, not stream state — the restoring side supplies
@@ -304,32 +304,4 @@ func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
 	}
 	h.streams[id] = s
 	return id, nil
-}
-
-// exportRemove exports a stream and removes it from the hub in one step —
-// the sending half of a migration. Unlike Detach it does NOT finalize:
-// pending verifications stay pending inside the snapshot instead of being
-// recanted, so the receiving hub continues the transcript rather than
-// sealing it. Pushers blocked on the stream are released with
-// ErrUnknownStream (they re-resolve placement and retry); watchers observe
-// final and reconnect with ?since on the destination.
-func (h *Hub) exportRemove(id string) ([]byte, error) {
-	h.mu.Lock()
-	s, ok := h.streams[id]
-	if ok {
-		delete(h.streams, id)
-	}
-	h.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, id)
-	}
-	s.mu.Lock()
-	s.detached = true
-	s.cond.Broadcast()
-	s.waitDrainedLocked()
-	data := s.exportLocked()
-	s.final = true
-	s.wakeWatchersLocked()
-	s.mu.Unlock()
-	return data, nil
 }

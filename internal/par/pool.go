@@ -12,15 +12,24 @@ import (
 //
 // The queue is unbounded: callers that need backpressure must bound their
 // own outstanding submissions (the hub submits at most one drain task per
-// stream). Submit never blocks.
+// stream). Submit never blocks. The queue is a ring buffer whose
+// power-of-two capacity only grows, so enqueue and dequeue cost O(1)
+// however deep the backlog: a hub with 100k streams can queue 100k drains
+// at once.
 type Pool struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue holds n tasks in FIFO order starting at index head, wrapping
+	// mod len(queue).
 	queue    []func()
+	head, n  int
 	closed   bool
 	panicked any
 	wg       sync.WaitGroup
 }
+
+// minQueue is the ring's capacity after the first Submit.
+const minQueue = 16
 
 // NewPool starts a pool of the given size; workers <= 0 selects one worker
 // per CPU (see Workers).
@@ -39,16 +48,17 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
+		for p.n == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		if len(p.queue) == 0 {
+		if p.n == 0 {
 			p.mu.Unlock()
 			return
 		}
-		fn := p.queue[0]
-		copy(p.queue, p.queue[1:])
-		p.queue = p.queue[:len(p.queue)-1]
+		fn := p.queue[p.head]
+		p.queue[p.head] = nil // drop the ring's reference to the closure
+		p.head = (p.head + 1) & (len(p.queue) - 1)
+		p.n--
 		p.mu.Unlock()
 
 		p.run(fn)
@@ -79,9 +89,22 @@ func (p *Pool) Submit(fn func()) {
 		p.mu.Unlock()
 		panic("par: Submit on closed Pool")
 	}
-	p.queue = append(p.queue, fn)
+	if p.n == len(p.queue) {
+		p.grow()
+	}
+	p.queue[(p.head+p.n)&(len(p.queue)-1)] = fn
+	p.n++
 	p.mu.Unlock()
 	p.cond.Signal()
+}
+
+// grow doubles the full ring (or allocates the first one), unwrapping its
+// tasks to the front of the new slice; p.mu must be held.
+func (p *Pool) grow() {
+	next := make([]func(), max(2*len(p.queue), minQueue))
+	copied := copy(next, p.queue[p.head:])
+	copy(next[copied:], p.queue[:p.head])
+	p.queue, p.head = next, 0
 }
 
 // Close waits for all queued and running tasks to finish, stops the

@@ -77,3 +77,75 @@ func TestPoolSubmitAfterClosePanics(t *testing.T) {
 	}()
 	p.Submit(func() {})
 }
+
+// TestPoolFIFOAcrossGrowth drives the ring buffer through its wrap paths
+// with the only worker held: growing a queue that runs off the end of the
+// slice, wrapping the tail without growing, and wrapping the head as the
+// worker drains. Tasks must still run in submit order.
+func TestPoolFIFOAcrossGrowth(t *testing.T) {
+	p := NewPool(1)
+	var (
+		mu  sync.Mutex
+		ran []int
+	)
+	next := 0
+	submit := func() {
+		i := next
+		next++
+		p.Submit(func() {
+			mu.Lock()
+			ran = append(ran, i)
+			mu.Unlock()
+		})
+	}
+	// hold submits a task that parks the worker until release is closed;
+	// started closes once the worker has dequeued it.
+	hold := func() (chan struct{}, chan struct{}) {
+		started, release := make(chan struct{}), make(chan struct{})
+		p.Submit(func() {
+			close(started)
+			<-release
+		})
+		return started, release
+	}
+
+	// The worker dequeues the first holder, so head sits at slot 1 and
+	// the first growth unwraps a queue that runs off the slice's end.
+	started, release := hold()
+	<-started
+	for i := 0; i < 3*minQueue; i++ {
+		submit()
+	}
+	started2, release2 := hold()
+	for i := 0; i < minQueue/2; i++ {
+		submit()
+	}
+	close(release)
+	<-started2
+	// The worker now waits in the second holder with a few tasks queued
+	// near the end of the ring: filling it wraps the tail without growing.
+	p.mu.Lock()
+	size, room := len(p.queue), len(p.queue)-p.n
+	p.mu.Unlock()
+	for i := 0; i < room; i++ {
+		submit()
+	}
+	p.mu.Lock()
+	wrapped := p.head+p.n > len(p.queue) && len(p.queue) == size
+	p.mu.Unlock()
+	if !wrapped {
+		t.Fatal("filling a ring whose head is past slot 0 must wrap its tail in place")
+	}
+	// Draining the full ring carries the head around the end of the slice.
+	close(release2)
+	p.Close()
+
+	if len(ran) != next {
+		t.Fatalf("ran %d tasks, submitted %d", len(ran), next)
+	}
+	for i, v := range ran {
+		if v != i {
+			t.Fatalf("task %d ran at position %d: FIFO order broken", v, i)
+		}
+	}
+}

@@ -1,9 +1,9 @@
 // Package router is the multi-node front tier: one HTTP process that owns
 // a fixed table of N backend etsc-serve processes and serves the same /v1
 // protocol they do, routing every stream-scoped request to the stream's
-// owner backend by the shared placement contract (placement.Index — the
-// identical FNV-1a-mod-N function hub.ShardedHub uses for shard routing)
-// and fanning out + deterministically merging the cross-stream endpoints.
+// owner backend by the shared placement contract (placement.Index, FNV-1a
+// mod N over the stream ID) and fanning out + deterministically merging
+// the cross-stream endpoints.
 //
 //	stream-scoped (routed to the owner backend, owner echoed in the
 //	X-Etsc-Backend response header):
@@ -395,7 +395,8 @@ func aliveBackends(table []*backend) []*backend {
 }
 
 // setOverride records (or with name == "" clears) a stream's placement
-// override, copy-on-write like the sharded hub's own override map.
+// override. Copy-on-write: routing keeps reading the previous immutable
+// map until the swap.
 func (rt *Router) setOverride(id, name string) {
 	rt.ovMu.Lock()
 	defer rt.ovMu.Unlock()
@@ -706,8 +707,8 @@ func (rt *Router) v1ListStreams(w http.ResponseWriter, r *http.Request) {
 }
 
 // v1Stats sums every alive backend's totals and reports one row per
-// backend in table order (dead rows zero-valued, Alive false) — the
-// commutative merge the sharded hub already defines, lifted one tier.
+// backend in table order (dead rows zero-valued, Alive false). The sum is
+// commutative, so the merged totals do not depend on response order.
 func (rt *Router) v1Stats(w http.ResponseWriter, r *http.Request) {
 	table := *rt.table.Load()
 	rows := make([]client.BackendTotals, len(table))

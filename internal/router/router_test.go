@@ -7,8 +7,11 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -259,6 +262,53 @@ func TestWatchThroughRouter(t *testing.T) {
 	rep := <-done
 	if got != len(rep.Detections) {
 		t.Fatalf("watched %d detections, final report has %d", got, len(rep.Detections))
+	}
+
+	// Last-Event-ID: MaxInt resumes past every detection; M+1 must not
+	// wrap negative, or the router forwards ?since=<MinInt>, which the
+	// backend rejects. DELETE then leaves only the Final frame.
+	ds = streams[1]
+	if _, err := f.c.Push(ctx, ds.ID, ds.Data); err != nil {
+		t.Fatal(err)
+	}
+	f.flushAlive(nil)
+	if page, err := f.c.Detections(ctx, ds.ID, 0); err != nil || page.Next == 0 {
+		t.Fatalf("%s settled no detections (err %v): the resume check would be vacuous", ds.ID, err)
+	}
+	req, err := http.NewRequest(http.MethodGet, f.http.URL+"/v1/streams/"+ds.ID+"/watch", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", strconv.Itoa(math.MaxInt))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("watch with Last-Event-ID MaxInt: status %d: %s", resp.StatusCode, raw)
+	}
+	// The router subscribes on the owner before writing its headers.
+	if _, err := f.c.DeleteStream(ctx, ds.ID); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []client.WatchFrame
+	for _, line := range strings.Split(string(raw), "\n") {
+		if data, ok := strings.CutPrefix(line, "data:"); ok {
+			var fr client.WatchFrame
+			if err := json.Unmarshal([]byte(data), &fr); err != nil {
+				t.Fatalf("bad frame %q: %v", data, err)
+			}
+			frames = append(frames, fr)
+		}
+	}
+	if len(frames) != 1 || !frames[0].Final {
+		t.Errorf("Last-Event-ID MaxInt then DELETE: frames %+v, want only the Final frame", frames)
 	}
 }
 

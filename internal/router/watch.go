@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -34,7 +35,12 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 			writeAPIError(w, badRequest(fmt.Sprintf("bad Last-Event-ID %q: want a non-negative integer", lei)))
 			return
 		}
-		since = n + 1
+		// Resume after M without wrapping: M = MaxInt overshoots every
+		// transcript, so it replays nothing, like any overshot ?since=.
+		since = n
+		if n < math.MaxInt {
+			since = n + 1
+		}
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {

@@ -2,8 +2,11 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
 	"reflect"
+	"sort"
 	"testing"
 
 	"etsc/internal/client"
@@ -188,4 +191,54 @@ func TestV1SpecStreamMatchesReference(t *testing.T) {
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestV1StatsShape pins the wire shape of GET /v1/stats: a JSON object
+// whose keys are exactly the fields of hub.Totals, with no per-shard rows.
+// StreamInfo still carries "shard": 0, since /v1 changes are additive
+// only.
+func TestV1StatsShape(t *testing.T) {
+	kinds := servetest.DemoKinds(t)
+	srv := servetest.New(t, hub.Config{Workers: 2}, kinds)
+	if _, err := srv.Client.CreateStream(context.Background(), client.CreateStreamRequest{ID: "flat-0"}); err != nil {
+		t.Fatal(err)
+	}
+
+	status, body := servetest.RawStatus(t, http.MethodGet, srv.HTTP.URL+"/v1/stats", "")
+	if status != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d: %s", status, body)
+	}
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatalf("/v1/stats body %q is not a JSON object: %v", body, err)
+	}
+	var got, want []string
+	for k := range stats {
+		got = append(got, k)
+	}
+	totals := reflect.TypeOf(hub.Totals{})
+	for i := 0; i < totals.NumField(); i++ {
+		want = append(want, totals.Field(i).Name)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/stats keys %v, want the hub.Totals fields %v", got, want)
+	}
+	if string(stats["Streams"]) != "1" {
+		t.Fatalf("/v1/stats Streams = %s, want 1", stats["Streams"])
+	}
+
+	status, body = servetest.RawStatus(t, http.MethodGet, srv.HTTP.URL+"/v1/streams/flat-0", "")
+	if status != http.StatusOK {
+		t.Fatalf("GET /v1/streams/flat-0: status %d: %s", status, body)
+	}
+	var info map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &info); err != nil {
+		t.Fatal(err)
+	}
+	if shard, ok := info["shard"]; !ok || string(shard) != "0" {
+		t.Fatalf(`StreamInfo %s: want "shard": 0`, body)
+	}
+	srv.CloseHub(t)
 }

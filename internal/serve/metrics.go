@@ -4,16 +4,16 @@
 //
 //   - Hot-path instruments (push latency, batch/drop/shed counters) live in
 //     the hub and are registered by hub.(*Hub).SetMetrics — atomic updates
-//     on the ingest path, per-shard labels on a sharded hub.
+//     on the ingest path.
 //   - Everything derived from state — per-stream queue depth and watcher
-//     counts, per-kind detection totals, per-shard backlog — is registered
-//     here as scrape-time Collect families over hub.Snapshot joined with
-//     the server's registration metadata: zero cost between scrapes, always
+//     counts, per-kind detection totals — is registered here as
+//     scrape-time Collect families over hub.Snapshot joined with the
+//     server's registration metadata: zero cost between scrapes, always
 //     consistent with what /v1/streams reports.
 //
 // Naming scheme (DESIGN.md §Layer 10): etsc_hub_* = hub hot path,
 // etsc_stream_* = per-stream (stream label), etsc_kind_* = per-kind (kind
-// label), etsc_shard_* = per-shard (shard label), bare etsc_* = hub-wide.
+// label), bare etsc_* = hub-wide.
 // Per-stream families are capped at maxStreamSeries series (lowest stream
 // IDs win, deterministically) so a 100k-stream fleet cannot turn one scrape
 // into a cardinality explosion; etsc_stream_series_omitted counts what the
@@ -23,7 +23,6 @@ package serve
 import (
 	"net/http"
 	"sort"
-	"strconv"
 
 	"etsc/internal/hub"
 	"etsc/internal/metrics"
@@ -128,27 +127,6 @@ func (s *Server) EnableMetrics(reg *metrics.Registry) *metrics.Registry {
 			}
 		})
 
-	if s.sharded != nil {
-		shardLabel := func(i int) metrics.Label { return metrics.L("shard", strconv.Itoa(i)) }
-		reg.Collect("etsc_shard_queue_depth", "Batches queued per shard.", metrics.TypeGauge,
-			func(emit func(float64, ...metrics.Label)) {
-				for _, st := range s.sharded.ShardTotals() {
-					emit(float64(st.QueuedBatches), shardLabel(st.Shard))
-				}
-			})
-		reg.Collect("etsc_shard_streams", "Attached streams per shard.", metrics.TypeGauge,
-			func(emit func(float64, ...metrics.Label)) {
-				for _, st := range s.sharded.ShardTotals() {
-					emit(float64(st.Streams), shardLabel(st.Shard))
-				}
-			})
-		reg.Collect("etsc_shard_detections_total", "Detections per shard, across its live streams.", metrics.TypeCounter,
-			func(emit func(float64, ...metrics.Label)) {
-				for _, st := range s.sharded.ShardTotals() {
-					emit(float64(st.Detections), shardLabel(st.Shard))
-				}
-			})
-	}
 	return reg
 }
 

@@ -106,9 +106,6 @@ func TestMetricsEndpointFlat(t *testing.T) {
 		fmt.Sprintf("etsc_kind_streams{kind=%q}", kinds[0].Name),
 		"etsc_kind_detections_total{kind=",
 	)
-	if strings.Contains(body, "etsc_shard_") {
-		t.Error("flat server exposes etsc_shard_* families")
-	}
 
 	// EnableMetrics is idempotent: calling it again returns the installed
 	// registry and must not re-register (which would panic on duplicates).
@@ -135,44 +132,5 @@ func TestMetricsDisabledIs404(t *testing.T) {
 	if !strings.Contains(body, "not enabled") {
 		t.Errorf("404 body %q does not say metrics are disabled", body)
 	}
-	srv.CloseHub(t)
-}
-
-// TestMetricsEndpointSharded pins the sharded exposition: hub hot-path
-// families carry shard labels (one series per shard, summing across them),
-// and the etsc_shard_* Collect families enumerate every shard.
-func TestMetricsEndpointSharded(t *testing.T) {
-	kinds := servetest.DemoKinds(t)
-	const shards = 3
-	srv := servetest.NewSharded(t, hub.ShardedConfig{Shards: shards, Config: hub.Config{Workers: 2}}, kinds)
-	reg := srv.Srv.EnableMetrics(nil)
-	srv.Sharded.SetMetrics(reg)
-	c := srv.Client
-	ctx := context.Background()
-
-	gens, err := hub.DemoStreams(kinds, 89, 6, 2_400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, g := range gens {
-		if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: g.ID, Kind: kinds[i%len(kinds)].Name}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Push(ctx, g.ID, g.Data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.Flush()
-
-	body := scrape(t, srv.HTTP.URL)
-	for i := 0; i < shards; i++ {
-		mustContain(t, body,
-			fmt.Sprintf("etsc_hub_batches_total{shard=\"%d\"}", i),
-			fmt.Sprintf("etsc_shard_queue_depth{shard=\"%d\"}", i),
-			fmt.Sprintf("etsc_shard_streams{shard=\"%d\"}", i),
-			fmt.Sprintf("etsc_shard_detections_total{shard=\"%d\"}", i),
-		)
-	}
-	mustContain(t, body, "etsc_streams 6", "# TYPE etsc_hub_push_seconds histogram")
 	srv.CloseHub(t)
 }

@@ -38,40 +38,18 @@ import (
 	"etsc/internal/etsc"
 	"etsc/internal/hub"
 	"etsc/internal/metrics"
-	"etsc/internal/stream"
 )
 
 // maxBody bounds one request's body (~32 MB ≈ 1.5M points as text) so a
 // single client cannot balloon process memory.
 const maxBody = 32 << 20
 
-// streamHub is the slice of the hub surface the HTTP layer drives;
-// *hub.Hub and *hub.ShardedHub both satisfy it, so one handler set serves
-// both shapes. Routing is the hub's own: every method takes the stream ID,
-// and the sharded hub hashes it to the owning shard internally — the /v1
-// layer and the hub can never disagree on placement.
-type streamHub interface {
-	Attach(id string, sc hub.StreamConfig) error
-	Push(id string, points []float64) error
-	PushAt(id string, at int, points []float64) error
-	Export(id string) ([]byte, error)
-	Restore(data []byte, sc hub.StreamConfig) (string, error)
-	Detach(id string) (hub.StreamReport, error)
-	Snapshot() map[string]hub.StreamStats
-	Stats() hub.Totals
-	DetectionsSettled(id string) ([]stream.Detection, int, error)
-	Watch(id string, since int) (*hub.Watch, error)
-}
-
-// Server routes HTTP traffic onto one hub — flat or sharded.
+// Server routes HTTP traffic onto one hub.
 type Server struct {
-	hub streamHub
-	// sharded is non-nil when the hub is a ShardedHub; it feeds the
-	// per-shard half of /v1/stats and the Shard field of StreamInfo.
-	sharded *hub.ShardedHub
-	kinds   map[string]hub.Kind
-	deflt   string
-	mux     *http.ServeMux
+	hub   *hub.Hub
+	kinds map[string]hub.Kind
+	deflt string
+	mux   *http.ServeMux
 	// reg is the /metrics registry, nil until EnableMetrics; handlers
 	// read it through the atomic-friendly accessor under s.mu.
 	reg *metrics.Registry
@@ -101,27 +79,14 @@ type streamMeta struct {
 // New builds the handler over an attached hub and the kinds it serves.
 // The first kind is the default for requests that name none.
 func New(h *hub.Hub, kinds []hub.Kind) (*Server, error) {
-	return newServer(h, nil, kinds)
-}
-
-// NewSharded is New over a sharded hub: identical routes and transcripts,
-// plus the shard-aware extras — GET /v1/stats carries per-shard totals
-// (queue backlog, drops) and StreamInfo reports each stream's owning
-// shard.
-func NewSharded(h *hub.ShardedHub, kinds []hub.Kind) (*Server, error) {
-	return newServer(h, h, kinds)
-}
-
-func newServer(h streamHub, sharded *hub.ShardedHub, kinds []hub.Kind) (*Server, error) {
 	if len(kinds) == 0 {
 		return nil, errors.New("serve: no stream kinds")
 	}
 	s := &Server{
-		hub:     h,
-		sharded: sharded,
-		kinds:   map[string]hub.Kind{},
-		deflt:   kinds[0].Name,
-		meta:    map[string]streamMeta{},
+		hub:   h,
+		kinds: map[string]hub.Kind{},
+		deflt: kinds[0].Name,
+		meta:  map[string]streamMeta{},
 	}
 	for _, k := range kinds {
 		if _, dup := s.kinds[k.Name]; dup {
@@ -213,11 +178,7 @@ func (s *Server) handleV1(w http.ResponseWriter, r *http.Request) {
 			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
 			return
 		}
-		resp := client.StatsResponse{Totals: s.hub.Stats()}
-		if s.sharded != nil {
-			resp.Shards = s.sharded.ShardTotals()
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, s.hub.Stats())
 	case rest == "detections":
 		if r.Method != http.MethodGet {
 			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
@@ -334,11 +295,7 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 // infoLocked renders one stream's StreamInfo; s.mu must be held.
 func (s *Server) infoLocked(id string, stats hub.StreamStats) client.StreamInfo {
 	m := s.meta[id]
-	shard := 0
-	if s.sharded != nil {
-		shard = s.sharded.ShardFor(id)
-	}
-	return client.StreamInfo{ID: id, Kind: m.kind, Spec: m.spec, Engine: m.engine, Shard: shard, Stats: stats}
+	return client.StreamInfo{ID: id, Kind: m.kind, Spec: m.spec, Engine: m.engine, Stats: stats}
 }
 
 func (s *Server) v1ListStreams(w http.ResponseWriter) {

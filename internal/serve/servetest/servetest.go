@@ -26,42 +26,29 @@ import (
 	"etsc/internal/serve"
 )
 
-// TestServer bundles one server stack: the hub (exactly one of Hub/Sharded
-// is non-nil), the serve.Server handler, the live HTTP listener, and the
-// typed client pointed at it. The listener is closed by t.Cleanup; the hub
-// is the test's to Close (reports are part of most batteries' assertions).
+// TestServer bundles one server stack: the hub, the serve.Server handler,
+// the live HTTP listener, and the typed client pointed at it. The listener
+// is closed by t.Cleanup; the hub is the test's to Close (reports are part
+// of most batteries' assertions).
 type TestServer struct {
-	Hub     *hub.Hub
-	Sharded *hub.ShardedHub
-	Srv     *serve.Server
-	HTTP    *httptest.Server
-	Client  *client.Client
+	Hub    *hub.Hub
+	Srv    *serve.Server
+	HTTP   *httptest.Server
+	Client *client.Client
 }
 
 // Flush waits until the underlying hub is quiescent.
-func (ts *TestServer) Flush() {
-	if ts.Sharded != nil {
-		ts.Sharded.Flush()
-		return
-	}
-	ts.Hub.Flush()
-}
+func (ts *TestServer) Flush() { ts.Hub.Flush() }
 
 // CloseHub closes the underlying hub, failing the test on error.
 func (ts *TestServer) CloseHub(t testing.TB) {
 	t.Helper()
-	var err error
-	if ts.Sharded != nil {
-		_, err = ts.Sharded.Close()
-	} else {
-		_, err = ts.Hub.Close()
-	}
-	if err != nil {
+	if _, err := ts.Hub.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// New builds a flat hub + server over kinds and returns the stack with a
+// New builds a hub + server over kinds and returns the stack with a
 // typed client attached.
 func New(t testing.TB, cfg hub.Config, kinds []hub.Kind) *TestServer {
 	t.Helper()
@@ -73,26 +60,7 @@ func New(t testing.TB, cfg hub.Config, kinds []hub.Kind) *TestServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return finish(t, &TestServer{Hub: h, Srv: srv})
-}
-
-// NewSharded is New over a ShardedHub.
-func NewSharded(t testing.TB, cfg hub.ShardedConfig, kinds []hub.Kind) *TestServer {
-	t.Helper()
-	h, err := hub.NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.NewSharded(h, kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return finish(t, &TestServer{Sharded: h, Srv: srv})
-}
-
-func finish(t testing.TB, ts *TestServer) *TestServer {
-	t.Helper()
-	ts.HTTP = httptest.NewServer(ts.Srv)
+	ts := &TestServer{Hub: h, Srv: srv, HTTP: httptest.NewServer(srv)}
 	t.Cleanup(ts.HTTP.Close)
 	c, err := client.New(ts.HTTP.URL)
 	if err != nil {

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -222,22 +225,20 @@ func runWatchEquivalence(t *testing.T, srv *servetest.TestServer, kinds []hub.Ki
 	}
 }
 
-// TestWatchCursorEquivalence is the tentpole battery: flat and sharded
-// hubs at workers {1, 4, GOMAXPROCS}, each stream consumed live by a
-// reconnecting SSE watcher and a concurrent cursor poller while batches
-// push, all transcripts byte-identical to the Reference oracle.
+// TestWatchCursorEquivalence is the tentpole battery: hubs at workers
+// {1, 4, GOMAXPROCS}, each stream consumed live by a reconnecting SSE
+// watcher and a concurrent cursor poller while batches push, all
+// transcripts byte-identical to the Reference oracle. Each cell runs the
+// workloads of two seeds (67 was the since-deleted sharded cells' seed).
 func TestWatchCursorEquivalence(t *testing.T) {
 	kinds := servetest.DemoKinds(t)
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("flat-w%d", workers), func(t *testing.T) {
-			srv := servetest.New(t, hub.Config{Workers: workers}, kinds)
-			runWatchEquivalence(t, srv, kinds, 61, 4)
-			srv.CloseHub(t)
-		})
-		t.Run(fmt.Sprintf("sharded-w%d", workers), func(t *testing.T) {
-			srv := servetest.NewSharded(t, hub.ShardedConfig{Shards: 3, Config: hub.Config{Workers: workers}}, kinds)
-			runWatchEquivalence(t, srv, kinds, 67, 4)
-			srv.CloseHub(t)
+			for _, seed := range []int64{61, 67} {
+				srv := servetest.New(t, hub.Config{Workers: workers}, kinds)
+				runWatchEquivalence(t, srv, kinds, seed, 4)
+				srv.CloseHub(t)
+			}
 		})
 	}
 }
@@ -380,15 +381,15 @@ func TestDeleteUnderWatch(t *testing.T) {
 
 // TestCursorEdgeCases pins the satellite cursor behaviours: ?since= far
 // beyond the settled prefix clamps (empty page at the settled boundary,
-// nothing skipped, no error) and a detections page immediately after
-// hub.Close is a clean structured 404 — the stream set is empty, not
-// wedged.
+// nothing skipped, no error), Last-Event-ID: MaxInt replays nothing, and
+// a detections page immediately after hub.Close is a clean structured
+// 404 — the stream set is empty, not wedged.
 func TestCursorEdgeCases(t *testing.T) {
 	kinds := servetest.DemoKinds(t)
 	srv := servetest.New(t, hub.Config{Workers: 2}, kinds)
 	c := srv.Client
 	ctx := context.Background()
-	gens, err := hub.DemoStreams(kinds, 73, 1, 2_000)
+	gens, err := hub.DemoStreams(kinds, 73, 2, 2_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +415,29 @@ func TestCursorEdgeCases(t *testing.T) {
 		t.Errorf("overshot cursor page %+v, want empty page clamped to %d", far, base.Next)
 	}
 
+	// Last-Event-ID: MaxInt resumes past every detection; M+1 must not
+	// wrap to a negative cursor, which clamps to 0 and replays the whole
+	// transcript. DELETE then leaves only the Final frame.
+	g2 := gens[1]
+	if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: g2.ID, Kind: g2.Kind}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Push(ctx, g2.ID, g2.Data); err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush()
+	if page, err := c.Detections(ctx, g2.ID, 0); err != nil || page.Next == 0 {
+		t.Fatalf("%s settled no detections (err %v): the resume check would be vacuous", g2.ID, err)
+	}
+	frames := watchFromLastEventID(t, srv.HTTP.URL, g2.ID, strconv.Itoa(math.MaxInt), func() {
+		if _, err := c.DeleteStream(ctx, g2.ID); err != nil {
+			t.Error(err)
+		}
+	})
+	if len(frames) != 1 || !frames[0].Final {
+		t.Errorf("Last-Event-ID %d then DELETE: frames %+v, want only the Final frame", math.MaxInt, frames)
+	}
+
 	// Close the hub with the stream still attached, then page: structured
 	// 404, immediately.
 	srv.CloseHub(t)
@@ -426,6 +450,44 @@ func TestCursorEdgeCases(t *testing.T) {
 	// And watch after close: the hub refuses new subscriptions.
 	_, err = c.Watch(ctx, g.ID, 0)
 	servetest.APIErrOf(t, err, http.StatusServiceUnavailable, client.CodeClosed)
+}
+
+// watchFromLastEventID subscribes to a stream's SSE feed with the given
+// Last-Event-ID header, calls end once the subscription is registered
+// (the handler registers it before writing the response headers), and
+// returns every frame up to the end of the feed.
+func watchFromLastEventID(t *testing.T, base, id, lastID string, end func()) []client.WatchFrame {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/streams/"+id+"/watch", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", lastID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("watch with Last-Event-ID %s: status %d: %s", lastID, resp.StatusCode, raw)
+	}
+	end()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []client.WatchFrame
+	for _, line := range strings.Split(string(raw), "\n") {
+		if data, ok := strings.CutPrefix(line, "data:"); ok {
+			var f client.WatchFrame
+			if err := json.Unmarshal([]byte(data), &f); err != nil {
+				t.Fatalf("bad frame %q: %v", data, err)
+			}
+			frames = append(frames, f)
+		}
+	}
+	return frames
 }
 
 // TestWatchNDJSON pins the ?format=ndjson variant: same frames, one JSON
