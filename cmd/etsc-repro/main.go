@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	etsc-repro [-quick] [-seed N] [-run fig1,fig2,...] [-workers N] [-traincache] [-engine pruned|eager]
+//	etsc-repro [-quick] [-seed N] [-run fig1,fig2,...] [-workers N] [-traincache]
 //	etsc-repro -spec ects:support=0 -spec teaser:v=2 [-quick]
 //
 // With no -run flag every experiment runs, in paper order. Output is the
@@ -64,7 +64,6 @@ func main() {
 	run := flag.String("run", "", "comma-separated experiment names (default: all)")
 	workers := flag.Int("workers", 0, "worker pool size for parallel evaluation (0 = NumCPU, 1 = serial; results identical)")
 	traincache := flag.Bool("traincache", false, "train algorithm suites through a shared memoized prefix-distance context (results identical, training faster)")
-	engine := flag.String("engine", "pruned", "inference engine: pruned (lazy NN frontier) or eager (results identical)")
 	var specs []etsc.Spec
 	flag.Func("spec", "classifier spec for the speceval experiment (repeatable; algo:key=value,... — see -listspecs)", func(s string) error {
 		spec, err := etsc.ParseSpec(s)
@@ -89,13 +88,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "etsc-repro: -workers must be >= 0 (0 = NumCPU), got %d\n", *workers)
 		os.Exit(2)
 	}
-	mode, err := etsc.ParseEngineMode(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "etsc-repro: %v\n", err)
-		os.Exit(2)
-	}
-
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Parallelism: *workers, TrainCache: *traincache, Engine: mode}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Parallelism: *workers, TrainCache: *traincache}
 
 	all := []runner{
 		{"fig1", "cat/dog utterances in the UCR format", wrap(experiments.RunFig1)},

@@ -97,7 +97,6 @@ func main() {
 		rate       = flag.Float64("rate", 0, "load generator: points/sec per stream (0 = unthrottled)")
 		target     = flag.String("target", "", "load generator: drive a remote etsc-serve /v1 API at this base URL instead of an in-process hub")
 		traincache = flag.Bool("traincache", false, "warm-start the demo detectors through shared memoized training contexts (identical pipelines, faster startup)")
-		engine     = flag.String("engine", "pruned", "inference engine for every stream pipeline: pruned (lazy NN frontier) or eager (transcripts identical)")
 		metricsOn  = flag.Bool("metrics", true, "server mode: expose Prometheus text exposition at GET /metrics")
 		ckptDir    = flag.String("checkpoint", "", "server mode: durable checkpoint directory — boot restores every stream found there, then a background checkpointer persists all streams periodically and at shutdown")
 		ckptEvery  = flag.Duration("checkpoint-interval", 30*time.Second, "server mode: interval between background checkpoint generations (with -checkpoint)")
@@ -119,10 +118,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("-policy: %v", err)
 	}
-	mode, err := etsc.ParseEngineMode(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	if *target != "" {
 		if *streams <= 0 {
@@ -130,8 +125,8 @@ func main() {
 		}
 		// Pipeline configuration lives on the remote server; refusing
 		// these flags beats silently ignoring them.
-		if len(specOverrides) > 0 || *traincache || mode != etsc.Pruned {
-			log.Fatal("-spec/-traincache/-engine configure local pipelines and do not apply with -target; set them on the remote server instead")
+		if len(specOverrides) > 0 || *traincache {
+			log.Fatal("-spec/-traincache configure local pipelines and do not apply with -target; set them on the remote server instead")
 		}
 		// The remote server owns pipelines and training; only stream
 		// *data* is generated locally, so plain DemoKinds suffices.
@@ -159,12 +154,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The engine mode is per-pipeline configuration: apply it to every kind
-	// so streams registered without an explicit engine inherit it
-	// (transcripts are identical either way; the knob trades CPU only).
-	for i := range kinds {
-		kinds[i].Config.Engine = mode
-	}
 	// -spec overrides retrain named kinds' detectors through the registry.
 	for i := range kinds {
 		spec, ok := specOverrides[kinds[i].Name]
@@ -182,8 +171,8 @@ func main() {
 	for kind := range specOverrides {
 		log.Fatalf("-spec %s=...: no such kind", kind)
 	}
-	log.Printf("etsc-serve: trained %d demo kinds in %v (traincache=%v engine=%s)",
-		len(kinds), time.Since(trainStart).Round(time.Millisecond), *traincache, mode)
+	log.Printf("etsc-serve: trained %d demo kinds in %v (traincache=%v)",
+		len(kinds), time.Since(trainStart).Round(time.Millisecond), *traincache)
 
 	if *soak {
 		if err := soakRun(os.Stdout, kinds, *seed, *quick); err != nil {

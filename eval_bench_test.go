@@ -1,12 +1,15 @@
 // Benchmarks of the inference hot path — the streaming-prefix evaluation
-// loop the deployment argument lives on. BenchmarkEvalAll pits the pruned
-// lazy-frontier engine against the eager reference engine for every native
-// classifier on the demo datasets; BenchmarkHubPush measures the hub's
-// steady-state ingest path with allocation reporting; BenchmarkHubPushStreams
-// measures cold and steady ingest as the stream count grows. CI runs all
-// three at -benchtime=1x and appends the output to BENCH_eval.json (with
-// host cpus and go version), building the eval-path performance trajectory
-// alongside BENCH_train.json's training trajectory.
+// loop the deployment argument lives on. BenchmarkEvalAll evaluates every
+// native classifier on the demo datasets through its one session engine;
+// BenchmarkHubPush measures the hub's steady-state ingest path with
+// allocation reporting; BenchmarkHubPushStreams measures cold and steady
+// ingest as the stream count grows. CI runs BenchmarkEvalAll at -count 5
+// and the other two at -benchtime=1x, and appends the output to
+// BENCH_eval.json (with host cpus and go version), building the eval-path
+// performance trajectory alongside BENCH_train.json's training trajectory.
+// Records up to 2026-10 split the bank-backed cells into ECTS/eager,
+// ECTS/pruned, ProbThreshold/eager and ProbThreshold/pruned; the ECTS and
+// ProbThreshold cells continue the /eager rows.
 //
 //	go test -bench 'BenchmarkEvalAll|BenchmarkHubPush' -benchmem .
 package etsc_test
@@ -24,54 +27,35 @@ import (
 )
 
 // BenchmarkEvalAll evaluates each native classifier over the GunPoint demo
-// test split through the session engine, point-at-a-time (step 1) — the
-// paper's streaming-prefix loop at its real granularity, where every
-// arriving sample is a decision opportunity. The bank-backed classifiers
-// (ECTS, ProbThreshold) run under both engine modes; the ECTS pruned/eager
-// delta is the frontier's measured win (a global-NN consumer with a strong
-// cutoff prunes hard), while ProbThreshold's pruned row tracks the
-// frontier-crossover fallback — per-class minima over few, similar classes
-// prune too weakly to pay for the frontier, so small banks ride the
-// blocked eager kernel (DESIGN.md §Layer 11). The remaining classifiers
-// have a single session path (their Extend work is snapshot- or
-// shapelet-driven, not bank-driven) and appear once.
+// test split through its session, point-at-a-time (step 1) — the paper's
+// streaming-prefix loop at its real granularity, where every arriving
+// sample is a decision opportunity. One cell per classifier: the
+// bank-backed ones (ECTS, ProbThreshold) extend every training
+// accumulator per point through the blocked kernel, the rest do snapshot-
+// or shapelet-driven Extend work.
 func BenchmarkEvalAll(b *testing.B) {
 	train, test := benchSplit(b)
-	builds := []struct {
-		name  string
-		modal bool // distinct pruned/eager sessions
-		spec  string
-	}{
-		{"ECTS", true, "ects"},
-		{"ProbThreshold", true, "probthreshold:threshold=0.8,minprefix=10"},
-		{"TEASER", false, "teaser"},
-		{"EDSC-CHE", false, "edsc:method=che"},
-		{"RelClass", false, "relclass"},
-		{"FixedPrefix", false, fmt.Sprintf("fixedprefix:at=%d,znorm=true", train.SeriesLen()/3)},
+	builds := []struct{ name, spec string }{
+		{"ECTS", "ects"},
+		{"ProbThreshold", "probthreshold:threshold=0.8,minprefix=10"},
+		{"TEASER", "teaser"},
+		{"EDSC-CHE", "edsc:method=che"},
+		{"RelClass", "relclass"},
+		{"FixedPrefix", fmt.Sprintf("fixedprefix:at=%d,znorm=true", train.SeriesLen()/3)},
 	}
 	for _, bc := range builds {
 		c, err := etsc.TrainSpecString(bc.spec, train)
 		if err != nil {
 			b.Fatal(err)
 		}
-		modes := []etsc.EngineMode{etsc.Eager, etsc.Pruned}
-		if !bc.modal {
-			modes = modes[1:]
-		}
-		for _, mode := range modes {
-			name := bc.name
-			if bc.modal {
-				name = fmt.Sprintf("%s/%s", bc.name, mode)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := etsc.EvaluateParallelMode(c, test, 1, 1, mode); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := etsc.EvaluateParallel(c, test, 1, 1); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

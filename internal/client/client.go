@@ -115,7 +115,7 @@ func (c *Client) Stream(ctx context.Context, id string) (StreamInfo, error) {
 
 // SnapshotStream exports a stream's durable state
 // (GET /v1/streams/{id}/snapshot): the opaque self-validating state
-// frame plus the kind/spec/engine needed to rebuild the classifier on
+// frame plus the kind/spec needed to rebuild the classifier on
 // restore. The export cuts at a batch boundary; the stream keeps running.
 func (c *Client) SnapshotStream(ctx context.Context, id string) (StreamSnapshot, error) {
 	var out StreamSnapshot

@@ -117,7 +117,8 @@ type CreateStreamRequest struct {
 	// Spec, when set, replaces the kind's classifier: an etsc registry
 	// spec ("algo:key=value,...") trained on the kind's training set.
 	Spec string `json:"spec,omitempty"`
-	// Engine selects the inference engine: "pruned" (default) or "eager".
+	// Engine is accepted for compatibility and ignored: "", "pruned" and
+	// "eager" all run the one engine; any other value is a bad request.
 	Engine string `json:"engine,omitempty"`
 	// Stride/Step/Suppress override the kind's monitor geometry.
 	Stride   *int `json:"stride,omitempty"`
@@ -128,7 +129,8 @@ type CreateStreamRequest struct {
 // StreamInfo is one registered stream's description and live stats. Shard
 // is always 0: a server runs one hub, and the field stays on the wire
 // because /v1 changes are additive only. Streams spread across processes
-// instead, placed by etsc-router with placement.Index.
+// instead, placed by etsc-router with placement.Index. Engine is always
+// "eager", the one inference engine, for the same reason.
 type StreamInfo struct {
 	ID     string          `json:"id"`
 	Kind   string          `json:"kind"`
@@ -213,10 +215,11 @@ type WatchFrame struct {
 // GET /v1/streams/{id}/snapshot and accepted back by POST to the same
 // path. State is the opaque, self-validating hub snapshot frame
 // (CRC-protected and version-tagged; base64 on the wire via
-// encoding/json). Kind, Spec, and Engine describe how to rebuild the
-// trained classifier — models are deliberately NOT serialized; the
-// restoring server retrains from its own kind registry and the snapshot
-// carries only runtime state (see DESIGN.md §Layer 12).
+// encoding/json). Kind and Spec describe how to rebuild the trained
+// classifier — models are deliberately NOT serialized; the restoring
+// server retrains from its own kind registry and the snapshot carries only
+// runtime state (see DESIGN.md §Layer 12). Engine is "eager" on export and
+// is checked like CreateStreamRequest.Engine on restore.
 type StreamSnapshot struct {
 	ID       string `json:"id"`
 	Kind     string `json:"kind"`

@@ -47,13 +47,6 @@ func MeasureNormSensitivity(c etsc.EarlyClassifier, test *dataset.Dataset, rng *
 // between the two evaluations — never inside the pool — so the measurement
 // is identical for every worker count.
 func MeasureNormSensitivityParallel(c etsc.EarlyClassifier, test *dataset.Dataset, rng *rand.Rand, maxShift float64, step, workers int) (NormSensitivity, error) {
-	return MeasureNormSensitivityEngine(c, test, rng, maxShift, step, workers, etsc.Pruned)
-}
-
-// MeasureNormSensitivityEngine is MeasureNormSensitivityParallel with an
-// explicit inference-engine mode; like the worker count, the mode cannot
-// change the measurement.
-func MeasureNormSensitivityEngine(c etsc.EarlyClassifier, test *dataset.Dataset, rng *rand.Rand, maxShift float64, step, workers int, engine etsc.EngineMode) (NormSensitivity, error) {
 	if c == nil {
 		return NormSensitivity{}, errors.New("core: nil classifier")
 	}
@@ -63,11 +56,11 @@ func MeasureNormSensitivityEngine(c etsc.EarlyClassifier, test *dataset.Dataset,
 	if maxShift <= 0 {
 		return NormSensitivity{}, fmt.Errorf("core: maxShift must be positive, got %v", maxShift)
 	}
-	normal, err := etsc.EvaluateParallelMode(c, test, step, workers, engine)
+	normal, err := etsc.EvaluateParallel(c, test, step, workers)
 	if err != nil {
 		return NormSensitivity{}, err
 	}
-	denorm, err := etsc.EvaluateParallelMode(c, test.Denormalize(rng, maxShift), step, workers, engine)
+	denorm, err := etsc.EvaluateParallel(c, test.Denormalize(rng, maxShift), step, workers)
 	if err != nil {
 		return NormSensitivity{}, err
 	}

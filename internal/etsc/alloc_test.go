@@ -4,35 +4,23 @@ import (
 	"testing"
 )
 
-// nativeSessionBuilds returns every native incremental session variant the
-// allocation contract covers: each of the six native classifiers, with the
-// bank-backed ones (ECTS, ProbThreshold) in both engine modes.
-func nativeSessionBuilds(t testing.TB, c EarlyClassifier) []struct {
-	name string
-	open func() IncrementalSession
-} {
-	t.Helper()
-	builds := []struct {
-		name string
-		open func() IncrementalSession
-	}{
-		{c.Name(), func() IncrementalSession { return OpenSession(c) }},
+// allocCaseName names a classifier's TestSessionExtendAllocFree subtest.
+// The bank-backed sessions (ECTS, ProbThreshold) keep the /eager suffix
+// they carried while a second engine existed: the eager bank is the one
+// engine they run on.
+func allocCaseName(c EarlyClassifier) string {
+	switch c.(type) {
+	case *ECTS, *ProbThreshold:
+		return c.Name() + "/eager"
 	}
-	if _, ok := c.(modeClassifier); ok {
-		builds[0].name = c.Name() + "/pruned"
-		builds = append(builds, struct {
-			name string
-			open func() IncrementalSession
-		}{c.Name() + "/eager", func() IncrementalSession { return OpenSessionMode(c, Eager) }})
-	}
-	return builds
+	return c.Name()
 }
 
 // TestSessionExtendAllocFree is the steady-state zero-allocation
-// regression battery: for every native session (all six classifiers; both
-// engine modes where they differ), a session whose scratch was allocated at
-// open time must run point-at-a-time Extends — before, across, and after
-// its decision point — without a single heap allocation.
+// regression battery: for every native session (all six classifiers), a
+// session whose scratch was allocated at open time must run point-at-a-time
+// Extends — before, across, and after its decision point — without a
+// single heap allocation.
 func TestSessionExtendAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -47,19 +35,17 @@ func TestSessionExtendAllocFree(t *testing.T) {
 		feed[i] = series[i%len(series)]
 	}
 	for _, c := range allClassifiers(t, train) {
-		for _, build := range nativeSessionBuilds(t, c) {
-			t.Run(build.name, func(t *testing.T) {
-				sess := build.open()
-				i := 0
-				allocs := testing.AllocsPerRun(runs, func() {
-					sess.Extend(feed[i : i+1])
-					i++
-				})
-				if allocs != 0 {
-					t.Fatalf("%s: Extend allocated %v per step, want 0", build.name, allocs)
-				}
+		t.Run(allocCaseName(c), func(t *testing.T) {
+			sess := OpenSession(c)
+			i := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				sess.Extend(feed[i : i+1])
+				i++
 			})
-		}
+			if allocs != 0 {
+				t.Fatalf("%s: Extend allocated %v per step, want 0", c.Name(), allocs)
+			}
+		})
 	}
 }
 
@@ -96,8 +82,7 @@ func TestRelClassPureAllocFree(t *testing.T) {
 }
 
 // TestSessionTruncationAtFull pins the session truncation contract the
-// IncrementalSession.Extend doc states, for every native session and both
-// engine modes: a batch spanning the full-length boundary is truncated to
+// IncrementalSession.Extend doc states, for every native session: a batch spanning the full-length boundary is truncated to
 // the remaining room, and at exactly room == 0 whole batches are dropped —
 // every overfed Extend keeps returning the decision the exactly-fed session
 // ended on, with no error, panic, or state change.
@@ -106,40 +91,38 @@ func TestSessionTruncationAtFull(t *testing.T) {
 	junk := []float64{1e9, -1e9, 3.14, 0, 42}
 	for _, c := range allClassifiers(t, train) {
 		full := c.FullLength()
-		for _, build := range nativeSessionBuilds(t, c) {
-			for ti, in := range test.Instances {
-				if ti >= 4 {
-					break
-				}
-				// Reference: exactly full points, then read the settled state.
-				ref := build.open()
-				var want Decision
-				for l := 0; l < full; l++ {
-					want = ref.Extend(in.Series[l : l+1])
-				}
-				if again := ref.Extend(nil); again != want {
-					t.Fatalf("%s instance %d: empty Extend at full changed decision %+v -> %+v",
-						build.name, ti, want, again)
-				}
+		for ti, in := range test.Instances {
+			if ti >= 4 {
+				break
+			}
+			// Reference: exactly full points, then read the settled state.
+			ref := OpenSession(c)
+			var want Decision
+			for l := 0; l < full; l++ {
+				want = ref.Extend(in.Series[l : l+1])
+			}
+			if again := ref.Extend(nil); again != want {
+				t.Fatalf("%s instance %d: empty Extend at full changed decision %+v -> %+v",
+					c.Name(), ti, want, again)
+			}
 
-				// Overfed: a batch spanning the boundary (the last 3 real
-				// points plus junk) must truncate to room and land on the
-				// same decision.
-				over := build.open()
-				for l := 0; l < full-3; l++ {
-					over.Extend(in.Series[l : l+1])
-				}
-				spanning := append(append([]float64(nil), in.Series[full-3:full]...), junk...)
-				if got := over.Extend(spanning); got != want {
-					t.Fatalf("%s instance %d: boundary-spanning Extend %+v != exactly-fed %+v",
-						build.name, ti, got, want)
-				}
-				// room == 0: whole batches drop; the decision stays put.
-				for k := 0; k < 3; k++ {
-					if got := over.Extend(junk); got != want {
-						t.Fatalf("%s instance %d: overfed Extend #%d %+v != settled %+v",
-							build.name, ti, k, got, want)
-					}
+			// Overfed: a batch spanning the boundary (the last 3 real
+			// points plus junk) must truncate to room and land on the
+			// same decision.
+			over := OpenSession(c)
+			for l := 0; l < full-3; l++ {
+				over.Extend(in.Series[l : l+1])
+			}
+			spanning := append(append([]float64(nil), in.Series[full-3:full]...), junk...)
+			if got := over.Extend(spanning); got != want {
+				t.Fatalf("%s instance %d: boundary-spanning Extend %+v != exactly-fed %+v",
+					c.Name(), ti, got, want)
+			}
+			// room == 0: whole batches drop; the decision stays put.
+			for k := 0; k < 3; k++ {
+				if got := over.Extend(junk); got != want {
+					t.Fatalf("%s instance %d: overfed Extend #%d %+v != settled %+v",
+						c.Name(), ti, k, got, want)
 				}
 			}
 		}

@@ -238,45 +238,17 @@ func (e *ECTS) PosteriorPrefix(prefix []float64) map[int]float64 {
 	return softminPosterior(e.train, prefix)
 }
 
-// NewSession implements SessionClassifier over the incremental session.
-func (e *ECTS) NewSession() Session {
-	return SessionFromIncremental(e.NewIncrementalSession())
-}
-
-// NewIncrementalSession implements IncrementalClassifier with the default
-// (pruned) engine: a lazy nearest-neighbour frontier over running squared
-// prefix distances, so each Extend pays O(Δl) buffering plus only the
-// frontier's candidate extensions — most training series stay lazily
-// behind. The eager variant (every accumulator extended every step,
-// O(n · Δl)) remains available through OpenSessionMode; both produce
-// byte-identical decisions because the frontier's Min is pinned
-// byte-identical to the eager bank's.
+// NewIncrementalSession implements IncrementalClassifier: a running
+// squared-distance bank over the training prefixes, so each Extend advances
+// every accumulator by the new points (O(n · Δl)) and reads the nearest
+// neighbour off the bank instead of rescanning whole prefixes.
 func (e *ECTS) NewIncrementalSession() IncrementalSession {
-	return e.newIncrementalSessionMode(Pruned)
-}
-
-// nnBank is the running nearest-neighbour surface the session needs, served
-// eagerly by ts.PrefixDistBank or lazily by ts.LazyPrefixDistBank.
-type nnBank interface {
-	Extend(points []float64)
-	Min() (index int, d2 float64)
-	Len() int
-}
-
-// newIncrementalSessionMode implements modeClassifier.
-func (e *ECTS) newIncrementalSessionMode(mode EngineMode) IncrementalSession {
-	var bank nnBank
-	if mode == Eager {
-		bank = ts.NewPrefixDistBank(e.refs)
-	} else {
-		bank = ts.NewLazyPrefixDistBank(e.refs)
-	}
-	return &ectsSession{e: e, bank: bank}
+	return &ectsSession{e: e, bank: ts.NewPrefixDistBank(e.refs)}
 }
 
 type ectsSession struct {
 	e        *ECTS
-	bank     nnBank // running squared distance to each training prefix
+	bank     *ts.PrefixDistBank // running squared distance to each training prefix
 	done     bool
 	decision Decision
 }

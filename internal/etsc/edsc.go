@@ -375,11 +375,6 @@ func (e *EDSC) ForcedLabel(series []float64) int {
 	return best
 }
 
-// NewSession implements SessionClassifier over the incremental session.
-func (e *EDSC) NewSession() Session {
-	return SessionFromIncremental(e.NewIncrementalSession())
-}
-
 // NewIncrementalSession implements IncrementalClassifier with a scanner
 // that only examines the windows each new batch of points completes: every
 // (shapelet, window) pair is measured at most once per stream, where the

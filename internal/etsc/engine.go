@@ -1,8 +1,6 @@
 package etsc
 
 import (
-	"fmt"
-
 	"etsc/internal/dataset"
 	"etsc/internal/par"
 )
@@ -14,8 +12,7 @@ import (
 // identical decisions (label, readiness, decision point), which
 // engine_test.go asserts for every classifier in the package.
 
-// IncrementalSession accumulates one stream's state point-at-a-time.
-// Compared to Session.Step (which receives the whole prefix each call),
+// IncrementalSession accumulates one stream's state point-at-a-time:
 // Extend receives only the points that arrived since the previous call, so
 // a well-implemented session does O(Δ) work per call where the pure path
 // does O(l).
@@ -48,104 +45,32 @@ type IncrementalClassifier interface {
 	NewIncrementalSession() IncrementalSession
 }
 
-// EngineMode selects the inference-engine variant behind OpenSessionMode.
-// Decisions — labels, readiness, decision points, and therefore every
-// evaluation summary and monitoring transcript — are byte-identical across
-// modes (the engine-mode battery pins this); the mode trades CPU work only.
+// EngineMode is the retired inference-engine selector. One engine remains
+// (the eager distance bank), so no function reads a mode any more.
+//
+// Deprecated: kept only so OpenSessionMode, stream.NewOnlineEngine and
+// hub.StreamConfig.Engine keep compiling for their last callers; all three
+// ignore the value.
 type EngineMode int
-
-const (
-	// Pruned (the zero value, and the default everywhere) serves
-	// nearest-neighbour classifiers from a lazy frontier over monotone
-	// running prefix distances: candidates are extended only while they can
-	// still be nearest, so most of the training set stays lazily behind.
-	Pruned EngineMode = iota
-	// Eager extends every training accumulator on every step — the
-	// pre-frontier cost model, kept as the pinned reference path and the
-	// baseline the eval benchmark trajectory measures pruning against.
-	Eager
-)
-
-// String returns the mode name.
-func (m EngineMode) String() string {
-	switch m {
-	case Pruned:
-		return "pruned"
-	case Eager:
-		return "eager"
-	default:
-		return fmt.Sprintf("EngineMode(%d)", int(m))
-	}
-}
-
-// ParseEngineMode parses "pruned" or "eager".
-func ParseEngineMode(s string) (EngineMode, error) {
-	switch s {
-	case "pruned":
-		return Pruned, nil
-	case "eager":
-		return Eager, nil
-	default:
-		return 0, fmt.Errorf("etsc: unknown engine mode %q (want pruned or eager)", s)
-	}
-}
-
-// modeClassifier is implemented by classifiers whose native session has
-// distinct pruned and eager variants (the distance-bank ones: ECTS,
-// ProbThreshold). Everything else serves the same session in both modes.
-type modeClassifier interface {
-	newIncrementalSessionMode(mode EngineMode) IncrementalSession
-}
 
 // OpenSession returns the most efficient per-stream session the classifier
 // supports: its native incremental session when it implements
-// IncrementalClassifier, a buffering adapter over its stateful Session when
-// it implements SessionClassifier, and a buffering adapter over the pure
+// IncrementalClassifier, and a buffering adapter over the pure
 // ClassifyPrefix path otherwise. Every evaluation harness (RunOne,
 // stream.Monitor, stream.Online) drives classifiers through this single
-// entry point. Native sessions default to the Pruned engine;
-// OpenSessionMode selects explicitly.
+// entry point.
 func OpenSession(c EarlyClassifier) IncrementalSession {
-	return OpenSessionMode(c, Pruned)
-}
-
-// OpenSessionMode is OpenSession with an explicit engine mode. For
-// classifiers without a pruned/eager distinction the mode is irrelevant and
-// the usual dispatch applies.
-func OpenSessionMode(c EarlyClassifier, mode EngineMode) IncrementalSession {
-	if mc, ok := c.(modeClassifier); ok {
-		return mc.newIncrementalSessionMode(mode)
-	}
 	if ic, ok := c.(IncrementalClassifier); ok {
 		return ic.NewIncrementalSession()
-	}
-	if sc, ok := c.(SessionClassifier); ok {
-		return &stepAdapter{sess: sc.NewSession(), full: c.FullLength()}
 	}
 	return &pureAdapter{c: c, full: c.FullLength()}
 }
 
-// stepAdapter presents a whole-prefix Session as an IncrementalSession by
-// buffering the stream.
-type stepAdapter struct {
-	sess Session
-	full int
-	buf  []float64
-	done bool
-	dec  Decision
-}
-
-// Extend implements IncrementalSession.
-func (a *stepAdapter) Extend(points []float64) Decision {
-	if a.done {
-		return a.dec
-	}
-	a.buf = appendClamped(a.buf, points, a.full)
-	d := a.sess.Step(a.buf)
-	if d.Ready {
-		a.done, a.dec = true, d
-	}
-	return d
+// OpenSessionMode is OpenSession; the mode is ignored.
+//
+// Deprecated: use OpenSession.
+func OpenSessionMode(c EarlyClassifier, mode EngineMode) IncrementalSession {
+	return OpenSession(c)
 }
 
 // pureAdapter presents a stateless classifier as an IncrementalSession by
@@ -169,30 +94,6 @@ func (a *pureAdapter) Extend(points []float64) Decision {
 	if d.Ready {
 		a.done, a.dec = true, d
 	}
-	return d
-}
-
-// SessionFromIncremental adapts an IncrementalSession to the legacy
-// whole-prefix Session interface; classifiers with native incremental
-// sessions implement NewSession with it so both APIs share one state
-// machine.
-func SessionFromIncremental(inc IncrementalSession) Session {
-	return &incAsStep{inc: inc}
-}
-
-type incAsStep struct {
-	inc  IncrementalSession
-	seen int
-}
-
-// Step implements Session. Each prefix must extend the previous call's, per
-// the Session contract.
-func (w *incAsStep) Step(prefix []float64) Decision {
-	if len(prefix) <= w.seen {
-		return w.inc.Extend(nil)
-	}
-	d := w.inc.Extend(prefix[w.seen:])
-	w.seen = len(prefix)
 	return d
 }
 
@@ -223,20 +124,13 @@ func seriesRefs(d *dataset.Dataset) [][]float64 {
 // so the outcome slice — ordered by test instance, exactly as Evaluate
 // orders it — is identical for every worker count.
 func EvaluateParallel(c EarlyClassifier, test *dataset.Dataset, step, workers int) (Summary, error) {
-	return EvaluateParallelMode(c, test, step, workers, Pruned)
-}
-
-// EvaluateParallelMode is EvaluateParallel with an explicit engine mode.
-// The outcome slice is identical for every mode and worker count; the mode
-// only selects how much distance work the sessions prune.
-func EvaluateParallelMode(c EarlyClassifier, test *dataset.Dataset, step, workers int, mode EngineMode) (Summary, error) {
 	if err := checkEvaluate(c, test); err != nil {
 		return Summary{}, err
 	}
 	s := Summary{Full: c.FullLength(), Outcomes: make([]Outcome, test.Len())}
 	par.Do(test.Len(), workers, func(i int) {
 		in := test.Instances[i]
-		label, length, forced := RunOneMode(c, in.Series, step, mode)
+		label, length, forced := RunOne(c, in.Series, step)
 		s.Outcomes[i] = Outcome{Predicted: label, Actual: in.Label, Length: length, Forced: forced}
 	})
 	return s, nil

@@ -1,10 +1,12 @@
 package etsc
 
 import (
+	"math"
 	"testing"
 
 	"etsc/internal/dataset"
 	"etsc/internal/synth"
+	"etsc/internal/ts"
 )
 
 // replayPure is the reference evaluation loop: the pure ClassifyPrefix path
@@ -125,6 +127,65 @@ func TestIncrementalExtendChunkingEquivalence(t *testing.T) {
 	}
 }
 
+// TestBankSessionNonFiniteChunking feeds the bank-backed sessions (ECTS,
+// ProbThreshold) hostile inputs: streams may legally carry NaN and ±Inf
+// samples (the monitor/hub fuzz contract), which drive distance
+// accumulators to +Inf or NaN. At every length up to the point-at-a-time
+// session's commit, a fresh session fed the whole prefix as one chunk must
+// return the same decision and hold bit-identical accumulators — the
+// bank's strict left-to-right per-reference fold makes chunking invisible,
+// before, at, and after the poison point.
+func TestBankSessionNonFiniteChunking(t *testing.T) {
+	train, test := smallGunPointSplit(t)
+	ects, err := trainECTS(train, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := trainProbThreshold(train, 0.8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bankOf := func(s IncrementalSession) *ts.PrefixDistBank {
+		switch s := s.(type) {
+		case *ectsSession:
+			return s.bank
+		case *probThresholdSession:
+			return s.bank
+		}
+		t.Fatalf("%T is not a bank-backed session", s)
+		return nil
+	}
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, c := range []EarlyClassifier{ects, prob} {
+		for _, special := range specials {
+			for _, at := range []int{0, 9, 40} {
+				series := append([]float64(nil), test.Instances[0].Series...)
+				series[at] = special
+				pointwise := OpenSession(c)
+				for l := 1; l <= c.FullLength(); l++ {
+					dp := pointwise.Extend(series[l-1 : l])
+					chunked := OpenSession(c)
+					dc := chunked.Extend(series[:l])
+					if dp != dc {
+						t.Fatalf("%s special=%v at=%d length %d: point-at-a-time %+v != one chunk %+v",
+							c.Name(), special, at, l, dp, dc)
+					}
+					bp, bc := bankOf(pointwise).D2(), bankOf(chunked).D2()
+					for i := range bp {
+						if math.Float64bits(bp[i]) != math.Float64bits(bc[i]) {
+							t.Fatalf("%s special=%v at=%d length %d: reference %d d2 %v != %v",
+								c.Name(), special, at, l, i, bp[i], bc[i])
+						}
+					}
+					if dp.Ready {
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSessionLatchesAfterReady asserts the latch contract: once Ready, a
 // session keeps returning the same decision no matter what arrives next.
 func TestSessionLatchesAfterReady(t *testing.T) {
@@ -213,27 +274,5 @@ func TestOpenSessionPicksNativeIncremental(t *testing.T) {
 	}
 	if _, ok := OpenSession(ecdire).(*pureAdapter); !ok {
 		t.Errorf("ECDIRE should fall back to the pure adapter")
-	}
-}
-
-// TestSessionFromIncremental checks the legacy Session view over an
-// incremental session honours the whole-prefix Step contract.
-func TestSessionFromIncremental(t *testing.T) {
-	train, test := easySplit(t)
-	c, err := trainECTS(train, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := test.Instances[0].Series
-	sess := c.NewSession()
-	for l := 2; l <= c.FullLength(); l += 2 {
-		d := sess.Step(series[:l])
-		want := c.ClassifyPrefix(series[:l])
-		if d.Ready != want.Ready || (d.Ready && d.Label != want.Label) {
-			t.Fatalf("length %d: Step %+v != ClassifyPrefix %+v", l, d, want)
-		}
-		if d.Ready {
-			break
-		}
 	}
 }

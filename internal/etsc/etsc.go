@@ -42,9 +42,10 @@ type Decision struct {
 //
 // ClassifyPrefix must be a pure function of the prefix: the harness may
 // replay prefixes of different series in any order. Implementations that
-// need per-stream state (e.g. TEASER's consistency counter) expose a
-// Session. FullLength is the training exemplar length; the evaluation
-// harness forces a decision at that length if the classifier never commits.
+// need per-stream state (e.g. TEASER's consistency counter) keep it in a
+// native IncrementalSession. FullLength is the training exemplar length;
+// the evaluation harness forces a decision at that length if the
+// classifier never commits.
 type EarlyClassifier interface {
 	Name() string
 	FullLength() int
@@ -54,22 +55,6 @@ type EarlyClassifier interface {
 	// ForcedLabel returns the classifier's best guess given the complete
 	// series; used when no early commitment was made.
 	ForcedLabel(series []float64) int
-}
-
-// SessionClassifier is implemented by classifiers whose decision depends on
-// the history of prefixes seen for the current stream (e.g. TEASER's
-// "v consecutive identical predictions" rule). The harness creates one
-// session per test exemplar.
-type SessionClassifier interface {
-	EarlyClassifier
-	NewSession() Session
-}
-
-// Session accumulates per-stream state across successive prefixes.
-type Session interface {
-	// Step processes the next prefix (strictly longer than the previous
-	// call's) and reports the current decision.
-	Step(prefix []float64) Decision
 }
 
 // Outcome records how one test exemplar was classified.
@@ -145,12 +130,6 @@ func (s Summary) HarmonicMean() float64 {
 // commits it is forced at full length. Sessions come from OpenSession, so
 // classifiers with native incremental sessions pay O(Δ) per opportunity.
 func RunOne(c EarlyClassifier, series []float64, step int) (label, length int, forced bool) {
-	return RunOneMode(c, series, step, Pruned)
-}
-
-// RunOneMode is RunOne with an explicit engine mode; the decision triple is
-// identical for every mode.
-func RunOneMode(c EarlyClassifier, series []float64, step int, mode EngineMode) (label, length int, forced bool) {
 	if step < 1 {
 		step = 1
 	}
@@ -158,7 +137,7 @@ func RunOneMode(c EarlyClassifier, series []float64, step int, mode EngineMode) 
 	if full > len(series) {
 		full = len(series)
 	}
-	sess := OpenSessionMode(c, mode)
+	sess := OpenSession(c)
 	prev := 0
 	for l := step; l <= full; l += step {
 		d := sess.Extend(series[prev:l])

@@ -125,34 +125,6 @@ func TestClassifyPrefixIsPure(t *testing.T) {
 	}
 }
 
-// TestSessionConsistentWithStateless verifies that session-based
-// classification commits with the same label as the stateless replay.
-func TestSessionConsistentWithStateless(t *testing.T) {
-	train, test := easySplit(t)
-	for _, c := range allClassifiers(t, train) {
-		sc, ok := c.(SessionClassifier)
-		if !ok {
-			continue
-		}
-		for _, in := range test.Instances[:6] {
-			sess := sc.NewSession()
-			var sessLabel int
-			var sessAt int
-			for l := 2; l <= c.FullLength(); l += 2 {
-				if d := sess.Step(in.Series[:l]); d.Ready {
-					sessLabel, sessAt = d.Label, l
-					break
-				}
-			}
-			label, at, _ := RunOne(c, in.Series, 2)
-			if sessAt != 0 && (label != sessLabel || at != sessAt) {
-				t.Errorf("%s: session (%d@%d) vs stateless (%d@%d)",
-					c.Name(), sessLabel, sessAt, label, at)
-			}
-		}
-	}
-}
-
 func TestSummaryMetrics(t *testing.T) {
 	s := Summary{
 		Full: 100,

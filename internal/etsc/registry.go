@@ -116,15 +116,14 @@ func (s Spec) String() string {
 }
 
 // Options is the shared construction configuration every Builder receives;
-// it replaces the Workers/TrainCache/Engine fields that were threaded
-// separately through each layer. Build one with functional options:
+// it replaces the Workers/TrainCache fields that were threaded separately
+// through each layer. Build one with functional options:
 //
-//	Train(spec, train, WithTrainContext(ctx), WithEngine(Eager))
+//	Train(spec, train, WithTrainContext(ctx), WithSeed(11))
 type Options struct {
 	workers    int
 	workersSet bool
 	ctx        *TrainContext
-	engine     EngineMode
 	seed       int64
 	seedSet    bool
 }
@@ -144,11 +143,6 @@ func WithWorkers(n int) Option { return func(o *Options) { o.workers = n; o.work
 // passed to Train (or pass nil to Train and the context's set is used).
 func WithTrainContext(c *TrainContext) Option { return func(o *Options) { o.ctx = c } }
 
-// WithEngine selects the inference engine (Pruned or Eager) recorded in
-// the options. Training is engine-independent; callers that open sessions
-// read it back via Options.Engine or open them with Options.OpenSession.
-func WithEngine(m EngineMode) Option { return func(o *Options) { o.engine = m } }
-
 // WithSeed sets the default randomness seed for algorithms that freeze
 // random draws at training time (currently RelClass's Monte Carlo
 // completions). An explicit "seed" spec parameter wins over the option.
@@ -165,14 +159,6 @@ func NewOptions(opts ...Option) *Options {
 
 // TrainContext returns the shared context, or nil when none was supplied.
 func (o *Options) TrainContext() *TrainContext { return o.ctx }
-
-// Engine returns the selected inference engine mode (zero value: Pruned).
-func (o *Options) Engine() EngineMode { return o.engine }
-
-// OpenSession opens an incremental session on c with the options' engine.
-func (o *Options) OpenSession(c EarlyClassifier) IncrementalSession {
-	return OpenSessionMode(c, o.engine)
-}
 
 // Workers returns the effective worker bound: the explicit WithWorkers
 // value, else the context's, else 1 (serial).

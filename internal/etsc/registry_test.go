@@ -97,7 +97,7 @@ func TestRegistryEquivalenceBattery(t *testing.T) {
 
 // assertEquivalent compares two models decision-for-decision and
 // posterior-for-posterior: the full per-length ClassifyPrefix transcript,
-// incremental sessions in both engine modes, and PosteriorPrefix maps
+// incremental sessions, and PosteriorPrefix maps
 // (when implemented) bit-for-bit on a few exemplars, plus the RunOne
 // commitment triple on every test exemplar.
 func assertEquivalent(t *testing.T, name string, want, got EarlyClassifier, test *dataset.Dataset) {
@@ -121,19 +121,16 @@ func assertEquivalent(t *testing.T, name string, want, got EarlyClassifier, test
 					t.Fatalf("%s instance %d length %d: want %+v, got %+v", name, i, l, dw, dg)
 				}
 			}
-			for _, mode := range []EngineMode{Pruned, Eager} {
-				ws := OpenSessionMode(want, mode)
-				gs := OpenSessionMode(got, mode)
-				prev := 0
-				for l := step; l <= full; l += step {
-					dw := ws.Extend(in.Series[prev:l])
-					dg := gs.Extend(in.Series[prev:l])
-					if dw != dg {
-						t.Fatalf("%s instance %d mode=%s length %d: want %+v, got %+v",
-							name, i, mode, l, dw, dg)
-					}
-					prev = l
+			ws, gs := OpenSession(want), OpenSession(got)
+			prev := 0
+			for l := step; l <= full; l += step {
+				dw := ws.Extend(in.Series[prev:l])
+				dg := gs.Extend(in.Series[prev:l])
+				if dw != dg {
+					t.Fatalf("%s instance %d session length %d: want %+v, got %+v",
+						name, i, l, dw, dg)
 				}
+				prev = l
 			}
 			if wok {
 				for l := step; l <= full; l += step {
@@ -318,16 +315,16 @@ func TestRegistryRegister(t *testing.T) {
 func TestOptionsAccessors(t *testing.T) {
 	train, _ := easySplit(t)
 	o := NewOptions()
-	if o.Workers() != 1 || o.Engine() != Pruned || o.TrainContext() != nil || o.SeedOr(7) != 7 {
-		t.Errorf("zero options: workers=%d engine=%v ctx=%v seed=%d", o.Workers(), o.Engine(), o.TrainContext(), o.SeedOr(7))
+	if o.Workers() != 1 || o.TrainContext() != nil || o.SeedOr(7) != 7 {
+		t.Errorf("zero options: workers=%d ctx=%v seed=%d", o.Workers(), o.TrainContext(), o.SeedOr(7))
 	}
 	ctx, err := NewTrainContext(train, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o = NewOptions(WithTrainContext(ctx), WithEngine(Eager), WithSeed(11))
-	if o.Workers() != 3 || o.Engine() != Eager || o.TrainContext() != ctx || o.SeedOr(7) != 11 {
-		t.Errorf("options: workers=%d engine=%v seed=%d", o.Workers(), o.Engine(), o.SeedOr(7))
+	o = NewOptions(WithTrainContext(ctx), WithSeed(11))
+	if o.Workers() != 3 || o.TrainContext() != ctx || o.SeedOr(7) != 11 {
+		t.Errorf("options: workers=%d seed=%d", o.Workers(), o.SeedOr(7))
 	}
 	if o = NewOptions(WithWorkers(8), WithTrainContext(ctx)); o.Workers() != 8 {
 		t.Errorf("explicit workers: %d", o.Workers())

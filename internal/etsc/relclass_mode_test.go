@@ -33,6 +33,17 @@ func trainRelClassEager(t testing.TB, train *dataset.Dataset, cfg RelClassConfig
 	return r
 }
 
+// modeSplits returns the two datasets the kernel battery runs on.
+func modeSplits(t *testing.T) map[string][2]*dataset.Dataset {
+	t.Helper()
+	eTrain, eTest := easySplit(t)
+	gTrain, gTest := smallGunPointSplit(t)
+	return map[string][2]*dataset.Dataset{
+		"easy":     {eTrain, eTest},
+		"gunpoint": {gTrain, gTest},
+	}
+}
+
 // relClassModePair trains one classifier per kernel from the same config.
 func relClassModePair(t testing.TB, train *dataset.Dataset, pooled bool) (table, eager *RelClass) {
 	t.Helper()
@@ -255,8 +266,8 @@ func FuzzRelClassModes(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(2), uint8(7))
 	f.Add(uint8(1), uint8(0), uint8(9), uint8(2))
 
-	eTrain, eTest := easySplitF(f)
-	gTrain, gTest := gunPointSplitF(f)
+	eTrain, eTest := easySplit(f)
+	gTrain, gTest := smallGunPointSplit(f)
 	type pair struct {
 		table, eager *RelClass
 		test         *dataset.Dataset

@@ -7,27 +7,29 @@ import (
 	"etsc/internal/ts"
 )
 
-// Session snapshot/restore: every native incremental session (and both
-// engine adapters) can export its live scratch through a snap.Writer and be
+// Session snapshot/restore: every native incremental session (and the pure
+// adapter) can export its live scratch through a snap.Writer and be
 // rebuilt into a fresh session opened from the same trained classifier.
 // Only per-stream scratch is serialized — bank positions and accumulators,
 // stream buffers, streak counters, cached decisions. The trained model
 // itself is NOT in the snapshot; it restores through the spec/registry path
 // and the restored session re-attaches to it.
 //
-// Restored state is exact: eager distance banks carry their accumulator
-// vectors verbatim (IEEE bits), and lazy frontiers carry the raw query
-// prefix, whose strictly left-to-right per-row fold rebuilds bit-identical
-// accumulators on replay regardless of how the points originally arrived in
-// chunks. That is what lets the crash-recovery battery demand byte-identical
-// transcripts rather than merely equivalent ones.
+// Restored state is exact: distance banks carry their accumulator vectors
+// verbatim (IEEE bits). Frames written by the retired lazy frontier carry
+// the raw query prefix instead; the bank's strictly left-to-right per-row
+// fold rebuilds bit-identical accumulators when that prefix is replayed,
+// regardless of how the points originally arrived in chunks. That is what
+// lets the crash-recovery battery demand byte-identical transcripts rather
+// than merely equivalent ones.
 //
 // Layout: one tag byte naming the session type, done flag, latched
 // decision, then type-specific fields. Versioning lives on the enclosing
 // frame (the owning layer's payload kind/version); a session schema change
 // is an online-state version bump.
 
-// Session type tags. One byte each, never reused.
+// Session type tags. One byte each, never reused: 'S' belonged to the
+// retired whole-prefix Session adapter and stays reserved.
 const (
 	sessTagECTS        = 'C'
 	sessTagProbThresh  = 'P'
@@ -35,32 +37,30 @@ const (
 	sessTagTEASER      = 'T'
 	sessTagEDSC        = 'D'
 	sessTagRelClass    = 'R'
-	sessTagStepAdapter = 'S'
 	sessTagPureAdapter = 'U'
 )
 
 // Bank flavor tags inside ECTS/ProbThreshold snapshots.
 const (
 	bankFlavorEager = 'E' // exact (n, d2) accumulator vector
-	bankFlavorLazy  = 'L' // raw query prefix, rebuilt by replay
+	bankFlavorLazy  = 'L' // raw query prefix, rebuilt by replay (decode only)
 )
 
 // SnapshotSessionState writes a session's live scratch to w. The session
-// must be one produced by OpenSessionMode (native or adapter); any other
+// must be one produced by OpenSession (native or adapter); any other
 // IncrementalSession implementation is an error.
 func SnapshotSessionState(sess IncrementalSession, w *snap.Writer) error {
 	switch s := sess.(type) {
 	case *ectsSession:
 		w.Byte(sessTagECTS)
 		writeDecisionState(w, s.done, s.decision)
-		return snapshotNNBank(w, s.bank)
+		snapshotBank(w, s.bank)
+		return nil
 	case *probThresholdSession:
 		w.Byte(sessTagProbThresh)
 		writeDecisionState(w, s.done, s.dec)
-		if s.bank != nil {
-			return snapshotNNBank(w, s.bank)
-		}
-		return snapshotNNBank(w, s.lazy)
+		snapshotBank(w, s.bank)
+		return nil
 	case *fixedPrefixSession:
 		w.Byte(sessTagFixedPrefix)
 		writeDecisionState(w, s.done, s.dec)
@@ -88,11 +88,6 @@ func SnapshotSessionState(sess IncrementalSession, w *snap.Writer) error {
 		w.Int(s.estimates)
 		w.Floats(s.scr.lp)
 		return nil
-	case *stepAdapter:
-		w.Byte(sessTagStepAdapter)
-		writeDecisionState(w, s.done, s.dec)
-		w.Floats(s.buf)
-		return nil
 	case *pureAdapter:
 		w.Byte(sessTagPureAdapter)
 		writeDecisionState(w, s.done, s.dec)
@@ -104,11 +99,11 @@ func SnapshotSessionState(sess IncrementalSession, w *snap.Writer) error {
 }
 
 // RestoreSessionState loads scratch written by SnapshotSessionState into
-// sess, which must be a freshly opened session (OpenSessionMode on the same
-// trained classifier, same engine mode) that has never seen a point. A tag
-// that does not match the target session's type, a bank flavor that does
-// not match its engine, or any structurally invalid field fails with an
-// error wrapping snap.ErrCorrupt; sess is not guaranteed usable afterwards.
+// sess, which must be a freshly opened session (OpenSession on the same
+// trained classifier) that has never seen a point. A tag that does not
+// match the target session's type, or any structurally invalid field,
+// fails with an error wrapping snap.ErrCorrupt; sess is not guaranteed
+// usable afterwards.
 func RestoreSessionState(sess IncrementalSession, r *snap.Reader) error {
 	tag := r.Byte()
 	if r.Err() != nil {
@@ -120,16 +115,13 @@ func RestoreSessionState(sess IncrementalSession, r *snap.Reader) error {
 			return tagMismatch(tag, sess)
 		}
 		s.done, s.decision = readDecisionState(r)
-		return restoreNNBank(r, s.bank, s.e.full)
+		return restoreBank(r, s.bank, s.e.full)
 	case *probThresholdSession:
 		if tag != sessTagProbThresh {
 			return tagMismatch(tag, sess)
 		}
 		s.done, s.dec = readDecisionState(r)
-		if s.bank != nil {
-			return restoreNNBank(r, s.bank, s.p.full)
-		}
-		return restoreNNBank(r, s.lazy, s.p.full)
+		return restoreBank(r, s.bank, s.p.full)
 	case *fixedPrefixSession:
 		if tag != sessTagFixedPrefix {
 			return tagMismatch(tag, sess)
@@ -216,27 +208,6 @@ func RestoreSessionState(sess IncrementalSession, r *snap.Reader) error {
 		s.seen, s.estimates = seen, estimates
 		copy(s.scr.lp, lp)
 		return nil
-	case *stepAdapter:
-		if tag != sessTagStepAdapter {
-			return tagMismatch(tag, sess)
-		}
-		s.done, s.dec = readDecisionState(r)
-		buf := r.Floats()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(buf) > s.full {
-			return fmt.Errorf("%w: session buffer %d exceeds full length %d", snap.ErrCorrupt, len(buf), s.full)
-		}
-		s.buf = append(s.buf[:0], buf...)
-		// Warm the underlying stateful session with the whole buffered
-		// prefix: the Session contract only requires each prefix to extend
-		// the last, so one full-prefix Step re-derives its internal state.
-		// The snapshot's latched decision stays authoritative.
-		if !s.done && len(s.buf) > 0 {
-			s.sess.Step(s.buf)
-		}
-		return nil
 	case *pureAdapter:
 		if tag != sessTagPureAdapter {
 			return tagMismatch(tag, sess)
@@ -279,31 +250,18 @@ func readDecisionState(r *snap.Reader) (bool, Decision) {
 	return done, readDecision(r)
 }
 
-// snapshotNNBank serializes a distance bank by flavor: eager banks export
-// their exact accumulator vector, lazy frontiers export the raw query
-// prefix (their stale per-reference bounds re-derive from it on demand).
-func snapshotNNBank(w *snap.Writer, bank any) error {
-	switch b := bank.(type) {
-	case *ts.PrefixDistBank:
-		w.Byte(bankFlavorEager)
-		w.Int(b.Len())
-		w.Floats(b.D2())
-		return nil
-	case *ts.LazyPrefixDistBank:
-		w.Byte(bankFlavorLazy)
-		w.Floats(b.Query())
-		return nil
-	default:
-		return fmt.Errorf("etsc: bank type %T does not support snapshots", bank)
-	}
+// snapshotBank serializes a distance bank's exact accumulator vector.
+func snapshotBank(w *snap.Writer, b *ts.PrefixDistBank) {
+	w.Byte(bankFlavorEager)
+	w.Int(b.Len())
+	w.Floats(b.D2())
 }
 
-// restoreNNBank loads a bank snapshot into a fresh bank of either flavor.
-// A lazy snapshot restores into both (replaying the query through Extend is
-// bit-identical to the original accumulation for either engine); an eager
-// snapshot carries only the folded accumulators, so it can only restore
-// into an eager bank.
-func restoreNNBank(r *snap.Reader, bank any, full int) error {
+// restoreBank loads a bank snapshot into a fresh bank. An eager snapshot
+// restores the accumulators verbatim; a lazy snapshot (the raw query
+// prefix, written by the retired lazy frontier) replays the query through
+// Extend, which is bit-identical to the original accumulation.
+func restoreBank(r *snap.Reader, b *ts.PrefixDistBank, full int) error {
 	flavor := r.Byte()
 	if r.Err() != nil {
 		return r.Err()
@@ -315,11 +273,7 @@ func restoreNNBank(r *snap.Reader, bank any, full int) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		eager, ok := bank.(*ts.PrefixDistBank)
-		if !ok {
-			return fmt.Errorf("%w: eager bank snapshot cannot restore into a %T (engine mode changed since export)", snap.ErrCorrupt, bank)
-		}
-		if err := eager.RestoreState(n, d2); err != nil {
+		if err := b.RestoreState(n, d2); err != nil {
 			return fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 		}
 		return nil
@@ -331,20 +285,10 @@ func restoreNNBank(r *snap.Reader, bank any, full int) error {
 		if len(q) > full {
 			return fmt.Errorf("%w: bank query %d exceeds full length %d", snap.ErrCorrupt, len(q), full)
 		}
-		switch b := bank.(type) {
-		case *ts.PrefixDistBank:
-			if b.Len() != 0 {
-				return fmt.Errorf("%w: bank restore into a used bank", snap.ErrCorrupt)
-			}
-			b.Extend(q)
-		case *ts.LazyPrefixDistBank:
-			if b.Len() != 0 {
-				return fmt.Errorf("%w: bank restore into a used bank", snap.ErrCorrupt)
-			}
-			b.Extend(q)
-		default:
-			return fmt.Errorf("etsc: bank type %T does not support snapshots", bank)
+		if b.Len() != 0 {
+			return fmt.Errorf("%w: bank restore into a used bank", snap.ErrCorrupt)
 		}
+		b.Extend(q)
 		return nil
 	default:
 		return fmt.Errorf("%w: unknown bank flavor %q", snap.ErrCorrupt, flavor)

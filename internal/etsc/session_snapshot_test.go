@@ -8,70 +8,67 @@ import (
 )
 
 // TestSessionSnapshotEquivalence is the session-layer half of the durable
-// state proof: for every classifier (native sessions and both adapter
-// fallbacks), both engine modes, and several split points, a session
-// snapshotted mid-stream and restored into a fresh session produces the
-// same decision sequence over the remaining points as the session that
-// never stopped.
+// state proof: for every classifier (native sessions and the pure-adapter
+// fallback) and several split points, a session snapshotted mid-stream and
+// restored into a fresh session produces the same decision sequence over
+// the remaining points as the session that never stopped.
 func TestSessionSnapshotEquivalence(t *testing.T) {
 	train, test := smallGunPointSplit(t)
 	for _, c := range engineClassifiers(t, train) {
-		for _, mode := range []EngineMode{Pruned, Eager} {
-			for _, split := range []int{0, 1, 7, 20, train.SeriesLen() - 1, train.SeriesLen() + 5} {
-				name := c.Name() + "/" + map[EngineMode]string{Pruned: "pruned", Eager: "eager"}[mode]
-				for ti, in := range test.Instances {
-					if ti >= 4 {
-						break
-					}
-					series := in.Series
-					straight := OpenSessionMode(c, mode)
-					interrupted := OpenSessionMode(c, mode)
+		for _, split := range []int{0, 1, 7, 20, train.SeriesLen() - 1, train.SeriesLen() + 5} {
+			name := c.Name()
+			for ti, in := range test.Instances {
+				if ti >= 4 {
+					break
+				}
+				series := in.Series
+				straight := OpenSession(c)
+				interrupted := OpenSession(c)
 
-					// Drive both to the split point in small uneven chunks.
-					feed := func(s IncrementalSession, from, to int) []Decision {
-						var out []Decision
-						for at := from; at < to; {
-							n := 3
-							if at+n > to {
-								n = to - at
-							}
-							out = append(out, s.Extend(series[at:at+n]))
-							at += n
+				// Drive both to the split point in small uneven chunks.
+				feed := func(s IncrementalSession, from, to int) []Decision {
+					var out []Decision
+					for at := from; at < to; {
+						n := 3
+						if at+n > to {
+							n = to - at
 						}
-						return out
+						out = append(out, s.Extend(series[at:at+n]))
+						at += n
 					}
-					end := split
-					if end > len(series) {
-						end = len(series)
-					}
-					d1 := feed(straight, 0, end)
-					d2 := feed(interrupted, 0, end)
+					return out
+				}
+				end := split
+				if end > len(series) {
+					end = len(series)
+				}
+				d1 := feed(straight, 0, end)
+				d2 := feed(interrupted, 0, end)
 
-					// Snapshot, restore into a fresh session.
-					var w snap.Writer
-					if err := SnapshotSessionState(interrupted, &w); err != nil {
-						t.Fatalf("%s split %d: snapshot: %v", name, split, err)
-					}
-					restored := OpenSessionMode(c, mode)
-					r := snap.NewReader(w.Bytes())
-					if err := RestoreSessionState(restored, r); err != nil {
-						t.Fatalf("%s split %d: restore: %v", name, split, err)
-					}
-					if err := r.Done(); err != nil {
-						t.Fatalf("%s split %d: trailing snapshot bytes: %v", name, split, err)
-					}
+				// Snapshot, restore into a fresh session.
+				var w snap.Writer
+				if err := SnapshotSessionState(interrupted, &w); err != nil {
+					t.Fatalf("%s split %d: snapshot: %v", name, split, err)
+				}
+				restored := OpenSession(c)
+				r := snap.NewReader(w.Bytes())
+				if err := RestoreSessionState(restored, r); err != nil {
+					t.Fatalf("%s split %d: restore: %v", name, split, err)
+				}
+				if err := r.Done(); err != nil {
+					t.Fatalf("%s split %d: trailing snapshot bytes: %v", name, split, err)
+				}
 
-					// The rest of the stream through both.
-					d1 = append(d1, feed(straight, end, len(series))...)
-					d2 = append(d2, feed(restored, end, len(series))...)
-					if len(d1) != len(d2) {
-						t.Fatalf("%s split %d: %d vs %d decisions", name, split, len(d1), len(d2))
-					}
-					for i := range d1 {
-						if d1[i] != d2[i] {
-							t.Fatalf("%s split %d: decision %d diverged: %+v vs %+v",
-								name, split, i, d1[i], d2[i])
-						}
+				// The rest of the stream through both.
+				d1 = append(d1, feed(straight, end, len(series))...)
+				d2 = append(d2, feed(restored, end, len(series))...)
+				if len(d1) != len(d2) {
+					t.Fatalf("%s split %d: %d vs %d decisions", name, split, len(d1), len(d2))
+				}
+				for i := range d1 {
+					if d1[i] != d2[i] {
+						t.Fatalf("%s split %d: decision %d diverged: %+v vs %+v",
+							name, split, i, d1[i], d2[i])
 					}
 				}
 			}
@@ -79,48 +76,66 @@ func TestSessionSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionSnapshotCrossEngine pins the bank-flavor rules: a pruned
-// (lazy) snapshot restores into an eager session bit-identically — the
-// query replay folds exactly like the original accumulation — while an
-// eager snapshot into a pruned session fails with a structured error, not
-// a panic, because folded accumulators cannot seed a lazy frontier.
+// TestSessionSnapshotCrossEngine pins the one cross-engine rule left: a
+// session frame written by the retired lazy frontier restores into today's
+// eager-bank session. Such a frame carries bank flavor 'L' and the raw
+// query prefix instead of the accumulators; checkpoints written before the
+// frontier went hold them. The frame is built by hand, field by field —
+// session tag, decision state, flavor 'L', the query — so the test pins
+// the wire layout, not whatever the writer emits today. Restored sessions
+// must then decide exactly like sessions that saw the same points
+// uninterrupted, and an 'L' query longer than the model fails cleanly.
 func TestSessionSnapshotCrossEngine(t *testing.T) {
 	train, test := smallGunPointSplit(t)
 	ects, err := trainECTS(train, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prob, err := trainProbThreshold(train, 0.8, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	series := test.Instances[0].Series
-
-	// Lazy snapshot → eager session: decisions must match the lazy run.
-	lazySess := OpenSessionMode(ects, Pruned)
-	lazySess.Extend(series[:11])
-	var w snap.Writer
-	if err := SnapshotSessionState(lazySess, &w); err != nil {
-		t.Fatal(err)
+	const split = 11
+	lazyFrame := func(tag byte, query []float64) []byte {
+		var w snap.Writer
+		w.Byte(tag)
+		w.Bool(false) // done
+		w.Int(0)      // latched decision: label
+		w.Bool(false) // latched decision: ready
+		w.Byte('L')
+		w.Floats(query)
+		return w.Bytes()
 	}
-	eagerSess := OpenSessionMode(ects, Eager)
-	if err := RestoreSessionState(eagerSess, snap.NewReader(w.Bytes())); err != nil {
-		t.Fatalf("lazy snapshot into eager session: %v", err)
-	}
-	for at := 11; at < len(series); at++ {
-		got := eagerSess.Extend(series[at : at+1])
-		want := lazySess.Extend(series[at : at+1])
-		if got != want {
-			t.Fatalf("cross-engine restore diverged at %d: %+v vs %+v", at, got, want)
+	for _, tc := range []struct {
+		c   EarlyClassifier
+		tag byte
+	}{{ects, 'C'}, {prob, 'P'}} {
+		straight := OpenSession(tc.c)
+		if d := straight.Extend(series[:split]); d.Ready {
+			t.Fatalf("%s committed within %d points; the frame would be a latched one", tc.c.Name(), split)
 		}
-	}
+		restored := OpenSession(tc.c)
+		r := snap.NewReader(lazyFrame(tc.tag, series[:split]))
+		if err := RestoreSessionState(restored, r); err != nil {
+			t.Fatalf("%s: lazy frame into eager session: %v", tc.c.Name(), err)
+		}
+		if err := r.Done(); err != nil {
+			t.Fatalf("%s: trailing frame bytes: %v", tc.c.Name(), err)
+		}
+		for at := split; at < len(series); at++ {
+			got := restored.Extend(series[at : at+1])
+			want := straight.Extend(series[at : at+1])
+			if got != want {
+				t.Fatalf("%s: restored lazy frame diverged at %d: %+v vs %+v", tc.c.Name(), at, got, want)
+			}
+		}
 
-	// Eager snapshot → pruned session: structured failure.
-	eager2 := OpenSessionMode(ects, Eager)
-	eager2.Extend(series[:11])
-	var w2 snap.Writer
-	if err := SnapshotSessionState(eager2, &w2); err != nil {
-		t.Fatal(err)
-	}
-	lazy2 := OpenSessionMode(ects, Pruned)
-	if err := RestoreSessionState(lazy2, snap.NewReader(w2.Bytes())); !errors.Is(err, snap.ErrCorrupt) {
-		t.Fatalf("eager snapshot into pruned session: err = %v, want ErrCorrupt", err)
+		long := append(append([]float64(nil), series...), 0)
+		err := RestoreSessionState(OpenSession(tc.c), snap.NewReader(lazyFrame(tc.tag, long)))
+		if !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("%s: over-long lazy query: err = %v, want ErrCorrupt", tc.c.Name(), err)
+		}
 	}
 }
 
@@ -131,7 +146,7 @@ func TestSessionRestoreRejectsCorruption(t *testing.T) {
 	train, test := smallGunPointSplit(t)
 	series := test.Instances[0].Series
 	for _, c := range engineClassifiers(t, train) {
-		sess := OpenSessionMode(c, Pruned)
+		sess := OpenSession(c)
 		sess.Extend(series[:13])
 		var w snap.Writer
 		if err := SnapshotSessionState(sess, &w); err != nil {
@@ -146,7 +161,7 @@ func TestSessionRestoreRejectsCorruption(t *testing.T) {
 			"single byte": good[:1],
 		}
 		for name, data := range cases {
-			fresh := OpenSessionMode(c, Pruned)
+			fresh := OpenSession(c)
 			if err := RestoreSessionState(fresh, snap.NewReader(data)); err == nil {
 				t.Errorf("%s: restore of %s bytes succeeded", c.Name(), name)
 			}
@@ -155,7 +170,7 @@ func TestSessionRestoreRejectsCorruption(t *testing.T) {
 		// Every prefix of the good bytes must also fail cleanly (or, for
 		// the full prefix, succeed) — the no-panic sweep.
 		for cut := 0; cut < len(good); cut++ {
-			fresh := OpenSessionMode(c, Pruned)
+			fresh := OpenSession(c)
 			r := snap.NewReader(good[:cut])
 			if err := RestoreSessionState(fresh, r); err == nil && r.Done() == nil {
 				t.Errorf("%s: restore of %d/%d-byte prefix reported clean", c.Name(), cut, len(good))

@@ -396,11 +396,6 @@ func (t *TEASER) ClassifyPrefix(prefix []float64) Decision {
 	return Decision{Label: lastLabel, Ready: false}
 }
 
-// NewSession implements SessionClassifier over the incremental session.
-func (t *TEASER) NewSession() Session {
-	return SessionFromIncremental(t.NewIncrementalSession())
-}
-
 // NewIncrementalSession implements IncrementalClassifier: the slave scan
 // evaluates each snapshot exactly once as the stream grows, carrying the
 // master-gated consistency streak across Extends — where the pure path

@@ -91,56 +91,25 @@ func (p *ProbThreshold) decideTop(label int, bestP float64, l int) Decision {
 	return Decision{Label: label, Ready: ready}
 }
 
-// probThresholdLazyMin is the reference-count floor below which the pruned
-// engine serves ProbThreshold sessions from the eager bank instead of the
-// grouped frontier. ProbThreshold resolves *every* class's minimum at every
-// step (the softmin posterior needs them all), so within-class pruning is
-// the frontier's only lever — and on small training sets the lever is
-// weaker than the frontier's own overhead: its per-session footprint
-// (query copy, positions, group tables) and per-step sweep bookkeeping cost
-// more than the blocked eager bank's few dozen rows, which is exactly the
-// BENCH_eval crossover DESIGN.md §Layer 11 documents (pruned 592 µs/94 kB
-// vs eager 478 µs/21 kB at 40 references). Decisions are identical either
-// way — both bank shapes are pinned byte-identical — so this is purely a
-// cost model. A variable, not a constant, so tests can force both regimes.
-var probThresholdLazyMin = 256
-
-// NewIncrementalSession implements IncrementalClassifier with the default
-// (pruned) engine: one lazy nearest-neighbour frontier per class, so each
-// step resolves the per-class nearest distances the softmin posterior needs
-// while references that cannot be class-nearest stay lazily behind — once
-// the reference set is large enough for pruning to pay
-// (probThresholdLazyMin); small banks ride the blocked eager kernel. The
-// eager variant keeps a full ts.PrefixDistBank (O(n · Δl) per step) and
-// reduces the complete distance vector. Both feed the same dense softmin
-// with bit-identical nearest distances — the frontier's per-group minima
-// are pinned byte-identical to the eager scan — so decisions match
-// ClassifyPrefix exactly in either mode. All scratch is session-owned and
-// preallocated; steady-state Extends do not allocate.
+// NewIncrementalSession implements IncrementalClassifier: a running
+// squared-distance bank over the training prefixes (O(n · Δl) per step)
+// whose complete distance vector reduces to the per-class nearest
+// distances the softmin posterior needs. The dense posterior core is the
+// one ClassifyPrefix's map path funnels into, so decisions match it
+// exactly. All scratch is session-owned and preallocated; steady-state
+// Extends do not allocate.
 func (p *ProbThreshold) NewIncrementalSession() IncrementalSession {
-	return p.newIncrementalSessionMode(Pruned)
-}
-
-// newIncrementalSessionMode implements modeClassifier.
-func (p *ProbThreshold) newIncrementalSessionMode(mode EngineMode) IncrementalSession {
-	s := &probThresholdSession{
+	return &probThresholdSession{
 		p:       p,
+		bank:    ts.NewPrefixDistBank(p.refs),
 		nearest: make([]float64, p.li.classes()),
 		post:    make([]float64, p.li.classes()),
 	}
-	if mode == Eager || len(p.refs) < probThresholdLazyMin {
-		s.bank = ts.NewPrefixDistBank(p.refs)
-	} else {
-		s.lazy = ts.NewGroupedLazyPrefixDistBank(p.refs, p.li.classOf, p.li.classes())
-	}
-	return s
 }
 
 type probThresholdSession struct {
-	p    *ProbThreshold
-	bank *ts.PrefixDistBank     // eager engine: full distance vector
-	lazy *ts.LazyPrefixDistBank // pruned engine: one frontier per class
-
+	p       *ProbThreshold
+	bank    *ts.PrefixDistBank
 	nearest []float64 // per-class nearest distance scratch
 	post    []float64 // posterior scratch
 	done    bool
@@ -154,31 +123,15 @@ func (s *probThresholdSession) Extend(points []float64) Decision {
 	if s.done {
 		return s.dec
 	}
-	var l int
-	if s.lazy != nil {
-		if room := s.p.full - s.lazy.Len(); len(points) > room {
-			points = points[:room]
-		}
-		s.lazy.Extend(points)
-		l = s.lazy.Len()
-		if l < 1 {
-			return Decision{}
-		}
-		for c := range s.nearest {
-			_, d2 := s.lazy.GroupMin(c)
-			s.nearest[c] = math.Sqrt(d2)
-		}
-	} else {
-		if room := s.p.full - s.bank.Len(); len(points) > room {
-			points = points[:room]
-		}
-		s.bank.Extend(points)
-		l = s.bank.Len()
-		if l < 1 {
-			return Decision{}
-		}
-		s.p.li.nearestFromSquaredDists(s.bank.D2(), s.nearest)
+	if room := s.p.full - s.bank.Len(); len(points) > room {
+		points = points[:room]
 	}
+	s.bank.Extend(points)
+	l := s.bank.Len()
+	if l < 1 {
+		return Decision{}
+	}
+	s.p.li.nearestFromSquaredDists(s.bank.D2(), s.nearest)
 	softminDenseInto(s.nearest, s.p.Sharpness, s.post)
 	ci, bestP := maxDense(s.post)
 	d := s.p.decideTop(s.p.li.labels[ci], bestP, l)

@@ -60,7 +60,7 @@ func RunAppendixB(cfg Config) (*AppendixBResult, error) {
 		return nil, err
 	}
 	L := c.FullLength()
-	mon := &stream.Monitor{Classifier: c, Stride: stride, Step: 8, Suppress: L / 2, Parallelism: cfg.Parallelism, Engine: cfg.Engine}
+	mon := &stream.Monitor{Classifier: c, Stride: stride, Step: 8, Suppress: L / 2, Parallelism: cfg.Parallelism}
 	dets, err := mon.Run(embedded.Stream)
 	if err != nil {
 		return nil, err

@@ -13,8 +13,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"etsc/internal/etsc"
 )
 
 // Config controls experiment sizes and reproducibility.
@@ -39,12 +37,6 @@ type Config struct {
 	// rendered table, are identical either way (the registry-equivalence
 	// battery pins this); the flag trades training wall-clock time only.
 	TrainCache bool
-	// Engine selects the inference engine the evaluation and monitoring
-	// hot paths run on: the default pruned lazy-frontier engine or the
-	// eager reference engine. Like Parallelism, results are identical for
-	// every value (the engine-mode battery pins this); the knob exists so
-	// the eval benchmark trajectory and ablation runs can compare the two.
-	Engine etsc.EngineMode
 }
 
 // DefaultConfig returns the full-size configuration used for

@@ -48,7 +48,7 @@ func RunFig2(cfg Config) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &stream.Monitor{Classifier: c, Stride: 2, Step: 2, Suppress: fig2WordLen / 2, Parallelism: cfg.Parallelism, Engine: cfg.Engine}
+	m := &stream.Monitor{Classifier: c, Stride: 2, Step: 2, Suppress: fig2WordLen / 2, Parallelism: cfg.Parallelism}
 	dets, err := m.Run(sentence)
 	if err != nil {
 		return nil, err

@@ -43,7 +43,7 @@ func RunFig3(cfg Config) (*Fig3Result, error) {
 
 	res := &Fig3Result{}
 	for _, c := range []etsc.EarlyClassifier{teaser, prob} {
-		label, length, forced := etsc.RunOneMode(c, exemplar.Series, 1, cfg.Engine)
+		label, length, forced := etsc.RunOne(c, exemplar.Series, 1)
 		tr := Fig3Trace{
 			Model:      c.Name(),
 			TriggerAt:  length,

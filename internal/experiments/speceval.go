@@ -43,8 +43,8 @@ func DefaultSpecEvalSpecs() []etsc.Spec {
 // RunSpecEval trains each spec on the standard GunPoint-like split and
 // evaluates it on the held-out half. All of Config's knobs apply:
 // Parallelism bounds the evaluation pool, TrainCache shares one training
-// context across the suite, Engine selects the inference engine — results
-// are identical for every combination of the three.
+// context across the suite — results are identical for every combination
+// of the two.
 func RunSpecEval(cfg Config, specs []etsc.Spec) (*SpecEvalResult, error) {
 	if len(specs) == 0 {
 		specs = DefaultSpecEvalSpecs()
@@ -63,7 +63,7 @@ func RunSpecEval(cfg Config, specs []etsc.Spec) (*SpecEvalResult, error) {
 	}
 	res := &SpecEvalResult{Step: step}
 	for _, spec := range specs {
-		opts := []etsc.Option{etsc.WithEngine(cfg.Engine)}
+		var opts []etsc.Option
 		if tc != nil {
 			opts = append(opts, etsc.WithTrainContext(tc))
 		}
@@ -73,7 +73,7 @@ func RunSpecEval(cfg Config, specs []etsc.Spec) (*SpecEvalResult, error) {
 			return nil, fmt.Errorf("speceval: %s: %w", spec, err)
 		}
 		trainTime := time.Since(t0)
-		sum, err := etsc.EvaluateParallelMode(c, test, step, cfg.Parallelism, cfg.Engine)
+		sum, err := etsc.EvaluateParallel(c, test, step, cfg.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("speceval: %s: %w", spec, err)
 		}

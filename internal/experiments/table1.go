@@ -78,7 +78,7 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ns, err := core.MeasureNormSensitivityEngine(c, test, synth.NewRand(cfg.Seed+1), maxShift, step, cfg.Parallelism, cfg.Engine)
+		ns, err := core.MeasureNormSensitivityParallel(c, test, synth.NewRand(cfg.Seed+1), maxShift, step, cfg.Parallelism)
 		if err != nil {
 			return nil, err
 		}

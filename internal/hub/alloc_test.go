@@ -1,8 +1,6 @@
 package hub
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"etsc/internal/dataset"
@@ -135,64 +133,5 @@ func TestHubPushRecyclesBuffers(t *testing.T) {
 	}
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHubEngineModesIdentical runs the demo-kind golden workload under both
-// engine modes and every worker count of interest, requiring transcript-
-// identical reports: the pruned frontier must be invisible in hub output.
-func TestHubEngineModesIdentical(t *testing.T) {
-	kinds, err := DemoKinds(23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := DemoStreams(kinds, 23, 6, 2_500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(mode etsc.EngineMode, workers int) []StreamReport {
-		h, err := New(Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range gens {
-			cfg := g.Config
-			cfg.Engine = mode
-			if err := h.Attach(g.ID, cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, g := range gens {
-			for off := 0; off < len(g.Data); off += 96 {
-				end := off + 96
-				if end > len(g.Data) {
-					end = len(g.Data)
-				}
-				if err := h.Push(g.ID, g.Data[off:end]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		reports, err := h.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reports
-	}
-	want := run(etsc.Eager, 1)
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		got := run(etsc.Pruned, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d reports != %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("workers=%d report %d: ID %q != %q", workers, i, got[i].ID, want[i].ID)
-			}
-			if fmt.Sprintf("%+v", got[i].Detections) != fmt.Sprintf("%+v", want[i].Detections) {
-				t.Fatalf("workers=%d stream %s: pruned transcript differs from eager:\n%+v\n!=\n%+v",
-					workers, got[i].ID, got[i].Detections, want[i].Detections)
-			}
-		}
 	}
 }

@@ -119,9 +119,9 @@ type StreamConfig struct {
 	Step       int // prefix growth per decision opportunity (0 = default 4)
 	Suppress   int // same-label debounce radius (0 = off)
 	Verifier   stream.Verifier
-	// Engine selects the candidate sessions' inference engine (the zero
-	// value is the default pruned lazy-frontier engine). Transcripts are
-	// identical for every mode.
+	// Engine is ignored: candidate sessions run on the one engine.
+	//
+	// Deprecated: leave it unset.
 	Engine etsc.EngineMode
 }
 
@@ -296,7 +296,7 @@ func (h *Hub) Attach(id string, sc StreamConfig) error {
 	if sc.Suppress < 0 {
 		return fmt.Errorf("hub: Suppress must be >= 0 (0 = off), got %d", sc.Suppress)
 	}
-	online, err := stream.NewOnlineEngine(sc.Classifier, sc.Stride, sc.Step, sc.Engine)
+	online, err := stream.NewOnline(sc.Classifier, sc.Stride, sc.Step)
 	if err != nil {
 		return err
 	}
@@ -892,7 +892,7 @@ func Reference(sc StreamConfig, series []float64) ([]stream.Detection, error) {
 	if sc.Suppress < 0 {
 		return nil, fmt.Errorf("hub: Suppress must be >= 0 (0 = off), got %d", sc.Suppress)
 	}
-	o, err := stream.NewOnlineEngine(sc.Classifier, sc.Stride, sc.Step, sc.Engine)
+	o, err := stream.NewOnline(sc.Classifier, sc.Stride, sc.Step)
 	if err != nil {
 		return nil, err
 	}

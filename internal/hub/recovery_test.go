@@ -286,6 +286,98 @@ func TestExportIsNonDestructive(t *testing.T) {
 	}
 }
 
+// TestRestoreFrameEngine pins the stream frame's engine int. Export
+// writes 1, the retired engine selector's eager value, so a binary that
+// still has both engines reopens the stream on eager banks. Restore accepts
+// 0 (the lazy frontier's value, which older default streams wrote) or 1,
+// and both resume the transcript Reference gives; any other value is
+// ErrBadSnapshot.
+func TestRestoreFrameEngine(t *testing.T) {
+	kinds := recoveryKinds(t)
+	streams, err := DemoStreams(kinds, 80, 1, 3_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := streams[0]
+	ref, err := Reference(ds.Config, ds.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Attach(ds.ID, ds.Config); err != nil {
+		t.Fatal(err)
+	}
+	const cut = 600
+	if err := h.Push(ds.ID, ds.Data[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	h.Flush()
+	good, err := h.Export(ds.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ver, payload, err := snap.Decode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := snap.NewReader(payload)
+	id, pos, window, stride, step, engine := r.String(), r.Int(), r.Int(), r.Int(), r.Int(), r.Int()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if engine != 1 {
+		t.Fatalf("exported frame engine = %d, want 1", engine)
+	}
+	rest := payload[len(payload)-r.Remaining():]
+	withEngine := func(e int) []byte {
+		var w snap.Writer
+		w.String(id)
+		w.Int(pos)
+		w.Int(window)
+		w.Int(stride)
+		w.Int(step)
+		w.Int(e)
+		return snap.Encode(streamStateKind, ver, append(w.Bytes(), rest...))
+	}
+	for _, e := range []int{0, 1} {
+		h2, err := New(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h2.Restore(withEngine(e), ds.Config); err != nil {
+			t.Fatalf("engine %d: restore: %v", e, err)
+		}
+		if err := h2.PushAt(ds.ID, cut, ds.Data[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		reports, err := h2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprintf("%+v", reports[0].Detections), fmt.Sprintf("%+v", ref); got != want {
+			t.Errorf("engine %d: restored transcript != Reference\n got %s\nwant %s", e, got, want)
+		}
+	}
+	for _, e := range []int{-1, 2, 7} {
+		h2, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h2.Restore(withEngine(e), ds.Config); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("engine %d: Restore error = %v, want ErrBadSnapshot", e, err)
+		}
+		if _, err := h2.Detections(ds.ID); !errors.Is(err, ErrUnknownStream) {
+			t.Fatalf("engine %d: stream attached despite failed restore", e)
+		}
+	}
+}
+
 // TestRestoreRejectsCorruptSnapshots is the hub half of the
 // restore-hardening battery: a real exported snapshot, hand-corrupted
 // every way a disk or a bug can corrupt it, must always fail with a typed

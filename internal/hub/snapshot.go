@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"etsc/internal/etsc"
 	"etsc/internal/snap"
 	"etsc/internal/stream"
 )
@@ -20,8 +19,8 @@ import (
 // Those are configuration, not stream state — the restoring side supplies
 // them through StreamConfig (in the serving layer, re-resolved from the
 // recorded model spec through the registry), and the snapshot carries just
-// enough of the resolved config (window length, stride/step/engine,
-// suppression radius, verifier presence) to reject a mismatched supply.
+// enough of the resolved config (window length, stride/step, suppression
+// radius, verifier presence) to reject a mismatched supply.
 //
 // The snapshot's Position is the replay watermark: every point before it
 // is inside the snapshot, every point at or after it must be re-pushed
@@ -36,6 +35,13 @@ const (
 	streamStateKind    = "etsc-stream-state"
 	streamStateVersion = 1
 )
+
+// frameEngine is the engine int every stream frame carries. The field once
+// named the candidate sessions' engine (0 the lazy frontier, 1 the eager
+// bank); one engine is left, so frames write 1 — a binary that still has
+// both engines reopens them on eager banks — and Restore accepts 0 or 1,
+// rejecting anything else.
+const frameEngine = 1
 
 // Export serializes a stream's live state without disturbing it: drains
 // are paused (the active one yields within a batch), the pipeline state is
@@ -75,7 +81,7 @@ func (s *hubStream) exportLocked() []byte {
 	w.Int(s.window)
 	w.Int(s.online.Stride())
 	w.Int(s.online.Step())
-	w.Int(int(s.online.Engine()))
+	w.Int(frameEngine)
 	w.Int(s.supp.Radius)
 	w.Bool(s.verif != nil)
 	w.Int64(s.stats.Batches)
@@ -138,10 +144,9 @@ func SnapshotInfo(data []byte) (id string, position int, err error) {
 // Restore attaches a stream rebuilt from a snapshot. sc supplies what the
 // snapshot deliberately omits — the trained classifier and the verifier —
 // and must match the recorded resolved config: same full-window length and
-// same verifier presence, or ErrBadSnapshot. Stride, step, engine mode,
-// and suppression radius come from the snapshot itself (sc's values for
-// them are ignored), so the restored pipeline is the one that was
-// exported. Returns the stream ID on success. Corrupt or truncated
+// same verifier presence, or ErrBadSnapshot. Stride, step, and
+// suppression radius come from the snapshot itself (sc's values for them
+// are ignored), so the restored pipeline is the one that was exported. Returns the stream ID on success. Corrupt or truncated
 // snapshots fail with snap sentinel errors and never panic; nothing is
 // attached on failure.
 func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
@@ -184,6 +189,9 @@ func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
 	if pos < 0 || window < 1 || stride < 1 || step < 1 || suppress < 0 {
 		return "", fmt.Errorf("%w: stream geometry (pos %d, window %d, stride %d, step %d, suppress %d)",
 			snap.ErrCorrupt, pos, window, stride, step, suppress)
+	}
+	if engine != 0 && engine != frameEngine {
+		return "", fmt.Errorf("%w: snapshot engine %d (want 0 or %d)", ErrBadSnapshot, engine, frameEngine)
 	}
 	if window != sc.Classifier.FullLength() {
 		return "", fmt.Errorf("%w: snapshot window %d, classifier full length %d",
@@ -254,7 +262,7 @@ func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
 	if err := supp.RestoreFrom(r); err != nil {
 		return "", err
 	}
-	online, err := stream.NewOnlineEngine(sc.Classifier, stride, step, etsc.EngineMode(engine))
+	online, err := stream.NewOnline(sc.Classifier, stride, step)
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}

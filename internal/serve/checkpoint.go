@@ -1,6 +1,6 @@
 // Durable checkpoints for the serving layer: each stream's exported hub
-// snapshot, wrapped with the registration metadata (kind, spec, engine)
-// needed to rebuild its trained classifier, written atomically to a
+// snapshot, wrapped with the registration metadata (kind, spec) needed to
+// rebuild its trained classifier, written atomically to a
 // directory the next boot can restore from.
 //
 // The frame deliberately carries no model weights — DESIGN.md §Layer 12:
@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"etsc/internal/etsc"
 	"etsc/internal/hub"
 	"etsc/internal/snap"
 )
@@ -54,7 +53,7 @@ func (s *Server) ExportCheckpoint(id string) ([]byte, error) {
 	w.String(id)
 	w.String(m.kind)
 	w.String(m.spec)
-	w.String(m.engine)
+	w.String(engineName)
 	w.Blob(state)
 	return snap.Encode(checkpointKind, checkpointVersion, w.Bytes()), nil
 }
@@ -65,9 +64,12 @@ func (s *Server) ExportCheckpoint(id string) ([]byte, error) {
 // front tier uses it to restore a dead backend's streams onto survivors
 // from shared checkpoint storage.
 type CheckpointMeta struct {
-	ID     string
-	Kind   string
-	Spec   string
+	ID   string
+	Kind string
+	Spec string
+	// Engine is the engine name recorded at export: "eager" since one
+	// engine remains, "pruned" or "eager" in older checkpoints. Restore
+	// ignores it.
 	Engine string
 	State  []byte
 }
@@ -113,7 +115,6 @@ func (s *Server) restoreCheckpoint(frame []byte) (id string, fellBack bool, err 
 	id = m.ID
 	kindName := m.Kind
 	spec := m.Spec
-	engine := m.Engine
 	state := m.State
 	k, ok := s.kinds[kindName]
 	if !ok {
@@ -129,13 +130,7 @@ func (s *Server) restoreCheckpoint(frame []byte) (id string, fellBack bool, err 
 		sc = override
 		specStr = spec
 	}
-	if engine != "" {
-		mode, err := etsc.ParseEngineMode(engine)
-		if err == nil {
-			sc.Engine = mode
-		}
-	}
-	meta := streamMeta{kind: k.Name, spec: specStr, engine: engine}
+	meta := streamMeta{kind: k.Name, spec: specStr}
 	if _, rerr := s.hub.Restore(state, sc); rerr != nil {
 		if errors.Is(rerr, hub.ErrDuplicate) || errors.Is(rerr, hub.ErrClosed) {
 			return id, false, rerr

@@ -14,7 +14,8 @@ import (
 )
 
 // TestV1ErrorPaths covers every /v1 failure class: malformed JSON,
-// missing/unknown ids, unknown kind, bad spec, bad engine, wrong method,
+// missing/unknown ids, unknown kind, bad spec, bad engine (on create and on
+// snapshot restore), wrong method,
 // unknown endpoint, duplicate registration, and bad cursor values —
 // each with its machine-readable code — and pins that the unversioned
 // pre-/v1 routes are gone.
@@ -78,6 +79,26 @@ func TestV1ErrorPaths(t *testing.T) {
 	}
 	_, err = c.CreateStream(ctx, client.CreateStreamRequest{ID: "coop", Kind: "chicken"})
 	servetest.APIErrOf(t, err, http.StatusConflict, client.CodeDuplicateStream)
+
+	// Bad engine on snapshot restore: the same check as registration, so
+	// a restore body cannot smuggle an unknown engine into StreamInfo or
+	// the next checkpoint. The rejected restore attaches nothing.
+	if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: "coop-snap", Kind: "chicken"}); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := c.SnapshotStream(ctx, "coop-snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DeleteStream(ctx, "coop-snap"); err != nil {
+		t.Fatal(err)
+	}
+	snapshot.Engine = "warp"
+	_, err = c.RestoreStream(ctx, snapshot)
+	servetest.APIErrOf(t, err, http.StatusBadRequest, client.CodeBadRequest)
+	if _, err := c.Stream(ctx, "coop-snap"); !client.IsCode(err, client.CodeUnknownStream) {
+		t.Errorf("restore with a bad engine attached a stream: %v", err)
+	}
 
 	// Malformed push body.
 	status, body = servetest.RawStatus(t, http.MethodPost, ts.URL+"/v1/streams/coop/push", `{"points":["a"]}`)

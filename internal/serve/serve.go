@@ -2,7 +2,7 @@
 // versioned `/v1` REST API (wire types in internal/client, the protocol's
 // single source of truth).
 //
-//	POST   /v1/streams            register a stream (kind or spec, engine, geometry)
+//	POST   /v1/streams            register a stream (kind or spec, geometry)
 //	GET    /v1/streams            list streams with live stats
 //	GET    /v1/streams/{id}       one stream's description
 //	POST   /v1/streams/{id}/push  batch ingest {"points":[...]}; +"at" = positioned replay
@@ -71,9 +71,23 @@ type Server struct {
 
 // streamMeta is the registration-time description of an attached stream.
 type streamMeta struct {
-	kind   string
-	spec   string
-	engine string
+	kind string
+	spec string
+}
+
+// engineName is the engine every stream reports. /v1 keeps the "engine"
+// field on the wire; servers run one inference engine, the eager bank.
+const engineName = "eager"
+
+// checkEngine validates a request's "engine" field: empty and the two
+// retired selector values are accepted and ignored, anything else is a
+// bad request. Registration and snapshot restore share it.
+func checkEngine(engine string) *client.APIError {
+	switch engine {
+	case "", "pruned", "eager":
+		return nil
+	}
+	return badRequest(fmt.Sprintf("unknown engine %q (want pruned or eager)", engine))
 }
 
 // New builds the handler over an attached hub and the kinds it serves.
@@ -213,7 +227,7 @@ func (s *Server) v1Healthz(w http.ResponseWriter) {
 
 // v1CreateStream registers a stream from a declarative description: a
 // served kind for the pipeline defaults, an optional etsc spec retrained
-// on the kind's training set, and per-stream engine/geometry overrides.
+// on the kind's training set, and per-stream geometry overrides.
 func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 	var req client.CreateStreamRequest
 	if apiErr := decodeJSON(r, w, &req); apiErr != nil {
@@ -263,13 +277,9 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 		sc = override
 		specStr = req.Spec
 	}
-	if req.Engine != "" {
-		mode, err := etsc.ParseEngineMode(req.Engine)
-		if err != nil {
-			writeAPIError(w, badRequest(err.Error()))
-			return
-		}
-		sc.Engine = mode
+	if apiErr := checkEngine(req.Engine); apiErr != nil {
+		writeAPIError(w, apiErr)
+		return
 	}
 	if req.Stride != nil {
 		sc.Stride = *req.Stride
@@ -281,7 +291,7 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 		sc.Suppress = *req.Suppress
 	}
 
-	meta := streamMeta{kind: kind.Name, spec: specStr, engine: sc.Engine.String()}
+	meta := streamMeta{kind: kind.Name, spec: specStr}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.hub.Attach(req.ID, sc); err != nil {
@@ -295,7 +305,7 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 // infoLocked renders one stream's StreamInfo; s.mu must be held.
 func (s *Server) infoLocked(id string, stats hub.StreamStats) client.StreamInfo {
 	m := s.meta[id]
-	return client.StreamInfo{ID: id, Kind: m.kind, Spec: m.spec, Engine: m.engine, Stats: stats}
+	return client.StreamInfo{ID: id, Kind: m.kind, Spec: m.spec, Engine: engineName, Stats: stats}
 }
 
 func (s *Server) v1ListStreams(w http.ResponseWriter) {
@@ -427,7 +437,7 @@ func (s *Server) v1DeleteStream(w http.ResponseWriter, id string) {
 // v1SnapshotStream exports a stream's durable state
 // (GET /v1/streams/{id}/snapshot). The export cuts at a batch boundary
 // and the stream keeps running; the body carries the opaque
-// self-validating hub frame plus the kind/spec/engine the restoring
+// self-validating hub frame plus the kind/spec the restoring
 // server needs to rebuild the trained classifier — models are not
 // serialized (DESIGN.md §Layer 12).
 func (s *Server) v1SnapshotStream(w http.ResponseWriter, id string) {
@@ -454,7 +464,7 @@ func (s *Server) v1SnapshotStream(w http.ResponseWriter, id string) {
 	m := s.meta[id]
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, client.StreamSnapshot{
-		ID: id, Kind: m.kind, Spec: m.spec, Engine: m.engine,
+		ID: id, Kind: m.kind, Spec: m.spec, Engine: engineName,
 		Position: pos, State: data,
 	})
 }
@@ -520,13 +530,17 @@ func (s *Server) v1RestoreStream(w http.ResponseWriter, r *http.Request, id stri
 		sc = override
 		specStr = req.Spec
 	}
+	if apiErr := checkEngine(req.Engine); apiErr != nil {
+		writeAPIError(w, apiErr)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.hub.Restore(req.State, sc); err != nil {
 		writeAPIError(w, restoreError(err))
 		return
 	}
-	s.meta[id] = streamMeta{kind: kind.Name, spec: specStr, engine: req.Engine}
+	s.meta[id] = streamMeta{kind: kind.Name, spec: specStr}
 	stats := s.hub.Snapshot()[id]
 	writeJSON(w, http.StatusCreated, s.infoLocked(id, stats))
 }

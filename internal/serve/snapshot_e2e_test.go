@@ -68,9 +68,9 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapB.ID != "twin-b" || snapB.Kind != ds.Kind || snapB.Position != half {
-		t.Fatalf("snapshot = {id %q kind %q pos %d}, want {twin-b %s %d}",
-			snapB.ID, snapB.Kind, snapB.Position, ds.Kind, half)
+	if snapB.ID != "twin-b" || snapB.Kind != ds.Kind || snapB.Position != half || snapB.Engine != "eager" {
+		t.Fatalf("snapshot = {id %q kind %q pos %d engine %q}, want {twin-b %s %d eager}",
+			snapB.ID, snapB.Kind, snapB.Position, snapB.Engine, ds.Kind, half)
 	}
 	// Restoring over the still-live stream must conflict, not clobber.
 	_, err = c.RestoreStream(ctx, snapB)
@@ -79,12 +79,16 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	if _, err := c.DeleteStream(ctx, "twin-b"); err != nil {
 		t.Fatal(err)
 	}
+	// A snapshot body naming the retired "pruned" engine still restores,
+	// and the stream reports the one engine.
+	snapB.Engine = "pruned"
 	info, err := c.RestoreStream(ctx, snapB)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if info.Stats.Position != half || info.Kind != ds.Kind {
-		t.Fatalf("restored info = {kind %q pos %d}, want {%s %d}", info.Kind, info.Stats.Position, ds.Kind, half)
+	if info.Stats.Position != half || info.Kind != ds.Kind || info.Engine != "eager" {
+		t.Fatalf("restored info = {kind %q pos %d engine %q}, want {%s %d eager}",
+			info.Kind, info.Stats.Position, info.Engine, ds.Kind, half)
 	}
 
 	// Replay from before the watermark (the overlap must be skipped, not

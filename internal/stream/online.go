@@ -18,7 +18,6 @@ import (
 // which TestOnlineMatchesBatch asserts.
 type Online struct {
 	classifier etsc.EarlyClassifier
-	engine     etsc.EngineMode
 	stride     int
 	step       int
 	window     int
@@ -37,16 +36,9 @@ type onlineCandidate struct {
 	sess    etsc.IncrementalSession
 }
 
-// NewOnline builds an online monitor on the default (pruned) engine. Like
-// Monitor, a stride or step of 0 selects the default (4) and negative
-// values are configuration errors.
+// NewOnline builds an online monitor. Like Monitor, a stride or step of 0
+// selects the default (4) and negative values are configuration errors.
 func NewOnline(c etsc.EarlyClassifier, stride, step int) (*Online, error) {
-	return NewOnlineEngine(c, stride, step, etsc.Pruned)
-}
-
-// NewOnlineEngine is NewOnline with an explicit engine mode for the
-// candidate sessions; detections are identical for every mode.
-func NewOnlineEngine(c etsc.EarlyClassifier, stride, step int, engine etsc.EngineMode) (*Online, error) {
 	if c == nil {
 		return nil, errors.New("stream: Online needs a classifier")
 	}
@@ -55,9 +47,6 @@ func NewOnlineEngine(c etsc.EarlyClassifier, stride, step int, engine etsc.Engin
 	}
 	if step < 0 {
 		return nil, fmt.Errorf("stream: Online step must be >= 0 (0 = default), got %d", step)
-	}
-	if engine != etsc.Pruned && engine != etsc.Eager {
-		return nil, fmt.Errorf("stream: Online engine must be Pruned or Eager, got %d", int(engine))
 	}
 	if stride == 0 {
 		stride = 4
@@ -68,7 +57,6 @@ func NewOnlineEngine(c etsc.EarlyClassifier, stride, step int, engine etsc.Engin
 	window := c.FullLength()
 	return &Online{
 		classifier: c,
-		engine:     engine,
 		stride:     stride,
 		step:       step,
 		window:     window,
@@ -77,6 +65,13 @@ func NewOnlineEngine(c etsc.EarlyClassifier, stride, step int, engine etsc.Engin
 		// allocation serves the stream forever.
 		buf: make([]float64, 0, 2*(window+1)),
 	}, nil
+}
+
+// NewOnlineEngine is NewOnline; the engine mode is ignored.
+//
+// Deprecated: use NewOnline.
+func NewOnlineEngine(c etsc.EarlyClassifier, stride, step int, engine etsc.EngineMode) (*Online, error) {
+	return NewOnline(c, stride, step)
 }
 
 // Pos returns the number of samples consumed so far.
@@ -152,7 +147,7 @@ func (o *Online) pushSegment(points []float64) []Detection {
 		o.candidates = append(o.candidates, &onlineCandidate{
 			start:   s,
 			nextLen: o.step,
-			sess:    etsc.OpenSessionMode(o.classifier, o.engine),
+			sess:    etsc.OpenSession(o.classifier),
 		})
 	}
 

@@ -24,9 +24,6 @@ func (o *Online) Stride() int { return o.stride }
 // Step returns the configured decision-opportunity step.
 func (o *Online) Step() int { return o.step }
 
-// Engine returns the engine mode candidate sessions are opened with.
-func (o *Online) Engine() etsc.EngineMode { return o.engine }
-
 // SnapshotTo writes the monitor's live state: position, buffer, and every
 // open candidate (window start, decision cursor, and classifier session
 // scratch).
@@ -47,8 +44,8 @@ func (o *Online) SnapshotTo(w *snap.Writer) error {
 }
 
 // RestoreFrom loads state written by SnapshotTo into a freshly constructed
-// monitor (NewOnlineEngine with the same classifier, stride, step, and
-// engine mode) that has not consumed a point. Structurally invalid state —
+// monitor (NewOnline with the same classifier, stride, and step) that has
+// not consumed a point. Structurally invalid state —
 // a buffer that cannot belong to this configuration, candidate cursors
 // outside their windows — fails with an error wrapping snap.ErrCorrupt and
 // never panics; the monitor is not usable after a failed restore.
@@ -100,7 +97,7 @@ func (o *Online) RestoreFrom(r *snap.Reader) error {
 			return fmt.Errorf("%w: candidate %d decision cursor %d (seen %d, step %d)",
 				snap.ErrCorrupt, i, nextLen, seen, o.step)
 		}
-		sess := etsc.OpenSessionMode(o.classifier, o.engine)
+		sess := etsc.OpenSession(o.classifier)
 		if err := etsc.RestoreSessionState(sess, r); err != nil {
 			return fmt.Errorf("stream: candidate %d: %w", i, err)
 		}

@@ -13,8 +13,8 @@ import (
 // TestOnlineSnapshotEquivalence is the monitor-layer half of the durable
 // state proof: snapshot mid-stream, restore into a fresh monitor, and the
 // remaining points produce exactly the detections of the monitor that
-// never stopped — for both engines and several split points, including
-// splits inside open candidate windows.
+// never stopped — for several split points, including splits inside open
+// candidate windows.
 func TestOnlineSnapshotEquivalence(t *testing.T) {
 	train := fuzzTrainSet(t)
 	prob, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train)
@@ -26,50 +26,47 @@ func TestOnlineSnapshotEquivalence(t *testing.T) {
 	for i := range series {
 		series[i] = rng.NormFloat64()
 	}
-	for _, engine := range []etsc.EngineMode{etsc.Pruned, etsc.Eager} {
-		for _, split := range []int{0, 1, 13, 50, 399} {
-			straight, err := NewOnlineEngine(prob, 3, 2, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			interrupted, err := NewOnlineEngine(prob, 3, 2, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := straight.PushBatch(series[:split])
-			got := interrupted.PushBatch(series[:split])
+	for _, split := range []int{0, 1, 13, 50, 399} {
+		straight, err := NewOnline(prob, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interrupted, err := NewOnline(prob, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := straight.PushBatch(series[:split])
+		got := interrupted.PushBatch(series[:split])
 
-			var w snap.Writer
-			if err := interrupted.SnapshotTo(&w); err != nil {
-				t.Fatalf("engine %d split %d: snapshot: %v", engine, split, err)
-			}
-			restored, err := NewOnlineEngine(prob, 3, 2, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := snap.NewReader(w.Bytes())
-			if err := restored.RestoreFrom(r); err != nil {
-				t.Fatalf("engine %d split %d: restore: %v", engine, split, err)
-			}
-			if err := r.Done(); err != nil {
-				t.Fatalf("engine %d split %d: trailing bytes: %v", engine, split, err)
-			}
-			if restored.Pos() != split || restored.ActiveCandidates() != interrupted.ActiveCandidates() {
-				t.Fatalf("engine %d split %d: restored pos %d candidates %d, want %d / %d",
-					engine, split, restored.Pos(), restored.ActiveCandidates(),
-					split, interrupted.ActiveCandidates())
-			}
+		var w snap.Writer
+		if err := interrupted.SnapshotTo(&w); err != nil {
+			t.Fatalf("split %d: snapshot: %v", split, err)
+		}
+		restored, err := NewOnline(prob, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := snap.NewReader(w.Bytes())
+		if err := restored.RestoreFrom(r); err != nil {
+			t.Fatalf("split %d: restore: %v", split, err)
+		}
+		if err := r.Done(); err != nil {
+			t.Fatalf("split %d: trailing bytes: %v", split, err)
+		}
+		if restored.Pos() != split || restored.ActiveCandidates() != interrupted.ActiveCandidates() {
+			t.Fatalf("split %d: restored pos %d candidates %d, want %d / %d",
+				split, restored.Pos(), restored.ActiveCandidates(),
+				split, interrupted.ActiveCandidates())
+		}
 
-			want = append(want, straight.PushBatch(series[split:])...)
-			got = append(got, restored.PushBatch(series[split:])...)
-			if len(want) != len(got) {
-				t.Fatalf("engine %d split %d: %d vs %d detections", engine, split, len(got), len(want))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("engine %d split %d: detection %d = %+v, want %+v",
-						engine, split, i, got[i], want[i])
-				}
+		want = append(want, straight.PushBatch(series[split:])...)
+		got = append(got, restored.PushBatch(series[split:])...)
+		if len(want) != len(got) {
+			t.Fatalf("split %d: %d vs %d detections", split, len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("split %d: detection %d = %+v, want %+v", split, i, got[i], want[i])
 			}
 		}
 	}

@@ -53,10 +53,6 @@ type Monitor struct {
 	// Parallelism bounds the candidate-window worker pool: 0 means one
 	// worker per CPU, 1 runs serially; negative is an error.
 	Parallelism int
-	// Engine selects the inference engine for candidate sessions (the zero
-	// value is the default pruned lazy-frontier engine). Detections are
-	// identical for every mode; like Parallelism it trades CPU only.
-	Engine etsc.EngineMode
 }
 
 // validate rejects nonsense configurations instead of silently "defaulting"
@@ -77,9 +73,6 @@ func (m *Monitor) validate() error {
 	}
 	if m.Parallelism < 0 {
 		return fmt.Errorf("stream: Monitor.Parallelism must be >= 0 (0 = NumCPU), got %d", m.Parallelism)
-	}
-	if m.Engine != etsc.Pruned && m.Engine != etsc.Eager {
-		return fmt.Errorf("stream: Monitor.Engine must be Pruned or Eager, got %d", int(m.Engine))
 	}
 	return nil
 }
@@ -108,7 +101,7 @@ func (m *Monitor) Run(stream []float64) ([]Detection, error) {
 	par.Do(nCand, m.Parallelism, func(ci int) {
 		start := ci * stride
 		window := stream[start : start+L]
-		sess := etsc.OpenSessionMode(m.Classifier, m.Engine)
+		sess := etsc.OpenSession(m.Classifier)
 		prev := 0
 		for l := step; l <= L; l += step {
 			d := sess.Extend(window[prev:l])

@@ -144,10 +144,9 @@ func (p *PrefixDist) ExtendEA(points []float64, cutoff float64) (float64, bool) 
 // extendD2 advances a running squared-distance accumulation over one more
 // segment of points against the aligned reference segment. It is the
 // reference batch-extend kernel every prefix-distance path is pinned
-// against — the lazy frontier calls it directly, the eager PrefixDistBank
-// through its blocked row form extendD2Rows (extend_rows.go), and
-// (transitively) everything byte-identical to them — so the summation order
-// is load-bearing: a strict
+// against — PrefixDistBank runs it through its blocked row form
+// extendD2Rows (extend_rows.go), and everything byte-identical to the bank
+// inherits it — so the summation order is load-bearing: a strict
 // left-to-right fold, one `acc += d*d` per point, exactly the order the
 // plain loop and SquaredEuclidean use. The 4-way unrolling only amortizes
 // loop and bounds-check overhead; it must never introduce partial sums,
@@ -179,8 +178,6 @@ func extendD2(acc float64, points, ref []float64) float64 {
 // growing query prefix to every series of a fixed reference set (typically
 // a training set). Each Extend costs O(len(refs) · len(points)); the
 // per-series sums are bit-identical to SquaredEuclidean at every length.
-// LazyPrefixDistBank is its pruned counterpart for nearest-neighbour-only
-// consumers.
 type PrefixDistBank struct {
 	refs [][]float64
 	n    int
