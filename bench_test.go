@@ -481,34 +481,6 @@ func BenchmarkZNorm150(b *testing.B) {
 	}
 }
 
-// BenchmarkZNormPrefixDist compares growing-prefix z-normalized distance
-// maintained incrementally (O(1) per point) against recomputation from
-// scratch at every length (O(l) per point, O(L²) total).
-func BenchmarkZNormPrefixDist(b *testing.B) {
-	q := randomSeries(150, 1)
-	ref := ts.ZNorm(randomSeries(150, 2))
-	b.Run("from-scratch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for l := 1; l <= len(q); l++ {
-				ts.SquaredEuclidean(ts.ZNorm(q[:l]), ref[:l])
-			}
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var rn ts.RunningNorm
-			z := ts.NewZNormPrefixDist(&rn, ref)
-			for l := 1; l <= len(q); l++ {
-				z.Extend(q[l-1 : l])
-				rn.Add(q[l-1])
-				z.D2()
-			}
-		}
-	})
-}
-
 func BenchmarkDistanceProfile100k(b *testing.B) {
 	stream := randomSeries(100_000, 3)
 	query := randomSeries(120, 4)

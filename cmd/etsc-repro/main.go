@@ -4,11 +4,15 @@
 //
 // Usage:
 //
-//	etsc-repro [-quick] [-seed N] [-run fig1,fig2,...] [-workers N] [-traincache]
+//	etsc-repro [-quick] [-seed N] [-run fig1,fig2,...] [-workers N]
 //	etsc-repro -spec ects:support=0 -spec teaser:v=2 [-quick]
 //
 // With no -run flag every experiment runs, in paper order. Output is the
 // text tables recorded in EXPERIMENTS.md.
+//
+// -workers sizes every worker pool, including the one training context
+// each algorithm suite shares. Output is identical for every value, apart
+// from the "(name in …)" timing lines.
 //
 // The repeatable -spec flag names classifiers declaratively (see
 // etsc.ParseSpec: "algo:key=value,..." over the registered algorithm
@@ -62,8 +66,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sizes (seconds instead of minutes)")
 	seed := flag.Int64("seed", 42, "generator seed")
 	run := flag.String("run", "", "comma-separated experiment names (default: all)")
-	workers := flag.Int("workers", 0, "worker pool size for parallel evaluation (0 = NumCPU, 1 = serial; results identical)")
-	traincache := flag.Bool("traincache", false, "train algorithm suites through a shared memoized prefix-distance context (results identical, training faster)")
+	workers := flag.Int("workers", 0, "worker pool size for parallel training and evaluation (0 = NumCPU, 1 = serial; results identical)")
 	var specs []etsc.Spec
 	flag.Func("spec", "classifier spec for the speceval experiment (repeatable; algo:key=value,... — see -listspecs)", func(s string) error {
 		spec, err := etsc.ParseSpec(s)
@@ -88,7 +91,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "etsc-repro: -workers must be >= 0 (0 = NumCPU), got %d\n", *workers)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Parallelism: *workers, TrainCache: *traincache}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Parallelism: *workers}
 
 	all := []runner{
 		{"fig1", "cat/dog utterances in the UCR format", wrap(experiments.RunFig1)},

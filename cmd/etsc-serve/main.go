@@ -40,11 +40,9 @@
 // same workload flows through the typed /v1 client against a remote
 // server.
 //
-// In both modes -traincache warm-starts the demo detectors through shared
-// memoized training contexts (hub.DemoKindsShared): identical pipelines,
-// faster startup — every stream of a kind shares the one trained detector
-// regardless. -spec kind=algo:key=value,… replaces a kind's detector at
-// startup with one trained from the given registry spec.
+// In both modes every stream of a kind shares the one detector trained at
+// startup. -spec kind=algo:key=value,… replaces a kind's detector with one
+// trained from the given registry spec.
 //
 // Backpressure is selected with -policy: block (default) stalls a full
 // queue's producer, drop answers 429 + Retry-After, and shed accepts the
@@ -86,22 +84,21 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "HTTP listen address (server mode)")
-		workers    = flag.Int("workers", 0, "hub worker pool size (0 = NumCPU)")
-		queue      = flag.Int("queue", 0, "per-stream queue depth in batches (0 = default)")
-		policy     = flag.String("policy", "block", "backpressure policy: block, drop, or shed")
-		seed       = flag.Int64("seed", 1, "scenario seed for the demo pipelines")
-		streams    = flag.Int("streams", 0, "load-generator mode: number of streams (0 = serve HTTP)")
-		points     = flag.Int("points", 20_000, "load generator: points per stream")
-		batch      = flag.Int("batch", 64, "load generator: points per Push")
-		rate       = flag.Float64("rate", 0, "load generator: points/sec per stream (0 = unthrottled)")
-		target     = flag.String("target", "", "load generator: drive a remote etsc-serve /v1 API at this base URL instead of an in-process hub")
-		traincache = flag.Bool("traincache", false, "warm-start the demo detectors through shared memoized training contexts (identical pipelines, faster startup)")
-		metricsOn  = flag.Bool("metrics", true, "server mode: expose Prometheus text exposition at GET /metrics")
-		ckptDir    = flag.String("checkpoint", "", "server mode: durable checkpoint directory — boot restores every stream found there, then a background checkpointer persists all streams periodically and at shutdown")
-		ckptEvery  = flag.Duration("checkpoint-interval", 30*time.Second, "server mode: interval between background checkpoint generations (with -checkpoint)")
-		soak       = flag.Bool("soak", false, "run the soak/chaos battery — shed-policy server, bursty pushers, slow/stalled/reconnecting watchers — then exit")
-		quick      = flag.Bool("quick", false, "soak: CI-smoke sizes (seconds, not minutes)")
+		addr      = flag.String("addr", ":8080", "HTTP listen address (server mode)")
+		workers   = flag.Int("workers", 0, "hub worker pool size (0 = NumCPU)")
+		queue     = flag.Int("queue", 0, "per-stream queue depth in batches (0 = default)")
+		policy    = flag.String("policy", "block", "backpressure policy: block, drop, or shed")
+		seed      = flag.Int64("seed", 1, "scenario seed for the demo pipelines")
+		streams   = flag.Int("streams", 0, "load-generator mode: number of streams (0 = serve HTTP)")
+		points    = flag.Int("points", 20_000, "load generator: points per stream")
+		batch     = flag.Int("batch", 64, "load generator: points per Push")
+		rate      = flag.Float64("rate", 0, "load generator: points/sec per stream (0 = unthrottled)")
+		target    = flag.String("target", "", "load generator: drive a remote etsc-serve /v1 API at this base URL instead of an in-process hub")
+		metricsOn = flag.Bool("metrics", true, "server mode: expose Prometheus text exposition at GET /metrics")
+		ckptDir   = flag.String("checkpoint", "", "server mode: durable checkpoint directory — boot restores every stream found there, then a background checkpointer persists all streams periodically and at shutdown")
+		ckptEvery = flag.Duration("checkpoint-interval", 30*time.Second, "server mode: interval between background checkpoint generations (with -checkpoint)")
+		soak      = flag.Bool("soak", false, "run the soak/chaos battery — shed-policy server, bursty pushers, slow/stalled/reconnecting watchers — then exit")
+		quick     = flag.Bool("quick", false, "soak: CI-smoke sizes (seconds, not minutes)")
 	)
 	specOverrides := map[string]string{}
 	flag.Func("spec", "replace a kind's detector: kind=algo:key=value,... (repeatable; trained on the kind's dataset)", func(s string) error {
@@ -125,8 +122,8 @@ func main() {
 		}
 		// Pipeline configuration lives on the remote server; refusing
 		// these flags beats silently ignoring them.
-		if len(specOverrides) > 0 || *traincache {
-			log.Fatal("-spec/-traincache configure local pipelines and do not apply with -target; set them on the remote server instead")
+		if len(specOverrides) > 0 {
+			log.Fatal("-spec configures local pipelines and does not apply with -target; set it on the remote server instead")
 		}
 		// The remote server owns pipelines and training; only stream
 		// *data* is generated locally, so plain DemoKinds suffices.
@@ -140,17 +137,9 @@ func main() {
 		return
 	}
 
-	// Warm start: every stream of a kind shares one trained detector either
-	// way; -traincache additionally trains the kinds concurrently through
-	// shared memoized contexts, which only changes startup wall-clock time
-	// (TestDemoKindsSharedMatchesDemoKinds pins the transcripts).
+	// Warm start: every stream of a kind shares one trained detector.
 	trainStart := time.Now()
-	var kinds []hub.Kind
-	if *traincache {
-		kinds, err = hub.DemoKindsShared(*seed, *workers)
-	} else {
-		kinds, err = hub.DemoKinds(*seed)
-	}
+	kinds, err := hub.DemoKinds(*seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -171,8 +160,8 @@ func main() {
 	for kind := range specOverrides {
 		log.Fatalf("-spec %s=...: no such kind", kind)
 	}
-	log.Printf("etsc-serve: trained %d demo kinds in %v (traincache=%v)",
-		len(kinds), time.Since(trainStart).Round(time.Millisecond), *traincache)
+	log.Printf("etsc-serve: trained %d demo kinds in %v",
+		len(kinds), time.Since(trainStart).Round(time.Millisecond))
 
 	if *soak {
 		if err := soakRun(os.Stdout, kinds, *seed, *quick); err != nil {

@@ -10,7 +10,7 @@ import (
 
 func TestECTSMPLProperties(t *testing.T) {
 	train, _ := easySplit(t)
-	e, err := trainECTS(train, false, 0)
+	e, err := trainECTS(serialContext(t, train), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestECTSRelaxedMPLNotLater(t *testing.T) {
 	// non-empty RNN sets, so relaxed MPLs can only be <= strict MPLs
 	// for those instances.
 	train, _ := easySplit(t)
-	strict, err := trainECTS(train, false, 0)
+	strict, err := trainECTS(serialContext(t, train), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxed, err := trainECTS(train, true, 0)
+	relaxed, err := trainECTS(serialContext(t, train), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestECTSRelaxedMPLNotLater(t *testing.T) {
 
 func TestECTSMinSupportRaisesMPL(t *testing.T) {
 	train, test := easySplit(t)
-	loose, err := trainECTS(train, false, 0)
+	loose, err := trainECTS(serialContext(t, train), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := trainECTS(train, false, 3)
+	tight, err := trainECTS(serialContext(t, train), false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestECTSMinSupportRaisesMPL(t *testing.T) {
 }
 
 func TestECTSErrors(t *testing.T) {
-	if _, err := trainECTS(nil, false, 0); err == nil {
+	if _, err := Train(MustParseSpec("ects"), nil); err == nil {
 		t.Error("nil train should error")
 	}
 	one, err := dataset.New("one", []dataset.Instance{{Label: 1, Series: ts.Series{1, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trainECTS(one, false, 0); err == nil {
+	if _, err := trainECTS(serialContext(t, one), false, 0); err == nil {
 		t.Error("single instance should error")
 	}
 }
@@ -230,7 +230,7 @@ func TestRelClassDeterministic(t *testing.T) {
 
 func TestTEASERSnapshotsCoverLengths(t *testing.T) {
 	train, _ := easySplit(t)
-	te, err := trainTEASER(train, DefaultTEASERConfig())
+	te, err := trainTEASER(serialContext(t, train), DefaultTEASERConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestTEASERSnapshotsCoverLengths(t *testing.T) {
 func TestTEASERConfigClamps(t *testing.T) {
 	train, _ := easySplit(t)
 	cfg := TEASERConfig{Snapshots: 0, V: 0, ZNormPrefix: true, GateSigma: -1}
-	te, err := trainTEASER(train, cfg)
+	te, err := trainTEASER(serialContext(t, train), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestProbThresholdValidation(t *testing.T) {
 
 func TestFixedPrefixBehaviour(t *testing.T) {
 	train, test := easySplit(t)
-	f, err := trainFixedPrefix(train, 15, true)
+	f, err := trainFixedPrefix(serialContext(t, train), 15, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +286,10 @@ func TestFixedPrefixBehaviour(t *testing.T) {
 	if got := f.ForcedLabel(s); got != d.Label {
 		t.Errorf("forced label %d != decision label %d", got, d.Label)
 	}
-	if _, err := trainFixedPrefix(train, 0, true); err == nil {
+	if _, err := trainFixedPrefix(serialContext(t, train), 0, true); err == nil {
 		t.Error("at=0 should error")
 	}
-	if _, err := trainFixedPrefix(train, 1000, true); err == nil {
+	if _, err := trainFixedPrefix(serialContext(t, train), 1000, true); err == nil {
 		t.Error("at beyond length should error")
 	}
 }

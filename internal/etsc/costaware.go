@@ -52,27 +52,14 @@ func DefaultCostAwareConfig() CostAwareConfig {
 	return CostAwareConfig{MisclassCost: 1, DelayCost: 0.5, Snapshots: 20}
 }
 
-// trainCostAware is the direct (serial) training path behind the registry.
-func trainCostAware(train *dataset.Dataset, cfg CostAwareConfig) (*CostAware, error) {
-	c, err := costAwareSetup(train, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.fitErrAt(func(i, l int) int {
-		return c.nearestLabel(train.Instances[i].Series[:l], i)
-	}, 1)
-	return c, nil
-}
-
-// trainCostAwareCtx is trainCostAware over a shared TrainContext: the
+// trainCostAware is the CostAware trainer behind the registry: the
 // per-snapshot leave-one-out 1NN error curve — the O(snapshots·n²·l) bulk
 // of training — reads the context's memoized raw prefix-distance matrix
-// and fans across its pool. The trained model is byte-identical to
-// trainCostAware for any worker count: the direct scan's early abandoning
-// never changes the strict first-wins argmin, matrix entries equal the
-// direct partial sums, and the error tallies are assembled in instance
-// order.
-func trainCostAwareCtx(tc *TrainContext, cfg CostAwareConfig) (*CostAware, error) {
+// and fans across its pool. The trained model is identical for any worker
+// count: matrix entries are the exact in-order partial sums of a serial
+// scan, the argmin is strict and first-wins, and the error tallies are
+// assembled in instance order.
+func trainCostAware(tc *TrainContext, cfg CostAwareConfig) (*CostAware, error) {
 	c, err := costAwareSetup(tc.train, cfg)
 	if err != nil {
 		return nil, err
@@ -247,7 +234,7 @@ func (c *CostAware) PosteriorPrefix(prefix []float64) map[int]float64 {
 // topAndMargin extracts the MAP label and top-two margin from a posterior.
 // Labels are scanned in sorted order so exact probability ties break toward
 // the smallest label in every caller — randomized map order here would let
-// two trainings of the same set (direct or context) disagree, which the
+// two trainings of the same set disagree, which the
 // byte-identical train-equivalence contract cannot tolerate.
 func topAndMargin(post map[int]float64) (label int, margin float64) {
 	best, second := -1.0, -1.0

@@ -8,7 +8,6 @@ import (
 
 	"etsc/internal/dataset"
 	"etsc/internal/par"
-	"etsc/internal/ts"
 )
 
 // ECDIRE implements the "Early Classification framework for time series
@@ -52,27 +51,14 @@ func DefaultECDIREConfig() ECDIREConfig {
 	return ECDIREConfig{AccFraction: 0.9, Snapshots: 20, Sharpness: 3}
 }
 
-// trainECDIRE is the direct (serial) training path behind the registry.
-func trainECDIRE(train *dataset.Dataset, cfg ECDIREConfig) (*ECDIRE, error) {
-	cfg, err := ecdireCheck(train, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e := ecdireSetup(train, cfg)
-	e.fit(func(i, l int) map[int]float64 {
-		return e.looPosterior(train.Instances[i].Series[:l], i)
-	}, 1)
-	return e, nil
-}
-
-// trainECDIRECtx is trainECDIRE over a shared TrainContext: the per-snapshot
+// trainECDIRE is the ECDIRE trainer behind the registry: the per-snapshot
 // leave-one-out distance scans — the dominant O(snapshots·n²·l) training
 // cost — read the context's memoized raw prefix-distance matrix and fan
 // across its pool, one held-out instance per index-owned slot. The trained
-// model is byte-identical to trainECDIRE for any worker count: matrix entries
-// are the exact partial sums the direct scan accumulates, and the recall
-// and margin tallies are assembled in instance order.
-func trainECDIRECtx(c *TrainContext, cfg ECDIREConfig) (*ECDIRE, error) {
+// model is identical for any worker count: matrix entries are the exact
+// in-order partial sums of a serial scan, and the recall and margin
+// tallies are assembled in instance order.
+func trainECDIRE(c *TrainContext, cfg ECDIREConfig) (*ECDIRE, error) {
 	cfg, err := ecdireCheck(c.train, cfg)
 	if err != nil {
 		return nil, err
@@ -83,8 +69,20 @@ func trainECDIRECtx(c *TrainContext, cfg ECDIREConfig) (*ECDIRE, error) {
 			return nil, err
 		}
 	}
+	// The softmin posterior of instance i's length-l raw prefix, with i
+	// itself excluded.
 	e.fit(func(i, l int) map[int]float64 {
-		return e.looPosteriorMatrix(c.m, i, l)
+		nearest := map[int]float64{}
+		for j, in := range c.train.Instances {
+			if j == i {
+				continue
+			}
+			d := math.Sqrt(c.m.D2(i, j, l))
+			if cur, ok := nearest[in.Label]; !ok || d < cur {
+				nearest[in.Label] = d
+			}
+		}
+		return softminFromNearest(nearest, e.sharp)
 	}, c.workers)
 	return e, nil
 }
@@ -195,52 +193,12 @@ func (e *ECDIRE) fit(loo func(i, l int) map[int]float64, workers int) {
 	}
 }
 
-// looPosterior is the softmin posterior over raw prefixes with instance
-// skip excluded.
-func (e *ECDIRE) looPosterior(prefix []float64, skip int) map[int]float64 {
-	l := len(prefix)
-	nearest := map[int]float64{}
-	for i, in := range e.train.Instances {
-		if i == skip {
-			continue
-		}
-		d := 0.0
-		for j := 0; j < l; j++ {
-			diff := prefix[j] - in.Series[j]
-			d += diff * diff
-		}
-		d = math.Sqrt(d)
-		if cur, ok := nearest[in.Label]; !ok || d < cur {
-			nearest[in.Label] = d
-		}
-	}
-	return softminFromNearest(nearest, e.sharp)
-}
-
-// looPosteriorMatrix is looPosterior with the distance scan replaced by
-// memoized matrix lookups: the matrix stores the exact in-order partial
-// sums the direct scan accumulates, so both paths feed identical distances
-// into the shared softmin.
-func (e *ECDIRE) looPosteriorMatrix(m *ts.PrefixDistMatrix, skip, l int) map[int]float64 {
-	nearest := map[int]float64{}
-	for i, in := range e.train.Instances {
-		if i == skip {
-			continue
-		}
-		d := math.Sqrt(m.D2(skip, i, l))
-		if cur, ok := nearest[in.Label]; !ok || d < cur {
-			nearest[in.Label] = d
-		}
-	}
-	return softminFromNearest(nearest, e.sharp)
-}
-
 // softminFromNearest converts per-class nearest distances into a
-// normalized softmin posterior — the shared tail of both LOO paths, a map
-// view over the dense softmin core. All reductions iterate labels in sorted
-// order: float sums over Go's randomized map order would differ in the last
-// ulps between two otherwise identical trainings of a 3+-class set, which
-// the byte-identical train-equivalence contract cannot tolerate.
+// normalized softmin posterior — a map view over the dense softmin core.
+// All reductions iterate labels in sorted order: float sums over Go's
+// randomized map order would differ in the last ulps between two otherwise
+// identical trainings of a 3+-class set, which the byte-identical
+// train-equivalence contract cannot tolerate.
 func softminFromNearest(nearest map[int]float64, sharp float64) map[int]float64 {
 	labels := sortedLabels(nearest)
 	dense := make([]float64, len(labels))

@@ -39,49 +39,15 @@ type ECTS struct {
 	full  int
 }
 
-// trainECTS is the direct (serial) ECTS training path behind the registry.
-func trainECTS(train *dataset.Dataset, relaxed bool, minSupport int) (*ECTS, error) {
-	if err := ectsValidate(train); err != nil {
-		return nil, err
-	}
-	n := train.Len()
-	L := train.SeriesLen()
-
-	// Incremental pairwise squared distances give the 1NN of every
-	// instance at every prefix length in O(n²·L).
-	nn := make([][]int32, L+1) // nn[l][i] = index of i's 1NN at prefix length l
-	d2 := make([][]float64, n)
-	for i := range d2 {
-		d2[i] = make([]float64, n)
-	}
-	for l := 1; l <= L; l++ {
-		for i := 0; i < n; i++ {
-			xi := train.Instances[i].Series[l-1]
-			row := d2[i]
-			for j := i + 1; j < n; j++ {
-				d := xi - train.Instances[j].Series[l-1]
-				row[j] += d * d
-			}
-		}
-		nn[l] = ectsNearestAt(n, func(i, j int) float64 {
-			if i < j {
-				return d2[i][j]
-			}
-			return d2[j][i]
-		})
-	}
-	return ectsFromNN(train, nn, relaxed, minSupport), nil
-}
-
-// trainECTSCtx is trainECTS over a shared TrainContext: the per-length
+// trainECTS is the ECTS trainer behind the registry: the per-length
 // pairwise distance sweep — the O(n²·L) bulk of ECTS training — reads the
 // context's memoized prefix-distance matrix (materialized once, in
 // parallel, and shared with every other trainer on the same context), and
 // the per-length nearest-neighbour scans fan across the context's pool.
-// The trained model is byte-identical to trainECTS for any worker count: the
-// matrix stores the exact partial sums the direct loop accumulates, and
-// each length's scan is an independent index-owned unit.
-func trainECTSCtx(c *TrainContext, relaxed bool, minSupport int) (*ECTS, error) {
+// The trained model is identical for any worker count: the matrix stores
+// the exact in-order partial sums of a serial sweep, and each length's
+// scan is an independent index-owned unit.
+func trainECTS(c *TrainContext, relaxed bool, minSupport int) (*ECTS, error) {
 	train := c.train
 	if err := ectsValidate(train); err != nil {
 		return nil, err
@@ -111,8 +77,7 @@ func ectsValidate(train *dataset.Dataset) error {
 
 // ectsNearestAt computes every instance's 1NN at one prefix length from a
 // pairwise squared-distance lookup, scanning candidates in ascending index
-// order with a strict comparison — the tie-breaking both training paths
-// share.
+// order with a strict comparison, so ties break toward the lowest index.
 func ectsNearestAt(n int, d2 func(i, j int) float64) []int32 {
 	nl := make([]int32, n)
 	for i := 0; i < n; i++ {

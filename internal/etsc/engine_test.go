@@ -52,11 +52,11 @@ func smallGunPointSplit(t testing.TB) (train, test *dataset.Dataset) {
 func engineClassifiers(t testing.TB, train *dataset.Dataset) []EarlyClassifier {
 	t.Helper()
 	cs := allClassifiers(t, train)
-	ecdire, err := trainECDIRE(train, DefaultECDIREConfig())
+	ecdire, err := trainECDIRE(serialContext(t, train), DefaultECDIREConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := trainCostAware(train, DefaultCostAwareConfig())
+	cost, err := trainCostAware(serialContext(t, train), DefaultCostAwareConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestIncrementalExtendChunkingEquivalence(t *testing.T) {
 // before, at, and after the poison point.
 func TestBankSessionNonFiniteChunking(t *testing.T) {
 	train, test := smallGunPointSplit(t)
-	ects, err := trainECTS(train, false, 0)
+	ects, err := trainECTS(serialContext(t, train), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 // TestEvaluateParallelValidation mirrors Evaluate's input checks.
 func TestEvaluateParallelValidation(t *testing.T) {
 	train, _ := easySplit(t)
-	c, err := trainECTS(train, false, 0)
+	c, err := trainECTS(serialContext(t, train), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestOpenSessionPicksNativeIncremental(t *testing.T) {
 			t.Errorf("%s: expected a native incremental session", c.Name())
 		}
 	}
-	ecdire, err := trainECDIRE(train, DefaultECDIREConfig())
+	ecdire, err := trainECDIRE(serialContext(t, train), DefaultECDIREConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,11 @@ func easySplit(t testing.TB) (train, test *dataset.Dataset) {
 
 func allClassifiers(t testing.TB, train *dataset.Dataset) []EarlyClassifier {
 	t.Helper()
-	ects, err := trainECTS(train, false, 0)
+	ects, err := trainECTS(serialContext(t, train), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rects, err := trainECTS(train, true, 0)
+	rects, err := trainECTS(serialContext(t, train), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func allClassifiers(t testing.TB, train *dataset.Dataset) []EarlyClassifier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	teaser, err := trainTEASER(train, DefaultTEASERConfig())
+	teaser, err := trainTEASER(serialContext(t, train), DefaultTEASERConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func allClassifiers(t testing.TB, train *dataset.Dataset) []EarlyClassifier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := trainFixedPrefix(train, 20, true)
+	fixed, err := trainFixedPrefix(serialContext(t, train), 20, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestCostAwareBasics(t *testing.T) {
 	train, test := easySplit(t)
-	c, err := trainCostAware(train, DefaultCostAwareConfig())
+	c, err := trainCostAware(serialContext(t, train), DefaultCostAwareConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestCostAwareDelayPressure(t *testing.T) {
 	cheap.DelayCost = 0.05
 	expensive := DefaultCostAwareConfig()
 	expensive.DelayCost = 5
-	cc, err := trainCostAware(train, cheap)
+	cc, err := trainCostAware(serialContext(t, train), cheap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, err := trainCostAware(train, expensive)
+	ce, err := trainCostAware(serialContext(t, train), expensive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,22 +58,22 @@ func TestCostAwareValidation(t *testing.T) {
 	train, _ := easySplit(t)
 	cfg := DefaultCostAwareConfig()
 	cfg.MisclassCost = 0
-	if _, err := trainCostAware(train, cfg); err == nil {
+	if _, err := trainCostAware(serialContext(t, train), cfg); err == nil {
 		t.Error("zero misclass cost should error")
 	}
 	cfg = DefaultCostAwareConfig()
 	cfg.DelayCost = -1
-	if _, err := trainCostAware(train, cfg); err == nil {
+	if _, err := trainCostAware(serialContext(t, train), cfg); err == nil {
 		t.Error("negative delay cost should error")
 	}
-	if _, err := trainCostAware(nil, DefaultCostAwareConfig()); err == nil {
+	if _, err := Train(MustParseSpec("costaware"), nil); err == nil {
 		t.Error("nil train should error")
 	}
 }
 
 func TestECDIREBasics(t *testing.T) {
 	train, test := easySplit(t)
-	e, err := trainECDIRE(train, DefaultECDIREConfig())
+	e, err := trainECDIRE(serialContext(t, train), DefaultECDIREConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,15 +103,15 @@ func TestECDIREValidation(t *testing.T) {
 	train, _ := easySplit(t)
 	cfg := DefaultECDIREConfig()
 	cfg.AccFraction = 0
-	if _, err := trainECDIRE(train, cfg); err == nil {
+	if _, err := trainECDIRE(serialContext(t, train), cfg); err == nil {
 		t.Error("AccFraction 0 should error")
 	}
 	cfg = DefaultECDIREConfig()
 	cfg.AccFraction = 1.5
-	if _, err := trainECDIRE(train, cfg); err == nil {
+	if _, err := trainECDIRE(serialContext(t, train), cfg); err == nil {
 		t.Error("AccFraction > 1 should error")
 	}
-	if _, err := trainECDIRE(nil, DefaultECDIREConfig()); err == nil {
+	if _, err := Train(MustParseSpec("ecdire"), nil); err == nil {
 		t.Error("nil train should error")
 	}
 }
@@ -121,10 +121,11 @@ func TestECDIREValidation(t *testing.T) {
 // denormalization — they are not exempt from §4.
 func TestExtensionsShareTheFlaw(t *testing.T) {
 	train, test := gunPointSplit(t)
+	ctx := serialContext(t, train)
 	denorm := test.Denormalize(synth.NewRand(99), 1.0)
 	builders := []func() (EarlyClassifier, error){
-		func() (EarlyClassifier, error) { return trainCostAware(train, DefaultCostAwareConfig()) },
-		func() (EarlyClassifier, error) { return trainECDIRE(train, DefaultECDIREConfig()) },
+		func() (EarlyClassifier, error) { return trainCostAware(ctx, DefaultCostAwareConfig()) },
+		func() (EarlyClassifier, error) { return trainECDIRE(ctx, DefaultECDIREConfig()) },
 	}
 	for _, mk := range builders {
 		c, err := mk()

@@ -26,9 +26,10 @@ func fourClassSplit(t testing.TB) (train, test *dataset.Dataset) {
 
 func TestAllClassifiersHandleFourClasses(t *testing.T) {
 	train, test := fourClassSplit(t)
+	ctx := serialContext(t, train)
 	builders := []func() (EarlyClassifier, error){
-		func() (EarlyClassifier, error) { return trainECTS(train, false, 0) },
-		func() (EarlyClassifier, error) { return trainECTS(train, true, 0) },
+		func() (EarlyClassifier, error) { return trainECTS(ctx, false, 0) },
+		func() (EarlyClassifier, error) { return trainECTS(ctx, true, 0) },
 		func() (EarlyClassifier, error) {
 			cfg := DefaultEDSCConfig(CHE)
 			cfg.MinLen, cfg.MaxLen = 10, 30
@@ -41,10 +42,10 @@ func TestAllClassifiersHandleFourClasses(t *testing.T) {
 		},
 		func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(false)) },
 		func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(true)) },
-		func() (EarlyClassifier, error) { return trainTEASER(train, DefaultTEASERConfig()) },
+		func() (EarlyClassifier, error) { return trainTEASER(ctx, DefaultTEASERConfig()) },
 		func() (EarlyClassifier, error) { return trainProbThreshold(train, 0.7, 5) },
-		func() (EarlyClassifier, error) { return trainCostAware(train, DefaultCostAwareConfig()) },
-		func() (EarlyClassifier, error) { return trainECDIRE(train, DefaultECDIREConfig()) },
+		func() (EarlyClassifier, error) { return trainCostAware(ctx, DefaultCostAwareConfig()) },
+		func() (EarlyClassifier, error) { return trainECDIRE(ctx, DefaultECDIREConfig()) },
 	}
 	for _, mk := range builders {
 		c, err := mk()
@@ -79,7 +80,7 @@ func TestAllClassifiersHandleFourClasses(t *testing.T) {
 // per-exemplar affine transform with positive scale.
 func TestTEASERShiftScaleInvariance(t *testing.T) {
 	train, test := fourClassSplit(t)
-	c, err := trainTEASER(train, DefaultTEASERConfig())
+	c, err := trainTEASER(serialContext(t, train), DefaultTEASERConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +103,9 @@ func TestTEASERShiftScaleInvariance(t *testing.T) {
 // (otherwise the Table 1 experiment would be measuring nothing).
 func TestFlawedModelsAreNotShiftInvariant(t *testing.T) {
 	train, test := fourClassSplit(t)
+	ctx := serialContext(t, train)
 	builders := []func() (EarlyClassifier, error){
-		func() (EarlyClassifier, error) { return trainECTS(train, false, 0) },
+		func() (EarlyClassifier, error) { return trainECTS(ctx, false, 0) },
 		func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(false)) },
 		func() (EarlyClassifier, error) { return trainProbThreshold(train, 0.7, 5) },
 	}

@@ -115,9 +115,8 @@ func (s Spec) String() string {
 	return b.String()
 }
 
-// Options is the shared construction configuration every Builder receives;
-// it replaces the Workers/TrainCache fields that were threaded separately
-// through each layer. Build one with functional options:
+// Options is the shared construction configuration every Builder receives.
+// Build one with functional options:
 //
 //	Train(spec, train, WithTrainContext(ctx), WithSeed(11))
 type Options struct {
@@ -131,16 +130,17 @@ type Options struct {
 // Option mutates an Options.
 type Option func(*Options)
 
-// WithWorkers bounds the worker pools training uses (0 = one per CPU).
-// Without WithTrainContext, any WithWorkers value makes Train build a
-// fresh TrainContext and train through the context-driven (parallel)
-// path; the trained model is identical either way.
+// WithWorkers bounds the worker pools training uses (0 = one per CPU;
+// default 1, serial). Without WithTrainContext it sizes the fresh
+// TrainContext Train builds; the trained model is identical for every
+// value.
 func WithWorkers(n int) Option { return func(o *Options) { o.workers = n; o.workersSet = true } }
 
-// WithTrainContext makes Train read the shared memoized training substrate
-// (prefix-distance matrix, truncation cache, worker pool) instead of
-// recomputing per algorithm. The context's training set must be the one
-// passed to Train (or pass nil to Train and the context's set is used).
+// WithTrainContext makes Train read a caller-owned memoized training
+// substrate (prefix-distance matrix, truncation cache, worker pool), so
+// every trainer on the context shares it instead of building its own. The
+// context's training set must be the one passed to Train (or pass nil to
+// Train and the context's set is used).
 func WithTrainContext(c *TrainContext) Option { return func(o *Options) { o.ctx = c } }
 
 // WithSeed sets the default randomness seed for algorithms that freeze
@@ -180,17 +180,14 @@ func (o *Options) SeedOr(def int64) int64 {
 	return def
 }
 
-// contextFor resolves the TrainContext a builder should train through:
-// the supplied one, a fresh one when WithWorkers asked for parallel
-// training, or nil for the direct serial path.
+// contextFor resolves the TrainContext a builder trains through: the
+// caller's (WithTrainContext), or else a fresh one over train bounded by
+// Workers — serial unless WithWorkers says otherwise.
 func (o *Options) contextFor(train *dataset.Dataset) (*TrainContext, error) {
 	if o.ctx != nil {
 		return o.ctx, nil
 	}
-	if o.workersSet {
-		return NewTrainContext(train, o.workers)
-	}
-	return nil, nil
+	return NewTrainContext(train, o.Workers())
 }
 
 // Params is a Spec's parameter set during building. Builders read each
@@ -423,9 +420,9 @@ func AlgorithmDocs() []string {
 // construction entry point behind which every algorithm in the package
 // (and any externally Registered one) is reachable:
 //
-//   - Train(spec, train) trains directly, serially.
-//   - Train(spec, train, WithWorkers(n)) trains through a fresh
-//     TrainContext with an n-worker pool.
+//   - Train(spec, train) trains serially, through a private TrainContext.
+//   - Train(spec, train, WithWorkers(n)) gives that context an n-worker
+//     pool.
 //   - Train(spec, nil, WithTrainContext(ctx)) shares ctx's memoized
 //     distances with every other trainer on the same context.
 //
@@ -487,10 +484,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if ctx != nil {
-				return trainECTSCtx(ctx, relaxed, support)
-			}
-			return trainECTS(train, relaxed, support)
+			return trainECTS(ctx, relaxed, support)
 		},
 	})
 	MustRegister(Builder{
@@ -508,10 +502,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if ctx != nil {
-				return trainECDIRECtx(ctx, cfg)
-			}
-			return trainECDIRE(train, cfg)
+			return trainECDIRE(ctx, cfg)
 		},
 	})
 	MustRegister(Builder{
@@ -529,10 +520,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if ctx != nil {
-				return trainCostAwareCtx(ctx, cfg)
-			}
-			return trainCostAware(train, cfg)
+			return trainCostAware(ctx, cfg)
 		},
 	})
 	MustRegister(Builder{
@@ -551,10 +539,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if ctx != nil {
-				return trainTEASERCtx(ctx, cfg)
-			}
-			return trainTEASER(train, cfg)
+			return trainTEASER(ctx, cfg)
 		},
 	})
 	MustRegister(Builder{
@@ -586,10 +571,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if ctx != nil {
-				return newEDSC(ctx.Train(), cfg, ctx.Workers())
-			}
-			return newEDSC(train, cfg, 1)
+			return newEDSC(ctx.Train(), cfg, ctx.Workers())
 		},
 	})
 	MustRegister(Builder{
@@ -605,8 +587,7 @@ func init() {
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			// RelClass takes nothing from the shared matrix; both option
-			// paths delegate to the direct fit.
+			// RelClass takes nothing from a TrainContext.
 			return trainRelClass(train, cfg)
 		},
 	})
@@ -619,8 +600,8 @@ func init() {
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			// No training-time computation beyond label caching; both
-			// option paths delegate to the direct constructor.
+			// No training-time computation beyond label caching, so
+			// nothing to take from a TrainContext.
 			return trainProbThreshold(train, threshold, minPrefix)
 		},
 	})
@@ -637,10 +618,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if ctx != nil {
-				return trainFixedPrefixCtx(ctx, at, znorm)
-			}
-			return trainFixedPrefix(train, at, znorm)
+			return trainFixedPrefix(ctx, at, znorm)
 		},
 	})
 }

@@ -39,8 +39,8 @@ func batterySpecs(d *dataset.Dataset) []struct{ name, spec string } {
 }
 
 // TestRegistryEquivalenceBattery is the construction API's core contract:
-// for every algorithm, Train(spec, train) — the direct serial path — is
-// byte-identical to training with a worker bound (WithWorkers, a fresh
+// for every algorithm, Train(spec, train) — a private one-worker context —
+// is byte-identical to training with a worker bound (WithWorkers, a fresh
 // context) and over a shared caller context (WithTrainContext), for
 // workers ∈ {1, 4, GOMAXPROCS} on both battery datasets. One TrainContext
 // per (dataset, workers) cell is shared by every algorithm, so
@@ -74,21 +74,21 @@ func TestRegistryEquivalenceBattery(t *testing.T) {
 					t.Fatal(err)
 				}
 				name := sp.name + "/" + spec.String()
-				direct, err := Train(spec, sp.train)
+				serial, err := Train(spec, sp.train)
 				if err != nil {
-					t.Fatalf("%s direct: %v", name, err)
+					t.Fatalf("%s serial: %v", name, err)
 				}
 				for wi, w := range workers {
 					got, err := Train(spec, sp.train, WithWorkers(w))
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", name, w, err)
 					}
-					assertEquivalent(t, fmt.Sprintf("%s/workers=%d", name, w), direct, got, sp.test)
+					assertEquivalent(t, fmt.Sprintf("%s/workers=%d", name, w), serial, got, sp.test)
 					got, err = Train(spec, nil, WithTrainContext(sp.ctxs[wi]))
 					if err != nil {
 						t.Fatalf("%s ctx workers=%d: %v", name, w, err)
 					}
-					assertEquivalent(t, fmt.Sprintf("%s/ctx=%d", name, w), direct, got, sp.test)
+					assertEquivalent(t, fmt.Sprintf("%s/ctx=%d", name, w), serial, got, sp.test)
 				}
 			}
 		})

@@ -87,7 +87,7 @@ func TestSessionSnapshotEquivalence(t *testing.T) {
 // uninterrupted, and an 'L' query longer than the model fails cleanly.
 func TestSessionSnapshotCrossEngine(t *testing.T) {
 	train, test := smallGunPointSplit(t)
-	ects, err := trainECTS(train, false, 0)
+	ects, err := trainECTS(serialContext(t, train), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

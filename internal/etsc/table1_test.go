@@ -27,13 +27,14 @@ func gunPointSplit(t testing.TB) (train, test *dataset.Dataset) {
 func TestTable1Mechanics(t *testing.T) {
 	train, test := gunPointSplit(t)
 	denorm := test.Denormalize(synth.NewRand(99), 1.0)
+	ctx := serialContext(t, train)
 
 	build := []struct {
 		name string
 		make func() (EarlyClassifier, error)
 	}{
-		{"ECTS", func() (EarlyClassifier, error) { return trainECTS(train, false, 0) }},
-		{"RelaxedECTS", func() (EarlyClassifier, error) { return trainECTS(train, true, 0) }},
+		{"ECTS", func() (EarlyClassifier, error) { return trainECTS(ctx, false, 0) }},
+		{"RelaxedECTS", func() (EarlyClassifier, error) { return trainECTS(ctx, true, 0) }},
 		{"EDSC-CHE", func() (EarlyClassifier, error) { return newEDSC(train, DefaultEDSCConfig(CHE), 1) }},
 		{"EDSC-KDE", func() (EarlyClassifier, error) { return newEDSC(train, DefaultEDSCConfig(KDE), 1) }},
 		{"RelClass", func() (EarlyClassifier, error) { return trainRelClass(train, DefaultRelClassConfig(false)) }},
@@ -71,7 +72,7 @@ func TestTable1Mechanics(t *testing.T) {
 func TestTEASERSurvivesDenormalization(t *testing.T) {
 	train, test := gunPointSplit(t)
 	denorm := test.Denormalize(synth.NewRand(99), 1.0)
-	c, err := trainTEASER(train, DefaultTEASERConfig())
+	c, err := trainTEASER(serialContext(t, train), DefaultTEASERConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

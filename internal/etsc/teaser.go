@@ -77,42 +77,17 @@ func (g oneClassGate) accept(top, margin float64) bool {
 	return true
 }
 
-// trainTEASER is the direct (serial) training path behind the registry.
-func trainTEASER(train *dataset.Dataset, cfg TEASERConfig) (*TEASER, error) {
-	t, cfg, err := teaserSetup(train, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, l := range t.lengths {
-		zn, err := train.Truncate(l, true)
-		if err != nil {
-			return nil, err
-		}
-		raw, err := train.Truncate(l, false)
-		if err != nil {
-			return nil, err
-		}
-		t.znTrain = append(t.znTrain, zn)
-		t.rawTrain = append(t.rawTrain, raw)
-	}
-	t.fitMasters(func(si, i int) (int, float64, float64) {
-		set := t.slaveSet(si)
-		return t.slaveClassifyLOO(si, set.Instances[i].Series, i)
-	}, cfg.GateSigma, 1)
-	return t, nil
-}
-
-// trainTEASERCtx is trainTEASER over a shared TrainContext: the per-snapshot
+// trainTEASER is the TEASER trainer behind the registry: the per-snapshot
 // truncated training sets come from the context's prefix cache (computed
 // once and shared with every trainer that touches the same lengths), and
 // the per-snapshot leave-one-out slave scans — the dominant
 // O(snapshots·n²·l) training cost — read the memoized prefix-distance
 // matrix (z-normalized flavor under the published footnote-2 setting, raw
 // under the counterfactual) and fan across the context's pool. The trained
-// model is byte-identical to trainTEASER for any worker count: matrix entries
-// equal the direct SquaredEuclidean over the same cached prefixes, and the
-// gate statistics are assembled in instance order.
-func trainTEASERCtx(c *TrainContext, cfg TEASERConfig) (*TEASER, error) {
+// model is identical for any worker count: matrix entries equal
+// SquaredEuclidean over the same cached prefixes, and the gate statistics
+// are assembled in instance order.
+func trainTEASER(c *TrainContext, cfg TEASERConfig) (*TEASER, error) {
 	t, cfg, err := teaserSetup(c.train, cfg)
 	if err != nil {
 		return nil, err
@@ -271,7 +246,7 @@ func (t *TEASER) slavePosterior(si int, prepared []float64, skip int) (label int
 
 // nearestTopMargin converts per-class nearest distances into the slave's
 // softmin decision: the MAP label, its probability, and the top-two margin.
-// It is the shared tail of the direct scan and the matrix-backed LOO path —
+// It is the shared tail of the pure scan and the matrix-backed LOO path —
 // a map view over topMarginDense, the same core the allocation-free session
 // scan uses, so every path feeds identical distances through identical
 // arithmetic. Labels are reduced in sorted order (not randomized map order)
@@ -289,12 +264,6 @@ func nearestTopMargin(nearest map[int]float64) (label int, top, margin float64) 
 	probs := make([]float64, len(labels))
 	ci, top, margin := topMarginDense(dense, probs)
 	return labels[ci], top, margin
-}
-
-// slaveClassifyLOO is slavePosterior on a training instance's own prefix
-// with itself excluded.
-func (t *TEASER) slaveClassifyLOO(si int, prepared []float64, skip int) (label int, top, margin float64) {
-	return t.slavePosterior(si, prepared, skip)
 }
 
 // prepare converts a raw incoming prefix into the slave's input space.

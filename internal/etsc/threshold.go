@@ -171,32 +171,13 @@ type FixedPrefix struct {
 	full   int
 }
 
-// trainFixedPrefix is the direct construction path behind the registry.
-func trainFixedPrefix(train *dataset.Dataset, at int, znorm bool) (*FixedPrefix, error) {
-	if train == nil || train.Len() == 0 {
-		return nil, errors.New("etsc: FixedPrefix needs training data")
-	}
-	if at < 1 || at > train.SeriesLen() {
-		return nil, fmt.Errorf("etsc: FixedPrefix length %d out of range 1..%d", at, train.SeriesLen())
-	}
-	pre, err := train.Truncate(at, znorm)
-	if err != nil {
-		return nil, err
-	}
-	return &FixedPrefix{At: at, ZNorm: znorm, train: train, prefix: pre, full: train.SeriesLen()}, nil
-}
-
-// trainFixedPrefixCtx is trainFixedPrefix over a shared TrainContext: the
-// prepared training prefixes come from the context's truncation cache, so
-// N FixedPrefix models at the same decision length (the hub's warm-start
-// shape) share one prepared set instead of truncating and re-normalizing N
-// times. Byte-identical to trainFixedPrefix: the cache stores exactly
-// train.Truncate's output.
-func trainFixedPrefixCtx(c *TrainContext, at int, znorm bool) (*FixedPrefix, error) {
+// trainFixedPrefix is the FixedPrefix trainer behind the registry: the
+// prepared training prefixes come from the context's truncation cache
+// (exactly train.Truncate's output), so N FixedPrefix models at the same
+// decision length on one context share one prepared set instead of
+// truncating and re-normalizing N times.
+func trainFixedPrefix(c *TrainContext, at int, znorm bool) (*FixedPrefix, error) {
 	train := c.train
-	if train.Len() == 0 {
-		return nil, errors.New("etsc: FixedPrefix needs training data")
-	}
 	if at < 1 || at > train.SeriesLen() {
 		return nil, fmt.Errorf("etsc: FixedPrefix length %d out of range 1..%d", at, train.SeriesLen())
 	}

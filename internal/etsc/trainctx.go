@@ -9,20 +9,21 @@ import (
 	"etsc/internal/ts"
 )
 
-// TrainContext is the shared training substrate for one training set: a
-// memoized ts.PrefixDistMatrix (raw and z-normalized pairwise prefix
-// distances, materialized lazily) plus a cache of truncated prefix
-// datasets. Every trainer in this package recomputes some slice of that
-// state when trained directly — ECTS its per-length pairwise sweep, ECDIRE
-// and CostAware their per-snapshot LOO distance scans, TEASER its
-// per-snapshot z-normalized truncations and LOO scans — so training the
-// paper's whole algorithm suite on one dataset pays the dominant O(n²·L)
-// distance work up to five times. A TrainContext pays it once, in parallel.
+// TrainContext is the training substrate for one training set: a memoized
+// ts.PrefixDistMatrix (raw and z-normalized pairwise prefix distances,
+// materialized lazily) plus a cache of truncated prefix datasets. It is
+// the package's one training path: ECTS reads its per-length pairwise
+// sweep from the matrix, ECDIRE and CostAware their per-snapshot LOO
+// distance scans, TEASER its per-snapshot z-normalized truncations and LOO
+// scans, FixedPrefix its prepared prefixes. Training the paper's whole
+// algorithm suite on one shared context pays the dominant O(n²·L) distance
+// work once, in parallel, instead of once per algorithm.
 //
-// Train(spec, nil, WithTrainContext(ctx)) makes a trainer read from the
-// context instead of recomputing; the registry-equivalence battery pins
-// each such model decision-identical to the direct Train(spec, train)
-// path, for any worker count.
+// Train(spec, train) trains through a private one-worker context;
+// Train(spec, nil, WithTrainContext(ctx)) shares ctx with every other
+// trainer on it. TestTrainEquivalenceBattery pins each trainer against a
+// serial reference that recomputes its own distances, for any worker
+// count.
 //
 // Ownership and immutability: the context must be built over a training
 // set that is never mutated afterwards. Cached prefix datasets and the
@@ -73,10 +74,6 @@ func (c *TrainContext) Train() *dataset.Dataset { return c.train }
 
 // Workers returns the context's worker-pool bound.
 func (c *TrainContext) Workers() int { return c.workers }
-
-// Matrix returns the shared prefix-distance matrix. Callers must follow its
-// protocol: Ensure/EnsureZNorm a length before reading it.
-func (c *TrainContext) Matrix() *ts.PrefixDistMatrix { return c.m }
 
 // Prefixes returns the cached truncation of the training set to its first l
 // points, re-z-normalized when renorm is true — byte-identical to

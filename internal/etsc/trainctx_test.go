@@ -9,20 +9,23 @@ import (
 )
 
 // trainerPair names one algorithm variant with its two typed trainers: the
-// direct serial path and the context-driven path behind the registry
-// builders. The battery requires the two to produce models whose decisions
-// are identical — prefix for prefix, instance for instance.
+// serial reference (reftrain_test.go) and the production trainer behind the
+// registry builder, which reads a TrainContext. The battery requires the
+// two to produce models whose decisions are identical — prefix for prefix,
+// instance for instance.
 type trainerPair struct {
-	name   string
-	direct func(train *dataset.Dataset) (EarlyClassifier, error)
-	with   func(c *TrainContext) (EarlyClassifier, error)
+	name string
+	ref  func(train *dataset.Dataset) (EarlyClassifier, error)
+	with func(c *TrainContext) (EarlyClassifier, error)
 }
 
 // trainerPairs covers every algorithm in the package, including the
 // variants whose training paths differ (relaxed ECTS, the KDE threshold
-// learner, pooled RelClass, raw-prefix TEASER). RelClass and ProbThreshold
-// have no context-driven trainer of their own; their context path is the
-// registry builder over the shared context. Names match batterySpecs.
+// learner, pooled RelClass, raw-prefix TEASER). EDSC, RelClass and
+// ProbThreshold read nothing from the context: their reference is their
+// one trainer run serially, and their context side is that trainer at the
+// context's worker count or the registry builder over the shared context.
+// Names match batterySpecs.
 func trainerPairs() []trainerPair {
 	rawTeaser := DefaultTEASERConfig()
 	rawTeaser.ZNormPrefix = false
@@ -33,11 +36,11 @@ func trainerPairs() []trainerPair {
 	}
 	return []trainerPair{
 		{"ECTS",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainECTS(d, false, 0) },
-			func(c *TrainContext) (EarlyClassifier, error) { return trainECTSCtx(c, false, 0) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return refTrainECTS(d, false, 0) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainECTS(c, false, 0) }},
 		{"RelaxedECTS",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainECTS(d, true, 1) },
-			func(c *TrainContext) (EarlyClassifier, error) { return trainECTSCtx(c, true, 1) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return refTrainECTS(d, true, 1) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainECTS(c, true, 1) }},
 		{"EDSC-CHE",
 			func(d *dataset.Dataset) (EarlyClassifier, error) { return newEDSC(d, batteryEDSCConfig(CHE, d), 1) },
 			func(c *TrainContext) (EarlyClassifier, error) {
@@ -59,24 +62,37 @@ func trainerPairs() []trainerPair {
 			},
 			viaContext("relclass:pooled=true")},
 		{"ECDIRE",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainECDIRE(d, DefaultECDIREConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return trainECDIRECtx(c, DefaultECDIREConfig()) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return refTrainECDIRE(d, DefaultECDIREConfig()) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainECDIRE(c, DefaultECDIREConfig()) }},
 		{"TEASER",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainTEASER(d, DefaultTEASERConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return trainTEASERCtx(c, DefaultTEASERConfig()) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return refTrainTEASER(d, DefaultTEASERConfig()) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainTEASER(c, DefaultTEASERConfig()) }},
 		{"TEASER-raw",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainTEASER(d, rawTeaser) },
-			func(c *TrainContext) (EarlyClassifier, error) { return trainTEASERCtx(c, rawTeaser) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return refTrainTEASER(d, rawTeaser) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainTEASER(c, rawTeaser) }},
 		{"ProbThreshold",
 			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainProbThreshold(d, 0.8, 5) },
 			viaContext("probthreshold:threshold=0.8,minprefix=5")},
 		{"FixedPrefix",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainFixedPrefix(d, 20, true) },
-			func(c *TrainContext) (EarlyClassifier, error) { return trainFixedPrefixCtx(c, 20, true) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) { return refTrainFixedPrefix(d, 20, true) },
+			func(c *TrainContext) (EarlyClassifier, error) { return trainFixedPrefix(c, 20, true) }},
 		{"CostAware",
-			func(d *dataset.Dataset) (EarlyClassifier, error) { return trainCostAware(d, DefaultCostAwareConfig()) },
-			func(c *TrainContext) (EarlyClassifier, error) { return trainCostAwareCtx(c, DefaultCostAwareConfig()) }},
+			func(d *dataset.Dataset) (EarlyClassifier, error) {
+				return refTrainCostAware(d, DefaultCostAwareConfig())
+			},
+			func(c *TrainContext) (EarlyClassifier, error) { return trainCostAware(c, DefaultCostAwareConfig()) }},
 	}
+}
+
+// serialContext is the one-worker context Train(spec, train) builds, for
+// tests that call a typed trainer directly.
+func serialContext(tb testing.TB, train *dataset.Dataset) *TrainContext {
+	tb.Helper()
+	c, err := NewTrainContext(train, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 // batteryEDSCConfig sizes EDSC's candidate lengths to the dataset so the
@@ -93,11 +109,11 @@ func batteryEDSCConfig(m ThresholdMethod, d *dataset.Dataset) EDSCConfig {
 // TestTrainEquivalenceBattery is the typed trainers' core property: for
 // every algorithm, training through a shared TrainContext — memoized
 // distance matrix, shared prefix cache, parallel fan-out — produces a model
-// whose decisions agree with the direct trainer prefix-for-prefix, for
-// workers ∈ {1, 4, GOMAXPROCS}. One context is shared by all trainers per
-// (dataset, workers) cell, so cross-trainer cache reuse is under test too.
-// The direct model must also equal Train over the variant's batterySpecs
-// row, which pins each builder's parameter-to-config mapping.
+// whose decisions agree with the serial reference trainer prefix-for-prefix,
+// for workers ∈ {1, 4, GOMAXPROCS}. One context is shared by all trainers
+// per (dataset, workers) cell, so cross-trainer cache reuse is under test
+// too. The reference model must also equal Train over the variant's
+// batterySpecs row, which pins each builder's parameter-to-config mapping.
 func TestTrainEquivalenceBattery(t *testing.T) {
 	type split struct {
 		name        string
@@ -113,14 +129,14 @@ func TestTrainEquivalenceBattery(t *testing.T) {
 		for _, row := range batterySpecs(sp.train) {
 			specs[row.name] = row.spec
 		}
-		// Direct models, trained once per dataset.
-		direct := make([]EarlyClassifier, len(pairs))
+		// Reference models, trained once per dataset.
+		ref := make([]EarlyClassifier, len(pairs))
 		for pi, p := range pairs {
-			c, err := p.direct(sp.train)
+			c, err := p.ref(sp.train)
 			if err != nil {
-				t.Fatalf("%s/%s direct: %v", sp.name, p.name, err)
+				t.Fatalf("%s/%s ref: %v", sp.name, p.name, err)
 			}
-			direct[pi] = c
+			ref[pi] = c
 			spec, ok := specs[p.name]
 			if !ok {
 				t.Fatalf("%s: no batterySpecs row", p.name)
@@ -141,7 +157,7 @@ func TestTrainEquivalenceBattery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d with: %v", sp.name, p.name, workers, err)
 				}
-				assertEquivalent(t, fmt.Sprintf("%s/%s/workers=%d", sp.name, p.name, workers), direct[pi], got, sp.test)
+				assertEquivalent(t, fmt.Sprintf("%s/%s/workers=%d", sp.name, p.name, workers), ref[pi], got, sp.test)
 			}
 		}
 	}
@@ -198,7 +214,7 @@ func TestTrainContextPrefixesCached(t *testing.T) {
 	if _, err := ctx.Prefixes(0, true); err == nil {
 		t.Error("Prefixes(0) accepted")
 	}
-	if ctx.Train() != train || ctx.Workers() != 2 || ctx.Matrix() == nil {
+	if ctx.Train() != train || ctx.Workers() != 2 {
 		t.Error("accessor contract broken")
 	}
 }

@@ -25,18 +25,11 @@ type Config struct {
 	Quick bool
 	// Parallelism bounds every worker pool the runners use — stream
 	// monitor candidate fan-out, LOOCV, prefix sweeps, test-set
-	// evaluation. 0 means one worker per CPU; 1 runs everything serially.
-	// Results are identical for every value (see DESIGN.md): the knob
-	// trades wall-clock time only, so reproducibility is unaffected.
+	// evaluation, and the shared etsc.TrainContext each algorithm suite
+	// trains through. 0 means one worker per CPU; 1 runs everything
+	// serially. Results are identical for every value (see DESIGN.md): the
+	// knob trades wall-clock time only, so reproducibility is unaffected.
 	Parallelism int
-	// TrainCache, when true, trains the algorithm suites through a shared
-	// etsc.TrainContext — one memoized prefix-distance matrix and prefix
-	// cache per training set, materialized in parallel (Parallelism) and
-	// reused across every trainer — instead of letting each trainer
-	// recompute its own distances. The trained models, and therefore every
-	// rendered table, are identical either way (the registry-equivalence
-	// battery pins this); the flag trades training wall-clock time only.
-	TrainCache bool
 }
 
 // DefaultConfig returns the full-size configuration used for

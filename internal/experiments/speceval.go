@@ -41,10 +41,10 @@ func DefaultSpecEvalSpecs() []etsc.Spec {
 }
 
 // RunSpecEval trains each spec on the standard GunPoint-like split and
-// evaluates it on the held-out half. All of Config's knobs apply:
-// Parallelism bounds the evaluation pool, TrainCache shares one training
-// context across the suite — results are identical for every combination
-// of the two.
+// evaluates it on the held-out half. The specs share one training context,
+// so a row's Train time is its marginal cost on that context: distances an
+// earlier spec already materialized are free. Parallelism bounds both the
+// context and the evaluation pool; results are identical for every value.
 func RunSpecEval(cfg Config, specs []etsc.Spec) (*SpecEvalResult, error) {
 	if len(specs) == 0 {
 		specs = DefaultSpecEvalSpecs()
@@ -57,18 +57,14 @@ func RunSpecEval(cfg Config, specs []etsc.Spec) (*SpecEvalResult, error) {
 	if cfg.Quick {
 		step = 4
 	}
-	tc, err := trainContext(cfg, train)
+	tc, err := etsc.NewTrainContext(train, cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	res := &SpecEvalResult{Step: step}
 	for _, spec := range specs {
-		var opts []etsc.Option
-		if tc != nil {
-			opts = append(opts, etsc.WithTrainContext(tc))
-		}
 		t0 := time.Now()
-		c, err := etsc.Train(spec, train, opts...)
+		c, err := etsc.Train(spec, nil, etsc.WithTrainContext(tc))
 		if err != nil {
 			return nil, fmt.Errorf("speceval: %s: %w", spec, err)
 		}

@@ -47,11 +47,9 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 		step = 4
 	}
 
-	// With cfg.TrainCache the suite trains through one shared context —
-	// every trainer reads the same memoized prefix-distance matrix and
-	// prefix cache — otherwise each trainer recomputes its own distances.
-	// The models, and therefore the table, are identical either way.
-	tc, err := trainContext(cfg, train)
+	// The suite trains through one shared context: every trainer reads the
+	// same memoized prefix-distance matrix and prefix cache.
+	tc, err := etsc.NewTrainContext(train, cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +72,7 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	}
 
 	for _, b := range builds {
-		c, err := b.train(train, tc)
+		c, err := etsc.Train(b.spec, nil, etsc.WithTrainContext(tc))
 		if err != nil {
 			return nil, err
 		}
@@ -131,32 +129,12 @@ func (r *Table1Result) Table() string {
 	return b.String()
 }
 
-// trainContext returns the shared training context when cfg asks for one
-// (nil otherwise — the direct-training sentinel suiteSpec.train checks).
-func trainContext(cfg Config, train *dataset.Dataset) (*etsc.TrainContext, error) {
-	if !cfg.TrainCache {
-		return nil, nil
-	}
-	return etsc.NewTrainContext(train, cfg.Parallelism)
-}
-
 // suiteSpec is one algorithm of a Table 1 suite, named declaratively: the
 // registry spec replaces the old per-algorithm constructor switch, so the
 // suites and every spec-driven CLI describe classifiers the same way.
 type suiteSpec struct {
 	flawed bool
 	spec   etsc.Spec
-}
-
-// train builds the spec through etsc.Train: over the shared context when
-// one was built, directly otherwise. Models are identical either way (the
-// registry-equivalence battery and TestTable1TrainCacheIdentical pin
-// this).
-func (b suiteSpec) train(train *dataset.Dataset, tc *etsc.TrainContext) (etsc.EarlyClassifier, error) {
-	if tc != nil {
-		return etsc.Train(b.spec, train, etsc.WithTrainContext(tc))
-	}
-	return etsc.Train(b.spec, train)
 }
 
 // gunPointSplit builds the standard GunPoint-like train/test split used by

@@ -37,8 +37,8 @@ func RunTable1Extended(cfg Config) (*Table1ExtResult, error) {
 	const maxShift = 1.0
 	const step = 2
 
-	// Same shared-context option as RunTable1: identical models either way.
-	tc, err := trainContext(cfg, train)
+	// One shared training context, as in RunTable1.
+	tc, err := etsc.NewTrainContext(train, cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func RunTable1Extended(cfg Config) (*Table1ExtResult, error) {
 
 	res := &Table1ExtResult{MaxShift: maxShift}
 	for _, b := range builds {
-		c, err := b.train(train, tc)
+		c, err := etsc.Train(b.spec, nil, etsc.WithTrainContext(tc))
 		if err != nil {
 			return nil, err
 		}

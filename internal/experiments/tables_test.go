@@ -33,27 +33,35 @@ func TestTable1Rendering(t *testing.T) {
 	}
 }
 
-// TestTable1TrainCacheIdentical pins the -traincache contract end to end:
-// training the Table 1 suite through a shared TrainContext must change
-// nothing in the measured result — not one accuracy or earliness figure.
-func TestTable1TrainCacheIdentical(t *testing.T) {
-	direct, err := RunTable1(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestTablesIdenticalAcrossParallelism pins DESIGN's promise of identical
+// tables for every worker count on the runners that train through a shared
+// TrainContext, whose pool Parallelism also sizes. The speceval Train
+// column is wall-clock time, so it is zeroed before rendering.
+func TestTablesIdenticalAcrossParallelism(t *testing.T) {
+	render := func(workers int) []string {
+		cfg := QuickConfig()
+		cfg.Parallelism = workers
+		t1, err := RunTable1(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, err := RunTable1Extended(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := RunSpecEval(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range spec.Rows {
+			spec.Rows[i].TrainTime = 0
+		}
+		return []string{t1.Table(), ext.Table(), spec.Table()}
 	}
-	cfg := QuickConfig()
-	cfg.TrainCache = true
-	cached, err := RunTable1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(direct.Rows) != len(cached.Rows) {
-		t.Fatalf("row count %d != %d", len(cached.Rows), len(direct.Rows))
-	}
-	for i := range direct.Rows {
-		if direct.Rows[i] != cached.Rows[i] {
-			t.Errorf("row %d differs with TrainCache:\n direct %+v\n cached %+v",
-				i, direct.Rows[i], cached.Rows[i])
+	serial, parallel := render(1), render(4)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("table differs between Parallelism 1 and 4:\n%s\nvs\n%s", serial[i], parallel[i])
 		}
 	}
 }

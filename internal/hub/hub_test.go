@@ -469,51 +469,3 @@ func TestEmptyPushIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDemoKindsSharedMatchesDemoKinds pins the warm-start training path:
-// the kinds trained through shared TrainContexts (DemoKindsShared) must
-// drive every pipeline to the exact detection transcript of the directly
-// trained kinds, for a fixed-seed stream per kind. Detectors are trained
-// once per kind either way; shared training only changes wall-clock time.
-func TestDemoKindsSharedMatchesDemoKinds(t *testing.T) {
-	direct, err := DemoKinds(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		shared, err := DemoKindsShared(11, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(shared) != len(direct) {
-			t.Fatalf("workers=%d: %d kinds, want %d", workers, len(shared), len(direct))
-		}
-		total := 0
-		for i, dk := range direct {
-			sk := shared[i]
-			if sk.Name != dk.Name {
-				t.Fatalf("workers=%d kind %d: name %q != %q", workers, i, sk.Name, dk.Name)
-			}
-			data, err := dk.Gen(rand.New(rand.NewSource(7)), 2600)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := Reference(dk.Config, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Reference(sk.Config, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d %s: shared-trained transcript diverges:\n got %v\nwant %v",
-					workers, dk.Name, got, want)
-			}
-			total += len(want)
-		}
-		if total == 0 {
-			t.Fatal("no detections in any kind — equivalence test is vacuous")
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"etsc/internal/dataset"
 	"etsc/internal/etsc"
-	"etsc/internal/par"
 	"etsc/internal/stream"
 	"etsc/internal/synth"
 	"etsc/internal/ts"
@@ -40,33 +39,6 @@ var demoVocab = []string{"cat", "dog", "cattle", "catalog", "catholic", "dogmati
 
 const demoWordLen = 44
 
-// trainMode selects how a kind's detector is trained: directly, or through
-// a shared etsc.TrainContext over the kind's training set. The detectors
-// are byte-identical either way (the etsc registry-equivalence battery
-// pins the trainers; TestDemoKindsSharedMatches
-// pins the kinds end to end) — shared training only changes wall-clock
-// time, which is what warm-start is for: N streams of a kind always train
-// its detector once, and with the context that one training is memoized
-// and parallel too.
-type trainMode struct {
-	shared  bool
-	workers int
-}
-
-// trainVia trains one kind's detector from its registry spec: directly, or
-// through a fresh shared TrainContext for the kind's training set when
-// warm-starting.
-func trainVia(tm trainMode, spec etsc.Spec, train *dataset.Dataset) (etsc.EarlyClassifier, error) {
-	if !tm.shared {
-		return etsc.Train(spec, train)
-	}
-	ctx, err := etsc.NewTrainContext(train, tm.workers)
-	if err != nil {
-		return nil, err
-	}
-	return etsc.Train(spec, train, etsc.WithTrainContext(ctx))
-}
-
 // DemoKinds trains the three demo stream kinds:
 //
 //   - words: TEASER cat/dog model with an NN verifier over continuous
@@ -76,51 +48,26 @@ func trainVia(tm trainMode, spec etsc.Spec, train *dataset.Dataset) (etsc.EarlyC
 //   - chicken: fixed-prefix dustbathing-onset model over backpack
 //     accelerometer telemetry (the Fig. 8 setting).
 func DemoKinds(seed int64) ([]Kind, error) {
-	return demoKinds(seed, trainMode{})
-}
-
-// DemoKindsShared is DemoKinds with warm-start training: each kind's
-// detector trains through a shared TrainContext (memoized prefix distances,
-// parallel fan-out across workers), and the three kinds train concurrently.
-// The kinds, their pipelines, and every downstream transcript are identical
-// to DemoKinds; only training wall-clock changes. cmd/etsc-serve exposes it
-// as -traincache.
-func DemoKindsShared(seed int64, workers int) ([]Kind, error) {
-	return demoKinds(seed, trainMode{shared: true, workers: workers})
-}
-
-func demoKinds(seed int64, tm trainMode) ([]Kind, error) {
-	builders := []func() (Kind, error){
-		func() (Kind, error) { return wordsKind(seed, tm) },
-		func() (Kind, error) { return gunpointKind(seed+1, tm) },
-		func() (Kind, error) { return chickenKind(seed+2, tm) },
-	}
+	// Kind i is seeded seed+i.
+	builders := []func(int64) (Kind, error){wordsKind, gunpointKind, chickenKind}
 	kinds := make([]Kind, len(builders))
-	errs := make([]error, len(builders))
-	workers := 1
-	if tm.shared {
-		// Kinds are independent (own dataset, own context); train them
-		// concurrently, each slot index-owned.
-		workers = len(builders)
-	}
-	par.Do(len(builders), workers, func(i int) {
-		kinds[i], errs[i] = builders[i]()
-	})
-	for _, err := range errs {
+	for i, build := range builders {
+		k, err := build(seed + int64(i))
 		if err != nil {
 			return nil, err
 		}
+		kinds[i] = k
 	}
 	return kinds, nil
 }
 
-func wordsKind(seed int64, tm trainMode) (Kind, error) {
+func wordsKind(seed int64) (Kind, error) {
 	train, err := synth.WordDataset(synth.NewRand(seed), []string{"cat", "dog"}, 20, demoWordLen, synth.DefaultWordConfig())
 	if err != nil {
 		return Kind{}, err
 	}
 	spec := etsc.MustParseSpec("teaser")
-	clf, err := trainVia(tm, spec, train)
+	clf, err := etsc.Train(spec, train)
 	if err != nil {
 		return Kind{}, err
 	}
@@ -152,7 +99,7 @@ func wordsKind(seed int64, tm trainMode) (Kind, error) {
 	}, nil
 }
 
-func gunpointKind(seed int64, tm trainMode) (Kind, error) {
+func gunpointKind(seed int64) (Kind, error) {
 	cfg := synth.DefaultGunPointConfig()
 	cfg.PerClassSize = 20
 	d, err := synth.GunPoint(synth.NewRand(seed), cfg)
@@ -164,7 +111,7 @@ func gunpointKind(seed int64, tm trainMode) (Kind, error) {
 		return Kind{}, err
 	}
 	spec := etsc.MustParseSpec("probthreshold:threshold=0.9,minprefix=20")
-	clf, err := trainVia(tm, spec, train)
+	clf, err := etsc.Train(spec, train)
 	if err != nil {
 		return Kind{}, err
 	}
@@ -202,14 +149,14 @@ func gunpointKind(seed int64, tm trainMode) (Kind, error) {
 	}, nil
 }
 
-func chickenKind(seed int64, tm trainMode) (Kind, error) {
+func chickenKind(seed int64) (Kind, error) {
 	ccfg := synth.DefaultChickenConfig()
 	train, err := synth.ChickenWindowDataset(synth.NewRand(seed), ccfg, 12, synth.DustbathingTemplateLen)
 	if err != nil {
 		return Kind{}, err
 	}
 	spec := etsc.MustParseSpec(fmt.Sprintf("fixedprefix:at=%d,znorm=true", synth.DustbathingTemplateLen/2))
-	clf, err := trainVia(tm, spec, train)
+	clf, err := etsc.Train(spec, train)
 	if err != nil {
 		return Kind{}, err
 	}

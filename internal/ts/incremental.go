@@ -5,141 +5,12 @@ import (
 	"math"
 )
 
-// This file provides the incremental distance accumulators behind the
-// streaming evaluation engine: state objects that extend a growing query
-// prefix by one point in O(1) work per reference series, instead of
-// recomputing a full distance in O(l) at every new prefix length. They are
-// the layer-1 substrate for the incremental classifier sessions in
-// internal/etsc and the candidate-window monitor in internal/stream.
-
-// RunningNorm accumulates the running sum and sum of squares of a growing
-// prefix, giving O(1) access to its mean and population variance at the
-// current length — the statistics online z-normalization needs.
-//
-// The mean is accumulated in arrival order, so RunningNorm.Mean is
-// bit-identical to ts.Mean over the same points. The variance uses the
-// sum-of-squares identity and may differ from the two-pass ts.MeanStd in
-// the last few ulps; callers that need bit-exact parity with ZNorm should
-// recompute the second moment with a pass over their buffered prefix.
-type RunningNorm struct {
-	n     int
-	sum   float64
-	sumSq float64
-}
-
-// Add incorporates one point.
-func (r *RunningNorm) Add(x float64) {
-	r.n++
-	r.sum += x
-	r.sumSq += x * x
-}
-
-// Extend incorporates every point in order.
-func (r *RunningNorm) Extend(points []float64) {
-	for _, x := range points {
-		r.Add(x)
-	}
-}
-
-// Len returns the number of points accumulated.
-func (r *RunningNorm) Len() int { return r.n }
-
-// Mean returns the running mean (0 when empty).
-func (r *RunningNorm) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
-// Var returns the running population variance (0 when empty). Negative
-// rounding artifacts of the sum-of-squares identity are clamped to 0.
-func (r *RunningNorm) Var() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	m := r.Mean()
-	v := r.sumSq/float64(r.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
-// Std returns the running population standard deviation.
-func (r *RunningNorm) Std() float64 { return math.Sqrt(r.Var()) }
-
-// PrefixDist accumulates the squared Euclidean distance between a growing
-// query prefix and a fixed reference series, one point in O(1). It is the
-// incremental counterpart of SquaredEuclidean(query[:l], ref[:l]): points
-// are added in order, so the running sum is bit-identical to the from-
-// scratch computation at every length.
-type PrefixDist struct {
-	ref       []float64
-	n         int
-	d2        float64
-	abandoned bool
-}
-
-// NewPrefixDist starts an accumulator against ref.
-func NewPrefixDist(ref []float64) *PrefixDist {
-	return &PrefixDist{ref: ref}
-}
-
-// Len returns the prefix length accumulated so far.
-func (p *PrefixDist) Len() int { return p.n }
-
-// D2 returns the running squared distance (+Inf after an abandon).
-func (p *PrefixDist) D2() float64 {
-	if p.abandoned {
-		return math.Inf(1)
-	}
-	return p.d2
-}
-
-// Extend advances the prefix by the given points and returns the updated
-// squared distance. It panics when the extension overruns the reference.
-func (p *PrefixDist) Extend(points []float64) float64 {
-	if p.n+len(points) > len(p.ref) {
-		panic(fmt.Sprintf("ts: PrefixDist extension to %d overruns reference length %d",
-			p.n+len(points), len(p.ref)))
-	}
-	for _, x := range points {
-		d := x - p.ref[p.n]
-		p.d2 += d * d
-		p.n++
-	}
-	return p.d2
-}
-
-// ExtendEA is Extend with early abandoning: as soon as the running sum
-// exceeds cutoff, the accumulator is marked abandoned and (+Inf, false) is
-// returned; the prefix position still advances past the consumed points.
-// Distances only grow as the prefix grows, so an abandoned accumulator can
-// never come back under the same cutoff — use in one-shot nearest-neighbour
-// scans where cutoff is the best distance so far.
-func (p *PrefixDist) ExtendEA(points []float64, cutoff float64) (float64, bool) {
-	if p.n+len(points) > len(p.ref) {
-		panic(fmt.Sprintf("ts: PrefixDist extension to %d overruns reference length %d",
-			p.n+len(points), len(p.ref)))
-	}
-	if p.abandoned || p.d2 > cutoff {
-		p.abandoned = true
-		p.n += len(points)
-		return math.Inf(1), false
-	}
-	for i, x := range points {
-		d := x - p.ref[p.n]
-		p.d2 += d * d
-		p.n++
-		if p.d2 > cutoff {
-			p.abandoned = true
-			p.n += len(points) - i - 1
-			return math.Inf(1), false
-		}
-	}
-	return p.d2, true
-}
+// This file provides the incremental distance accumulator behind the
+// streaming evaluation engine: PrefixDistBank extends a growing query
+// prefix by each new point in O(1) work per reference series, instead of
+// recomputing a full distance in O(l) at every new prefix length. It is the
+// layer-1 substrate for the bank-backed classifier sessions in
+// internal/etsc (ECTS and ProbThreshold).
 
 // extendD2 advances a running squared-distance accumulation over one more
 // segment of points against the aligned reference segment. It is the
@@ -254,73 +125,4 @@ func (b *PrefixDistBank) Min() (index int, d2 float64) {
 		}
 	}
 	return index, d2
-}
-
-// ZNormPrefixDist accumulates the squared Euclidean distance between the
-// *z-normalized* growing query prefix and a fixed reference series that is
-// already in z-normalized space, in O(1) per point. This is the streaming
-// form of SquaredEuclidean(ZNorm(query[:l]), ref[:l]).
-//
-// It expands ‖ẑ(x) − y‖² = l + ‖y‖² − 2·(Σxy − μ·Σy)/σ, maintaining the
-// cross sum Σxy incrementally and reading μ, σ from a shared RunningNorm,
-// with prefix sums of the reference precomputed at construction. The
-// result is algebraically equal to the two-pass computation but may differ
-// in the last ulps; it trades bit-exactness for O(1) extension and suits
-// monitoring paths where decisions have real margins (template envelopes,
-// alarm thresholds), not tie-breaking between near-identical references.
-//
-// A (near-)constant query prefix follows the ZNorm convention: it
-// normalizes to all zeros, so the distance degenerates to ‖y‖².
-type ZNormPrefixDist struct {
-	query *RunningNorm
-	ref   []float64
-	sy    []float64 // sy[l] = Σ ref[0:l]
-	sy2   []float64 // sy2[l] = Σ ref[0:l]²
-	sxy   float64   // Σ query·ref over the accumulated prefix
-}
-
-// NewZNormPrefixDist starts an accumulator of the z-normalized query
-// against ref, sharing the query's RunningNorm (one RunningNorm can feed
-// many accumulators; callers must extend it in lockstep with each
-// accumulator, accumulator first).
-func NewZNormPrefixDist(query *RunningNorm, ref []float64) *ZNormPrefixDist {
-	sy := make([]float64, len(ref)+1)
-	sy2 := make([]float64, len(ref)+1)
-	for i, v := range ref {
-		sy[i+1] = sy[i] + v
-		sy2[i+1] = sy2[i] + v*v
-	}
-	return &ZNormPrefixDist{query: query, ref: ref, sy: sy, sy2: sy2}
-}
-
-// Extend advances the accumulated cross sum by the given points, which must
-// be the same points subsequently added to the shared RunningNorm (the
-// accumulator reads only prefix sums of the reference, so the order of
-// Extend calls across accumulators sharing one RunningNorm is free as long
-// as the RunningNorm is extended after all of them).
-func (z *ZNormPrefixDist) Extend(points []float64) {
-	n := z.query.Len()
-	if n+len(points) > len(z.ref) {
-		panic(fmt.Sprintf("ts: ZNormPrefixDist extension to %d overruns reference length %d",
-			n+len(points), len(z.ref)))
-	}
-	for i, x := range points {
-		z.sxy += x * z.ref[n+i]
-	}
-}
-
-// D2 returns the squared distance between the z-normalized query prefix at
-// its current length and the reference truncated to the same length.
-func (z *ZNormPrefixDist) D2() float64 {
-	l := z.query.Len()
-	if l == 0 {
-		return 0
-	}
-	std := z.query.Std()
-	if std < minStd {
-		// ZNorm convention: constant query normalizes to all zeros.
-		return z.sy2[l]
-	}
-	mu := z.query.Mean()
-	return float64(l) + z.sy2[l] - 2*(z.sxy-mu*z.sy[l])/std
 }

@@ -14,101 +14,6 @@ func randSeries(rng *rand.Rand, n int) Series {
 	return s
 }
 
-func TestRunningNormMatchesMeanStd(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := randSeries(rng, 200)
-	var r RunningNorm
-	for l := 1; l <= len(s); l++ {
-		r.Add(s[l-1])
-		mean, std := MeanStd(s[:l])
-		if r.Mean() != mean {
-			t.Fatalf("length %d: running mean %v != two-pass mean %v", l, r.Mean(), mean)
-		}
-		if math.Abs(r.Std()-std) > 1e-9 {
-			t.Fatalf("length %d: running std %v != two-pass std %v", l, r.Std(), std)
-		}
-	}
-	if r.Len() != len(s) {
-		t.Fatalf("Len = %d, want %d", r.Len(), len(s))
-	}
-}
-
-func TestRunningNormEmptyAndConstant(t *testing.T) {
-	var r RunningNorm
-	if r.Mean() != 0 || r.Var() != 0 || r.Std() != 0 {
-		t.Fatalf("empty RunningNorm not zero: mean %v var %v", r.Mean(), r.Var())
-	}
-	r.Extend([]float64{3, 3, 3, 3})
-	if r.Mean() != 3 {
-		t.Fatalf("constant mean = %v, want 3", r.Mean())
-	}
-	if r.Var() < 0 || r.Var() > 1e-12 {
-		t.Fatalf("constant variance = %v, want ~0 (never negative)", r.Var())
-	}
-}
-
-// TestPrefixDistBitIdentical asserts the central equivalence contract: the
-// incremental accumulator reproduces SquaredEuclidean bit-for-bit at every
-// prefix length, for every way of chunking the extension.
-func TestPrefixDistBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	q := randSeries(rng, 150)
-	ref := randSeries(rng, 150)
-	for _, chunk := range []int{1, 3, 7, 150} {
-		p := NewPrefixDist(ref)
-		for at := 0; at < len(q); {
-			end := at + chunk
-			if end > len(q) {
-				end = len(q)
-			}
-			got := p.Extend(q[at:end])
-			want := SquaredEuclidean(q[:end], ref[:end])
-			if got != want {
-				t.Fatalf("chunk %d length %d: incremental %v != from-scratch %v", chunk, end, got, want)
-			}
-			if p.Len() != end {
-				t.Fatalf("chunk %d: Len = %d, want %d", chunk, p.Len(), end)
-			}
-			at = end
-		}
-	}
-}
-
-func TestPrefixDistEarlyAbandon(t *testing.T) {
-	ref := Series{0, 0, 0, 0}
-	p := NewPrefixDist(ref)
-	if d, ok := p.ExtendEA([]float64{1}, 10); !ok || d != 1 {
-		t.Fatalf("first point: got (%v, %v), want (1, true)", d, ok)
-	}
-	// 1 + 9 = 10 <= cutoff 10: still alive.
-	if d, ok := p.ExtendEA([]float64{3}, 10); !ok || d != 10 {
-		t.Fatalf("second point: got (%v, %v), want (10, true)", d, ok)
-	}
-	// Exceeds the cutoff: abandoned, position still advances to the end.
-	if d, ok := p.ExtendEA([]float64{2, 5}, 10); ok || !math.IsInf(d, 1) {
-		t.Fatalf("third point: got (%v, %v), want (+Inf, false)", d, ok)
-	}
-	if p.Len() != 4 {
-		t.Fatalf("Len after abandon = %d, want 4", p.Len())
-	}
-	// Stays abandoned.
-	if _, ok := p.ExtendEA(nil, math.Inf(1)); ok {
-		t.Fatal("abandoned accumulator revived")
-	}
-	if !math.IsInf(p.D2(), 1) {
-		t.Fatalf("D2 after abandon = %v, want +Inf", p.D2())
-	}
-}
-
-func TestPrefixDistOverrunPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overrunning the reference did not panic")
-		}
-	}()
-	NewPrefixDist(Series{1, 2}).Extend([]float64{1, 2, 3})
-}
-
 func TestPrefixDistBankMatchesPerSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := randSeries(rng, 120)
@@ -147,60 +52,5 @@ func TestPrefixDistBankEmpty(t *testing.T) {
 	b.Extend([]float64{1, 2, 3})
 	if idx, d2 := b.Min(); idx != -1 || !math.IsInf(d2, 1) {
 		t.Fatalf("empty bank Min = (%d, %v), want (-1, +Inf)", idx, d2)
-	}
-}
-
-// TestZNormPrefixDistMatchesTwoPass checks the algebraic z-norm accumulator
-// against the two-pass reference within floating-point tolerance at every
-// prefix length.
-func TestZNormPrefixDistMatchesTwoPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	q := Shift(Scale(randSeries(rng, 140), 3.5), 20) // deliberately denormalized
-	ref := ZNorm(randSeries(rng, 140))
-	var rn RunningNorm
-	z := NewZNormPrefixDist(&rn, ref)
-	for l := 1; l <= len(q); l++ {
-		z.Extend(q[l-1 : l])
-		rn.Add(q[l-1])
-		got := z.D2()
-		want := SquaredEuclidean(ZNorm(q[:l]), ref[:l])
-		tol := 1e-8 * (1 + math.Abs(want))
-		if math.Abs(got-want) > tol {
-			t.Fatalf("length %d: incremental %v vs two-pass %v (|Δ|=%g)", l, got, want, math.Abs(got-want))
-		}
-	}
-}
-
-func TestZNormPrefixDistConstantQuery(t *testing.T) {
-	ref := Series{0.5, -0.5, 1, -1}
-	var rn RunningNorm
-	z := NewZNormPrefixDist(&rn, ref)
-	z.Extend([]float64{2, 2, 2})
-	rn.Extend([]float64{2, 2, 2})
-	// Constant query z-normalizes to zeros: distance is ‖ref[:3]‖².
-	want := 0.5*0.5 + 0.5*0.5 + 1.0
-	if math.Abs(z.D2()-want) > 1e-12 {
-		t.Fatalf("constant query D2 = %v, want %v", z.D2(), want)
-	}
-}
-
-func TestZNormPrefixDistSharedQueryNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	q := randSeries(rng, 60)
-	refs := [][]float64{ZNorm(randSeries(rng, 60)), ZNorm(randSeries(rng, 60))}
-	var rn RunningNorm
-	zs := []*ZNormPrefixDist{NewZNormPrefixDist(&rn, refs[0]), NewZNormPrefixDist(&rn, refs[1])}
-	for at := 0; at < len(q); at += 4 {
-		pts := q[at : at+4]
-		for _, z := range zs {
-			z.Extend(pts)
-		}
-		rn.Extend(pts)
-		for i, z := range zs {
-			want := SquaredEuclidean(ZNorm(q[:at+4]), refs[i][:at+4])
-			if math.Abs(z.D2()-want) > 1e-8*(1+want) {
-				t.Fatalf("shared-norm ref %d length %d: %v vs %v", i, at+4, z.D2(), want)
-			}
-		}
 	}
 }

@@ -9,15 +9,13 @@ import (
 
 // PrefixDistMatrix memoizes the pairwise squared Euclidean distances between
 // every pair of reference series at every prefix length — the n×n×L tensor
-// that every trainer in internal/etsc (ECTS's per-length 1NN sweep, the
-// per-prefix LOOCV passes of ECDIRE/TEASER/CostAware) and classify's
-// leave-one-out folds otherwise recompute independently over the same
-// training set. It comes in two flavors:
+// that the trainers in internal/etsc (ECTS's per-length 1NN sweep, the
+// per-prefix LOOCV passes of ECDIRE/TEASER/CostAware) would otherwise each
+// recompute over the same training set. It comes in two flavors:
 //
 //   - Raw: distances between raw prefixes, accumulated incrementally — one
-//     O(1) update per (pair, added point), exactly the PrefixDist recurrence
-//     — so every entry is bit-identical to the in-order from-scratch loop
-//     `for t < l { d += (a[t]-b[t])² }` that the direct training paths run.
+//     O(1) update per (pair, added point) — so every entry is bit-identical
+//     to the in-order from-scratch loop `for t < l { d += (a[t]-b[t])² }`.
 //   - ZNorm: distances between z-normalized prefixes, materialized lazily
 //     per requested length as SquaredEuclidean(ZNorm(a[:l]), ZNorm(b[:l])).
 //     Entries are bit-identical to the two-pass computation over
