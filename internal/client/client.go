@@ -171,10 +171,9 @@ func (c *Client) DeleteStream(ctx context.Context, id string) (StreamReport, err
 	return out, err
 }
 
-// do runs one request — JSON-encode body (when non-nil), decode the
-// response into out on 2xx, decode the structured error envelope into an
-// *APIError otherwise — retrying transient failures when WithRetry is
-// configured and the call is idempotent.
+// do runs one typed call over Forward: JSON-encode body (when non-nil),
+// decode the response into out on 2xx, decode the structured error
+// envelope into an *APIError otherwise.
 func (c *Client) do(ctx context.Context, method, path string, body, out any, idempotent bool) error {
 	var raw []byte
 	if body != nil {
@@ -183,56 +182,17 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, ide
 			return fmt.Errorf("client: encode %s %s: %w", method, path, err)
 		}
 	}
-	attempts := 1
-	if idempotent && c.retries > 1 {
-		attempts = c.retries
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := sleepBackoff(ctx, c.backoff, attempt); err != nil {
-				return lastErr
-			}
-		}
-		err := c.once(ctx, method, path, raw, out)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryable(err) || ctx.Err() != nil {
-			return err
-		}
-	}
-	return lastErr
-}
-
-// once issues a single HTTP round trip. Connection-level failures come
-// back wrapped in *transportError so the retry loop can tell them apart
-// from encode/decode bugs, which retrying cannot fix.
-func (c *Client) once(ctx context.Context, method, path string, raw []byte, out any) error {
-	var rd io.Reader
-	if raw != nil {
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	resp, err := c.Forward(ctx, method, path, raw, idempotent)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return err
 	}
-	if raw != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return &transportError{fmt.Errorf("client: %s %s: %w", method, path, err)}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp)
+	if resp.Status < 200 || resp.Status > 299 {
+		return decodeError(resp.Status, resp.Body)
 	}
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(resp.Body)).Decode(out); err != nil {
 		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 	}
 	// A routing front tier echoes the owner backend on every proxied
@@ -241,6 +201,68 @@ func (c *Client) once(ctx context.Context, method, path string, raw []byte, out 
 		bs.setBackend(resp.Header.Get(BackendHeader))
 	}
 	return nil
+}
+
+// Response is one reply as the server sent it.
+type Response struct {
+	Status int
+	Header http.Header
+	Body   []byte
+}
+
+// Forward sends body (none when empty) as a method request for path, the
+// request URI below the base with its query, and returns the reply
+// whatever its status. An error means no complete reply arrived. When
+// idempotent is set and WithRetry is configured, connection failures and
+// 5xx replies are retried with backoff, and the last attempt's outcome is
+// returned; see WithRetry for which calls are safe to repeat.
+func (c *Client) Forward(ctx context.Context, method, path string, body []byte, idempotent bool) (Response, error) {
+	attempts := 1
+	if idempotent && c.retries > 1 {
+		attempts = c.retries
+	}
+	var (
+		resp Response
+		err  error
+	)
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 && sleepBackoff(ctx, c.backoff, attempt) != nil {
+			break
+		}
+		resp, err = c.once(ctx, method, path, body)
+		again := retryable(err) || (err == nil && resp.Status >= 500)
+		if !again || ctx.Err() != nil {
+			break
+		}
+	}
+	return resp, err
+}
+
+// once issues a single HTTP round trip. Connection-level failures come
+// back wrapped in *transportError so the retry loop can tell them apart
+// from request-building bugs, which retrying cannot fix.
+func (c *Client) once(ctx context.Context, method, path string, body []byte) (Response, error) {
+	var rd io.Reader
+	if len(body) > 0 {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return Response{}, fmt.Errorf("client: %s %s: %w", method, path, err)
+	}
+	if len(body) > 0 {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return Response{}, &transportError{fmt.Errorf("client: %s %s: %w", method, path, err)}
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return Response{}, &transportError{fmt.Errorf("client: %s %s: read reply: %w", method, path, err)}
+	}
+	return Response{Status: resp.StatusCode, Header: resp.Header, Body: raw}, nil
 }
 
 // transportError marks a failure below HTTP — refused connection, reset,
@@ -285,19 +307,18 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) error {
 	}
 }
 
-// decodeError turns a non-2xx response into an *APIError, preserving the
+// decodeError turns a non-2xx reply into an *APIError, preserving the
 // structured code when the body carries the envelope and falling back to
 // the raw body text otherwise (e.g. a proxy's error page).
-func decodeError(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+func decodeError(status int, raw []byte) error {
 	var env ErrorEnvelope
 	if err := json.Unmarshal(raw, &env); err == nil && env.Error.Code != "" {
 		ae := env.Error
-		ae.Status = resp.StatusCode
+		ae.Status = status
 		return &ae
 	}
 	return &APIError{
-		Status:  resp.StatusCode,
+		Status:  status,
 		Code:    CodeInternal,
 		Message: strings.TrimSpace(string(raw)),
 	}

@@ -81,7 +81,8 @@ func (c *Client) watchOnce(ctx context.Context, id string, since int) (*WatchStr
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		defer resp.Body.Close()
-		return nil, decodeError(resp)
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return nil, decodeError(resp.StatusCode, raw)
 	}
 	return &WatchStream{body: resp.Body, rd: bufio.NewReader(resp.Body)}, nil
 }

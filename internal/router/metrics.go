@@ -41,6 +41,9 @@ func (rt *Router) EnableMetrics() *metrics.Registry {
 		"Checkpoint files skipped during backend-death recovery.")
 	rt.mMoves = reg.Counter("etsc_router_rebalance_moves_total",
 		"Streams migrated between backends by rebalance passes.")
+	for _, b := range *rt.table.Load() {
+		b.requests = rt.requestCounter(b.name)
+	}
 	reg.Collect("etsc_router_backend_alive", "Backend health as seen by the prober (1 alive, 0 dead).",
 		metrics.TypeGauge, func(emit func(float64, ...metrics.Label)) {
 			for _, b := range *rt.table.Load() {
@@ -60,6 +63,12 @@ func (rt *Router) EnableMetrics() *metrics.Registry {
 			emit(float64(n))
 		})
 	return reg
+}
+
+// requestCounter resolves a backend's etsc_router_requests_total series.
+func (rt *Router) requestCounter(name string) *metrics.Counter {
+	return rt.reg.Counter("etsc_router_requests_total",
+		"Requests proxied to each backend.", metrics.L("backend", name))
 }
 
 // family is one merged metric family across backends.

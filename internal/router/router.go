@@ -6,7 +6,7 @@
 // the cross-stream endpoints.
 //
 //	stream-scoped (routed to the owner backend, owner echoed in the
-//	X-Etsc-Backend response header):
+//	X-Etsc-Backend response header; all but /watch forwarded as bytes):
 //	  POST   /v1/streams                 create (routed by the body's id)
 //	  GET    /v1/streams/{id}            describe
 //	  DELETE /v1/streams/{id}            detach + final report
@@ -33,6 +33,13 @@
 //	  POST /admin/rebalance   migrate every stream back to its hash home
 //	  POST /admin/backends    replace the table, then rebalance onto it
 //
+// Request path. A stream-scoped call other than /watch is forwarded to
+// the owner as bytes: the router parses only what routing needs (the path
+// id, ?stream=, a create body's id), and the backend's status and body
+// come back verbatim, so the backend is the one place a /v1 request is
+// validated. /watch is re-rendered frame by frame through serve's own
+// query parser and frame writer.
+//
 // Ownership model. The stream's *home* is placement.Index(id, N) over the
 // fixed table — process-independent, so any client or operator computes
 // it offline. A copy-on-write override map records streams that currently
@@ -44,11 +51,12 @@
 //
 // Rebalancing (POST /admin/rebalance, or a table change) moves one stream
 // at a time over the wire with transcripts invariant: the router
-// write-locks the stream's gate (in-flight pushes finish, new ones wait),
-// polls the owner until the stream's queue is drained, GETs the snapshot,
-// POSTs it to the new owner, DELETEs the old copy, and installs/clears
-// the override. Because pushes are gated, the snapshot is a complete cut
-// and nothing is replayed or lost; watchers riding through the move are
+// write-locks the stream's gate, one of a fixed set of stripes shared by
+// hash (in-flight pushes finish, new ones to that stripe wait), polls the
+// owner until the stream's queue is drained, GETs the snapshot, POSTs it
+// to the new owner, DELETEs the old copy, and installs/clears the
+// override. Because pushes are gated, the snapshot is a complete cut and
+// nothing is replayed or lost; watchers riding through the move are
 // re-subscribed at their cursor by the watch pass-through.
 //
 // Backend death. A health prober GETs every backend's /v1/healthz; after
@@ -71,9 +79,11 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -139,12 +149,17 @@ type Config struct {
 type backend struct {
 	name string
 	base string
-	// c is the proxy transport: the typed /v1 client, with WithRetry so
-	// transient faults on idempotent calls (reads, DELETE, PushAt) retry
-	// with backoff inside the router instead of surfacing per-blip.
+	// c is the backend's /v1 client, with WithRetry so transient faults
+	// on idempotent calls (reads, DELETE, positioned pushes) retry with
+	// backoff inside the router instead of surfacing per-blip. forward
+	// sends stream-scoped calls through its raw Forward; the fan-out,
+	// watch and migration paths use its typed calls.
 	c *client.Client
 	// probe is a single-shot, timeout-bound client for the health loop.
 	probe *client.Client
+	// requests is this backend's etsc_router_requests_total series (nil
+	// until EnableMetrics).
+	requests *metrics.Counter
 
 	alive atomic.Bool
 	// fails is owned by the prober goroutine.
@@ -167,9 +182,12 @@ type Router struct {
 	ovMu      sync.Mutex
 	overrides atomic.Pointer[map[string]string]
 
-	// gates serializes migration against proxied stream traffic, one
-	// RWMutex per stream id (never removed; bounded by the id population).
-	gates sync.Map
+	// gates serialize migration against forwarded stream traffic: a
+	// stream's gate is the stripe placement.Index(id, len(gates)), so
+	// memory stays fixed whatever the id population. A migration thus
+	// briefly blocks the other streams in its stripe. No path takes a
+	// gate while holding one, which keeps the stripes deadlock-free.
+	gates [256]sync.RWMutex
 
 	// opMu single-flights rebalances and table swaps.
 	opMu sync.Mutex
@@ -276,6 +294,9 @@ func (rt *Router) buildTable(specs []BackendSpec, prev []*backend) ([]*backend, 
 			return nil, fmt.Errorf("router: backend %q: %w", name, err)
 		}
 		b := &backend{name: name, base: sp.URL, c: c, probe: probe}
+		if rt.reg != nil {
+			b.requests = rt.requestCounter(name)
+		}
 		// Optimistic start: backends are presumed alive until the prober
 		// says otherwise, so a router boot does not 503 a healthy fleet.
 		b.alive.Store(true)
@@ -417,14 +438,10 @@ func (rt *Router) setOverride(id, name string) {
 	rt.overrides.Store(&next)
 }
 
-// gate returns the stream's migration gate. Proxied stream traffic holds
-// it shared; a migration holds it exclusively.
+// gate returns the stream's migration gate. Forwarded stream traffic
+// holds it shared; a migration or DELETE holds it exclusively.
 func (rt *Router) gate(id string) *sync.RWMutex {
-	if g, ok := rt.gates.Load(id); ok {
-		return g.(*sync.RWMutex)
-	}
-	g, _ := rt.gates.LoadOrStore(id, &sync.RWMutex{})
-	return g.(*sync.RWMutex)
+	return &rt.gates[placement.Index(id, len(rt.gates))]
 }
 
 // ---- /v1 dispatch ----
@@ -436,41 +453,30 @@ func (rt *Router) handleV1(w http.ResponseWriter, r *http.Request) {
 	case rest == "streams":
 		switch r.Method {
 		case http.MethodPost:
-			rt.v1CreateStream(w, r)
+			rt.forward(w, r, "")
 		case http.MethodGet:
 			rt.v1ListStreams(w, r)
 		default:
 			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodPost))
 		}
 	case len(seg) == 2 && seg[0] == "streams" && seg[1] != "":
-		id := seg[1]
-		switch r.Method {
-		case http.MethodGet:
-			rt.proxyStream(w, r, id, func(b *backend) (any, error) {
-				return b.c.Stream(r.Context(), id)
-			})
-		case http.MethodDelete:
-			rt.v1DeleteStream(w, r, id)
-		default:
+		if r.Method != http.MethodGet && r.Method != http.MethodDelete {
 			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodDelete))
+			return
 		}
+		rt.forward(w, r, seg[1])
 	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "push":
 		if r.Method != http.MethodPost {
 			writeAPIError(w, methodNotAllowed(r, http.MethodPost))
 			return
 		}
-		rt.v1Push(w, r, seg[1])
+		rt.forward(w, r, seg[1])
 	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "snapshot":
-		switch r.Method {
-		case http.MethodGet:
-			rt.proxyStream(w, r, seg[1], func(b *backend) (any, error) {
-				return b.c.SnapshotStream(r.Context(), seg[1])
-			})
-		case http.MethodPost:
-			rt.v1RestoreStream(w, r, seg[1])
-		default:
+		if r.Method != http.MethodGet && r.Method != http.MethodPost {
 			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodPost))
+			return
 		}
+		rt.forward(w, r, seg[1])
 	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "watch":
 		if r.Method != http.MethodGet {
 			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
@@ -488,7 +494,12 @@ func (rt *Router) handleV1(w http.ResponseWriter, r *http.Request) {
 			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
 			return
 		}
-		rt.v1Detections(w, r)
+		id := r.URL.Query().Get("stream")
+		if id == "" {
+			writeAPIError(w, badRequest("missing ?stream="))
+			return
+		}
+		rt.forward(w, r, id)
 	case rest == "healthz":
 		if r.Method != http.MethodGet {
 			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
@@ -504,169 +515,93 @@ func (rt *Router) handleV1(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// proxyStream routes one idempotent stream-scoped call under the
-// stream's shared gate and writes the typed result (or the mapped error),
-// echoing the owner backend.
-func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, id string, call func(*backend) (any, error)) {
-	g := rt.gate(id)
-	g.RLock()
-	b, apiErr := rt.route(id)
-	if apiErr != nil {
-		g.RUnlock()
-		writeAPIError(w, apiErr)
-		return
-	}
-	out, err := call(b)
-	g.RUnlock()
-	rt.countRequest(b)
+// forward relays one stream-scoped call to stream id's owner as bytes and
+// writes the backend's status and body back verbatim: the backend is the
+// only place a request is parsed and validated. An empty id marks a
+// create, whose id is read from the body. Creates and restores (the POSTs
+// that make a stream) are placed by placeNew and never retried; every
+// other call is routed to wherever the stream lives, and retried under
+// the backend client's WithRetry when it is safe to repeat: GETs, DELETE,
+// and pushes that carry "at".
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id string) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeProxyError(w, b, err)
+		writeAPIError(w, bodyError(err))
 		return
 	}
-	w.Header().Set(client.BackendHeader, b.name)
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) v1CreateStream(w http.ResponseWriter, r *http.Request) {
-	var req client.CreateStreamRequest
-	if apiErr := decodeJSON(r, w, &req); apiErr != nil {
-		writeAPIError(w, apiErr)
-		return
-	}
-	if req.ID == "" {
-		writeAPIError(w, badRequest("missing stream id"))
-		return
-	}
-	if strings.Contains(req.ID, "/") || req.ID == "." || req.ID == ".." {
-		writeAPIError(w, badRequest(fmt.Sprintf("stream id %q must be a single path segment", req.ID)))
-		return
-	}
-	g := rt.gate(req.ID)
-	g.RLock()
-	defer g.RUnlock()
-	b, apiErr := rt.placeNew(req.ID)
-	if apiErr != nil {
-		writeAPIError(w, apiErr)
-		return
-	}
-	info, err := b.c.CreateStream(r.Context(), req)
-	rt.countRequest(b)
-	if err != nil {
-		writeProxyError(w, b, err)
-		return
-	}
-	w.Header().Set(client.BackendHeader, b.name)
-	writeJSON(w, http.StatusCreated, info)
-}
-
-func (rt *Router) v1RestoreStream(w http.ResponseWriter, r *http.Request, id string) {
-	var snap client.StreamSnapshot
-	if apiErr := decodeJSON(r, w, &snap); apiErr != nil {
-		writeAPIError(w, apiErr)
-		return
-	}
-	if snap.ID == "" {
-		snap.ID = id
-	}
-	if snap.ID != id {
-		writeAPIError(w, badRequest(fmt.Sprintf("snapshot id %q does not match path id %q", snap.ID, id)))
-		return
-	}
-	g := rt.gate(id)
-	g.RLock()
-	defer g.RUnlock()
-	b, apiErr := rt.placeNew(id)
-	if apiErr != nil {
-		writeAPIError(w, apiErr)
-		return
-	}
-	info, err := b.c.RestoreStream(r.Context(), snap)
-	rt.countRequest(b)
-	if err != nil {
-		writeProxyError(w, b, err)
-		return
-	}
-	w.Header().Set(client.BackendHeader, b.name)
-	writeJSON(w, http.StatusCreated, info)
-}
-
-func (rt *Router) v1Push(w http.ResponseWriter, r *http.Request, id string) {
-	var req client.PushRequest
-	if apiErr := decodeJSON(r, w, &req); apiErr != nil {
-		writeAPIError(w, apiErr)
-		return
-	}
-	if req.At != nil && *req.At < 0 {
-		writeAPIError(w, badRequest(fmt.Sprintf("bad at=%d: want a non-negative position", *req.At)))
-		return
-	}
-	g := rt.gate(id)
-	g.RLock()
-	b, apiErr := rt.route(id)
-	if apiErr != nil {
-		g.RUnlock()
-		writeAPIError(w, apiErr)
-		return
-	}
-	var (
-		out client.PushResponse
-		err error
-	)
-	if req.At != nil {
-		out, err = b.c.PushAt(r.Context(), id, *req.At, req.Points)
-	} else {
-		out, err = b.c.Push(r.Context(), id, req.Points)
-	}
-	g.RUnlock()
-	rt.countRequest(b)
-	if err != nil {
-		writeProxyError(w, b, err)
-		return
-	}
-	w.Header().Set(client.BackendHeader, b.name)
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) v1DeleteStream(w http.ResponseWriter, r *http.Request, id string) {
-	// Exclusive gate: a DELETE must not interleave with a migration of
-	// the same stream (the migration would restore a copy the caller just
-	// deleted).
-	g := rt.gate(id)
-	g.Lock()
-	defer g.Unlock()
-	b, apiErr := rt.route(id)
-	if apiErr != nil {
-		writeAPIError(w, apiErr)
-		return
-	}
-	rep, err := b.c.DeleteStream(r.Context(), id)
-	rt.countRequest(b)
-	if err != nil {
-		writeProxyError(w, b, err)
-		return
-	}
-	rt.setOverride(id, "")
-	w.Header().Set(client.BackendHeader, b.name)
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (rt *Router) v1Detections(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("stream")
+	// Of the POSTs forwarded here, push feeds a stream; create and
+	// restore make one.
+	post := r.Method == http.MethodPost
+	push := post && strings.HasSuffix(r.URL.Path, "/push")
+	place := post && !push
+	idempotent := !post
 	if id == "" {
-		writeAPIError(w, badRequest("missing ?stream="))
-		return
-	}
-	since := 0
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		n, err := fmt.Sscanf(raw, "%d", &since)
-		if n != 1 || err != nil || since < 0 {
-			writeAPIError(w, badRequest(fmt.Sprintf("bad ?since=%q: want a non-negative integer", raw)))
+		// Decode the whole request as the backend does, so a body it
+		// rejects gets the backend's own envelope.
+		var req client.CreateStreamRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			writeAPIError(w, bodyError(err))
 			return
 		}
+		if req.ID == "" {
+			writeAPIError(w, badRequest("missing stream id"))
+			return
+		}
+		id = req.ID
 	}
-	rt.proxyStream(w, r, id, func(b *backend) (any, error) {
-		return b.c.Detections(r.Context(), id, since)
-	})
+	if push {
+		var pos struct {
+			At *int `json:"at"`
+		}
+		idempotent = json.NewDecoder(bytes.NewReader(body)).Decode(&pos) == nil && pos.At != nil
+	}
+
+	g := rt.gate(id)
+	unlock := g.RUnlock
+	if r.Method == http.MethodDelete {
+		// Exclusive: a DELETE must not interleave with a migration of the
+		// same stream (the migration would restore a copy the caller just
+		// deleted).
+		g.Lock()
+		unlock = g.Unlock
+	} else {
+		g.RLock()
+	}
+	pick := rt.route
+	if place {
+		pick = rt.placeNew
+	}
+	b, apiErr := pick(id)
+	if apiErr != nil {
+		unlock()
+		writeAPIError(w, apiErr)
+		return
+	}
+	resp, err := b.c.Forward(r.Context(), r.Method, r.URL.RequestURI(), body, idempotent)
+	if err == nil && r.Method == http.MethodDelete && resp.Status == http.StatusOK {
+		rt.setOverride(id, "")
+	}
+	// Released before writing, so a slow reader does not hold the gate.
+	unlock()
+	if b.requests != nil {
+		b.requests.Inc()
+	}
+	if err != nil {
+		writeAPIError(w, &client.APIError{
+			Status:  http.StatusServiceUnavailable,
+			Code:    client.CodeUnavailable,
+			Message: fmt.Sprintf("backend %q: %v", b.name, err),
+		})
+		return
+	}
+	h := w.Header()
+	h.Set(client.BackendHeader, b.name)
+	h.Set("Content-Type", "application/json")
+	if resp.Status == http.StatusTooManyRequests || resp.Status == http.StatusServiceUnavailable {
+		h.Set("Retry-After", "1")
+	}
+	w.WriteHeader(resp.Status)
+	w.Write(resp.Body)
 }
 
 // ---- fan-out endpoints ----
@@ -757,8 +692,8 @@ func (rt *Router) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Backends []BackendSpec `json:"backends"`
 		}
-		if apiErr := decodeJSON(r, w, &req); apiErr != nil {
-			writeAPIError(w, apiErr)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			writeAPIError(w, bodyError(err))
 			return
 		}
 		rep, err := rt.SetBackends(req.Backends)
@@ -783,31 +718,22 @@ func (rt *Router) handleAdminRebalance(w http.ResponseWriter, r *http.Request) {
 
 // ---- shared helpers ----
 
-func (rt *Router) countRequest(b *backend) {
-	if rt.reg != nil {
-		rt.reg.Counter("etsc_router_requests_total",
-			"Requests proxied to each backend.", metrics.L("backend", b.name)).Inc()
-	}
-}
-
-func decodeJSON(r *http.Request, w http.ResponseWriter, into any) *client.APIError {
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &client.APIError{
-				Status:  http.StatusRequestEntityTooLarge,
-				Code:    client.CodeTooLarge,
-				Message: fmt.Sprintf("body over %d bytes; split the batch", tooBig.Limit),
-			}
-		}
+// bodyError maps a failure to read or decode a request body onto the
+// envelope the backend answers for the same failure.
+func bodyError(err error) *client.APIError {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
 		return &client.APIError{
-			Status:  http.StatusBadRequest,
-			Code:    client.CodeBadJSON,
-			Message: fmt.Sprintf("bad JSON body: %v", err),
+			Status:  http.StatusRequestEntityTooLarge,
+			Code:    client.CodeTooLarge,
+			Message: fmt.Sprintf("body over %d bytes; split the batch", tooBig.Limit),
 		}
 	}
-	return nil
+	return &client.APIError{
+		Status:  http.StatusBadRequest,
+		Code:    client.CodeBadJSON,
+		Message: fmt.Sprintf("bad JSON body: %v", err),
+	}
 }
 
 func badRequest(msg string) *client.APIError {
@@ -820,27 +746,6 @@ func methodNotAllowed(r *http.Request, allow ...string) *client.APIError {
 		Code:    client.CodeMethodNotAllowed,
 		Message: fmt.Sprintf("%s not allowed on %s (allow: %s)", r.Method, r.URL.Path, strings.Join(allow, ", ")),
 	}
-}
-
-// writeProxyError maps a backend-call failure onto the wire: a typed
-// *APIError passes through verbatim (status, code, message — the router
-// is transparent to the backend's decisions), anything else (transport
-// failure mid-call) is 503/unavailable.
-func writeProxyError(w http.ResponseWriter, b *backend, err error) {
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		w.Header().Set(client.BackendHeader, b.name)
-		if ae.Status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeAPIError(w, ae)
-		return
-	}
-	writeAPIError(w, &client.APIError{
-		Status:  http.StatusServiceUnavailable,
-		Code:    client.CodeUnavailable,
-		Message: fmt.Sprintf("backend %q: %v", b.name, err),
-	})
 }
 
 func writeAPIError(w http.ResponseWriter, ae *client.APIError) {

@@ -1,19 +1,25 @@
 package router
 
 // The routing basics: placement, the owner-backend echo, fan-out merges,
-// error pass-through, the watch pass-through's equivalence with the
-// cursor API, and the merged /metrics exposition.
+// error pass-through (byte for byte against the owner backend), which
+// forwarded calls are retried, the watch pass-through's equivalence with
+// the cursor API and its subscriber-leaves path, and the merged /metrics
+// exposition.
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"etsc/internal/client"
 	"etsc/internal/hub"
@@ -202,6 +208,177 @@ func TestErrorPassThrough(t *testing.T) {
 	}
 }
 
+// TestErrorContractMatchesBackend pins the router's transparency byte for
+// byte: each request, sent straight to the owner backend and then through
+// the router, gets the same status and the same body. The router adds no
+// validation of its own, so it cannot drift from the backend's rules.
+func TestErrorContractMatchesBackend(t *testing.T) {
+	f := newFleet(t, 2, fleetOpts{})
+	ctx := context.Background()
+	if _, err := f.c.CreateStream(ctx, client.CreateStreamRequest{ID: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := f.c.SnapshotStream(ctx, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.ID = "other"
+	mismatch, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A watch the router wrongly accepts holds its feed open; the timeout
+	// turns that into a failure instead of a hang.
+	hc := &http.Client{Timeout: 2 * time.Second}
+	do := func(base, method, path, body, lastEventID string) (int, string, error) {
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			return 0, "", err
+		}
+		if lastEventID != "" {
+			req.Header.Set("Last-Event-ID", lastEventID)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			return 0, "", err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw), err
+	}
+	for _, tc := range []struct {
+		name, method, path, body, lastEventID string
+		owner                                 string // the id the router places or routes by
+	}{
+		{name: "since junk", method: http.MethodGet, path: "/v1/detections?stream=s&since=7junk", owner: "s"},
+		{name: "since space", method: http.MethodGet, path: "/v1/detections?stream=s&since=%207", owner: "s"},
+		{name: "since hex", method: http.MethodGet, path: "/v1/detections?stream=s&since=0x10", owner: "s"},
+		{name: "since negative", method: http.MethodGet, path: "/v1/detections?stream=s&since=-1", owner: "s"},
+		{name: "push at negative", method: http.MethodPost, path: "/v1/streams/s/push", body: `{"points":[1],"at":-1}`, owner: "s"},
+		{name: "push malformed", method: http.MethodPost, path: "/v1/streams/s/push", body: `{"points":[1,`, owner: "s"},
+		{name: "create malformed", method: http.MethodPost, path: "/v1/streams", body: `{"id":`},
+		{name: "create id not a string", method: http.MethodPost, path: "/v1/streams", body: `{"id":5}`},
+		{name: "create id with slash", method: http.MethodPost, path: "/v1/streams", body: `{"id":"a/b"}`, owner: "a/b"},
+		{name: "create unknown engine", method: http.MethodPost, path: "/v1/streams", body: `{"id":"w","engine":"warp"}`, owner: "w"},
+		{name: "restore id mismatch", method: http.MethodPost, path: "/v1/streams/s/snapshot", body: string(mismatch), owner: "s"},
+		{name: "watch bad format", method: http.MethodGet, path: "/v1/streams/s/watch?format=bogus", owner: "s"},
+		{name: "watch bad Last-Event-ID", method: http.MethodGet, path: "/v1/streams/s/watch", lastEventID: "x", owner: "s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantStatus, wantBody, err := do(f.homeOf(tc.owner).http.URL, tc.method, tc.path, tc.body, tc.lastEventID)
+			if err != nil {
+				t.Fatalf("direct: %v", err)
+			}
+			if wantStatus < 400 {
+				t.Fatalf("backend accepted the request (%d %s): the case pins nothing", wantStatus, wantBody)
+			}
+			gotStatus, gotBody, err := do(f.http.URL, tc.method, tc.path, tc.body, tc.lastEventID)
+			if err != nil {
+				t.Fatalf("via router (status %d): %v", gotStatus, err)
+			}
+			if gotStatus != wantStatus || gotBody != wantBody {
+				t.Errorf("via router %d %s\ndirect     %d %s", gotStatus, gotBody, wantStatus, wantBody)
+			}
+		})
+	}
+}
+
+// TestForwardRetryPolicy pins which forwarded calls the router repeats
+// when the backend answers 5xx: reads, DELETE and positioned pushes are
+// safe to repeat; a plain push, a create and a restore are not, and their
+// 502 goes back to the caller as the backend sent it.
+func TestForwardRetryPolicy(t *testing.T) {
+	var calls atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if calls.Add(1) == 1 {
+			w.WriteHeader(http.StatusBadGateway)
+			fmt.Fprint(w, `{"error":{"code":"internal","message":"blip"}}`)
+			return
+		}
+		fmt.Fprint(w, `{}`)
+	}))
+	defer backend.Close()
+	rt, err := New(Config{Backends: []BackendSpec{{Name: "b", URL: backend.URL}}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path, body string
+		retried            bool
+	}{
+		{http.MethodGet, "/v1/streams/s", "", true},
+		{http.MethodGet, "/v1/streams/s/snapshot", "", true},
+		{http.MethodGet, "/v1/detections?stream=s", "", true},
+		{http.MethodDelete, "/v1/streams/s", "", true},
+		{http.MethodPost, "/v1/streams/s/push", `{"points":[1],"at":0}`, true},
+		{http.MethodPost, "/v1/streams/s/push", `{"points":[1]}`, false},
+		{http.MethodPost, "/v1/streams", `{"id":"s"}`, false},
+		{http.MethodPost, "/v1/streams/s/snapshot", `{"id":"s"}`, false},
+	} {
+		calls.Store(0)
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		want, wantCalls := http.StatusBadGateway, int64(1)
+		if tc.retried {
+			want, wantCalls = http.StatusOK, 2
+		}
+		if rec.Code != want || calls.Load() != wantCalls {
+			t.Errorf("%s %s %s: status %d after %d backend calls, want %d after %d",
+				tc.method, tc.path, tc.body, rec.Code, calls.Load(), want, wantCalls)
+		}
+	}
+}
+
+// leavingRecorder is a subscriber that disconnects (cancels its request
+// context) once a detection frame has been flushed to it.
+type leavingRecorder struct {
+	*httptest.ResponseRecorder
+	leave context.CancelFunc
+}
+
+func (r leavingRecorder) Flush() {
+	r.ResponseRecorder.Flush()
+	if strings.Contains(r.Body.String(), `"detection"`) {
+		r.leave()
+	}
+}
+
+// TestWatchSubscriberLeaves pins the watch pass-through when the
+// subscriber disconnects mid-feed, in both formats: the handler returns
+// without a panic and writes no final frame to the departed client. The
+// handler runs on the test goroutine, where a panic is not recovered.
+func TestWatchSubscriberLeaves(t *testing.T) {
+	f := newFleet(t, 2, fleetOpts{})
+	ds := fleetStreams(t, f, 1, 2400)[0]
+	if _, err := f.c.PushAt(context.Background(), ds.ID, 0, ds.Data); err != nil {
+		t.Fatal(err)
+	}
+	f.flushAlive(nil)
+	for _, tc := range []struct{ format, contentType string }{
+		{"", "text/event-stream"},
+		{"ndjson", "application/x-ndjson"},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest(http.MethodGet, "/v1/streams/"+ds.ID+"/watch?format="+tc.format, nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		f.rt.ServeHTTP(leavingRecorder{rec, cancel}, req)
+		cancel()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("format %q: status %d: %s", tc.format, rec.Code, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != tc.contentType {
+			t.Errorf("format %q: Content-Type %q, want %q", tc.format, ct, tc.contentType)
+		}
+		if !strings.Contains(rec.Body.String(), `"detection"`) {
+			t.Errorf("format %q: no detection frame before the subscriber left: the feed was empty", tc.format)
+		}
+		if strings.Contains(rec.Body.String(), `"final":true`) {
+			t.Errorf("format %q: final frame written after the subscriber left:\n%s", tc.format, rec.Body)
+		}
+	}
+}
+
 // TestWatchThroughRouter pins the pass-through subscription against the
 // cursor API: a watcher through the router sees exactly the settled
 // transcript, in order, with contiguous indexes.
@@ -340,6 +517,7 @@ func TestMetricsAggregation(t *testing.T) {
 	for _, want := range []string{
 		"etsc_router_backend_alive",
 		"etsc_router_overrides",
+		`etsc_router_requests_total{backend="`,
 		`backend="a-node"`,
 		`backend="b-node"`,
 		`backend="c-node"`,

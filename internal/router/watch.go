@@ -10,37 +10,19 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
 
 	"etsc/internal/client"
+	"etsc/internal/serve"
 )
 
 func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
-	since := 0
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			writeAPIError(w, badRequest(fmt.Sprintf("bad ?since=%q: want a non-negative integer", raw)))
-			return
-		}
-		since = n
-	} else if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-		n, err := strconv.Atoi(lei)
-		if err != nil || n < 0 {
-			writeAPIError(w, badRequest(fmt.Sprintf("bad Last-Event-ID %q: want a non-negative integer", lei)))
-			return
-		}
-		// Resume after M without wrapping: M = MaxInt overshoots every
-		// transcript, so it replays nothing, like any overshot ?since=.
-		since = n
-		if n < math.MaxInt {
-			since = n + 1
-		}
+	since, sse, apiErr := serve.WatchQuery(r)
+	if apiErr != nil {
+		writeAPIError(w, apiErr)
+		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -60,20 +42,34 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 		writeAPIError(w, apiErr)
 		return
 	}
-	defer func() { ws.Close() }()
+	// A failed re-subscribe leaves ws nil.
+	defer func() {
+		if ws != nil {
+			ws.Close()
+		}
+	}()
 
-	w.Header().Set("Content-Type", "text/event-stream")
+	if sse {
+		w.Header().Set("Content-Type", "text/event-stream")
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.Header().Set(client.BackendHeader, b.name)
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": watch %s since=%d via %s\n\n", id, since, b.name)
+	if sse {
+		fmt.Fprintf(w, ": watch %s since=%d via %s\n\n", id, since, b.name)
+	}
 	flusher.Flush()
 
 	cursor := since
 	for {
 		f, err := ws.Next()
 		if err != nil {
+			if ctx.Err() != nil {
+				return // the subscriber left; nobody reads a final frame
+			}
 			// The owner went away mid-feed (death, or its side of a
 			// migration being torn down). Re-resolve and resume at the
 			// subscriber cursor; the structured 503 path inside subscribe
@@ -83,7 +79,7 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 			if apiErr != nil {
 				// Stream is genuinely gone (or the fleet is): end the feed
 				// cleanly rather than hang the subscriber.
-				writeRouterFrame(w, client.WatchFrame{Stream: id, Index: cursor, Next: cursor, Final: true}, false)
+				serve.WriteFrame(w, client.WatchFrame{Stream: id, Index: cursor, Next: cursor, Final: true}, sse, false)
 				flusher.Flush()
 				return
 			}
@@ -99,7 +95,7 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 			lookupErr := rt.lookupStream(ctx, id)
 			g.RUnlock()
 			if lookupErr != nil {
-				writeRouterFrame(w, f, false)
+				serve.WriteFrame(w, f, sse, false)
 				flusher.Flush()
 				return
 			}
@@ -108,7 +104,7 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 			ws.Close()
 			b, ws, apiErr = rt.subscribe(ctx, id, cursor)
 			if apiErr != nil {
-				writeRouterFrame(w, client.WatchFrame{Stream: id, Index: cursor, Next: cursor, Final: true}, false)
+				serve.WriteFrame(w, client.WatchFrame{Stream: id, Index: cursor, Next: cursor, Final: true}, sse, false)
 				flusher.Flush()
 				return
 			}
@@ -121,7 +117,7 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 			continue
 		}
 		out := client.WatchFrame{Stream: id, Index: cursor, Next: cursor + 1, Detection: f.Detection}
-		if !writeRouterFrame(w, out, true) {
+		if !serve.WriteFrame(w, out, sse, true) {
 			return
 		}
 		cursor++
@@ -160,19 +156,4 @@ func (rt *Router) lookupStream(ctx context.Context, id string) error {
 	}
 	_, err := b.c.Stream(ctx, id)
 	return err
-}
-
-// writeRouterFrame emits one SSE frame; detection frames carry the index
-// as the event id (the resume token), Final frames do not.
-func writeRouterFrame(w http.ResponseWriter, f client.WatchFrame, withID bool) bool {
-	raw, err := json.Marshal(f)
-	if err != nil {
-		return false
-	}
-	if withID {
-		_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", f.Index, raw)
-	} else {
-		_, err = fmt.Fprintf(w, "data: %s\n\n", raw)
-	}
-	return err == nil
 }

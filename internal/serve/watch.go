@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -29,34 +30,9 @@ import (
 // frame is the clean last word — DELETE under a live watcher terminates the
 // feed, never hangs it) or when the client disconnects.
 func (s *Server) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
-	since := 0
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			writeAPIError(w, badRequest(fmt.Sprintf("bad ?since=%q: want a non-negative integer", raw)))
-			return
-		}
-		since = n
-	} else if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-		n, err := strconv.Atoi(lei)
-		if err != nil || n < 0 {
-			writeAPIError(w, badRequest(fmt.Sprintf("bad Last-Event-ID %q: want a non-negative integer", lei)))
-			return
-		}
-		// Resume after M without wrapping: M = MaxInt overshoots every
-		// transcript, so it replays nothing, like any overshot ?since=.
-		since = n
-		if n < math.MaxInt {
-			since = n + 1
-		}
-	}
-	sse := true
-	switch r.URL.Query().Get("format") {
-	case "", "sse":
-	case "ndjson":
-		sse = false
-	default:
-		writeAPIError(w, badRequest(fmt.Sprintf("bad ?format=%q: want sse or ndjson", r.URL.Query().Get("format"))))
+	since, sse, apiErr := WatchQuery(r)
+	if apiErr != nil {
+		writeAPIError(w, apiErr)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -105,13 +81,13 @@ func (s *Server) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 		}
 		for i := range dets {
 			frame := client.WatchFrame{Stream: id, Index: cursor, Next: cursor + 1, Detection: &dets[i]}
-			if !writeFrame(w, frame, sse, true) {
+			if !WriteFrame(w, frame, sse, true) {
 				return
 			}
 			cursor++
 		}
 		if final {
-			writeFrame(w, client.WatchFrame{Stream: id, Index: cursor, Next: cursor, Final: true}, sse, false)
+			WriteFrame(w, client.WatchFrame{Stream: id, Index: cursor, Next: cursor, Final: true}, sse, false)
 			flusher.Flush()
 			return
 		}
@@ -119,11 +95,45 @@ func (s *Server) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 	}
 }
 
-// writeFrame renders one frame in the negotiated format. Detection frames
+// WatchQuery reads a watch request's resume cursor and format: ?since=N,
+// else the SSE replay header (Last-Event-ID: M means since = M+1), and
+// ?format= (sse, the default, or ndjson). A non-nil error is the 400 to
+// answer. Every server that answers /watch parses the request here.
+func WatchQuery(r *http.Request) (since int, sse bool, apiErr *client.APIError) {
+	q := r.URL.Query()
+	if raw := q.Get("since"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n < 0 {
+			return 0, false, badRequest(fmt.Sprintf("bad ?since=%q: want a non-negative integer", raw))
+		}
+		since = n
+	} else if lei := r.Header.Get("Last-Event-ID"); lei != "" {
+		n, err := strconv.Atoi(lei)
+		if err != nil || n < 0 {
+			return 0, false, badRequest(fmt.Sprintf("bad Last-Event-ID %q: want a non-negative integer", lei))
+		}
+		// Resume after M without wrapping: M = MaxInt overshoots every
+		// transcript, so it replays nothing, like any overshot ?since=.
+		since = n
+		if n < math.MaxInt {
+			since = n + 1
+		}
+	}
+	switch format := q.Get("format"); format {
+	case "", "sse":
+		sse = true
+	case "ndjson":
+	default:
+		return 0, false, badRequest(fmt.Sprintf("bad ?format=%q: want sse or ndjson", format))
+	}
+	return since, sse, nil
+}
+
+// WriteFrame renders one frame in the negotiated format. Detection frames
 // carry the transcript index as the SSE event id (the resume token); the
 // terminal Final frame does not advance Last-Event-ID. Returns false when
 // the connection is gone.
-func writeFrame(w http.ResponseWriter, f client.WatchFrame, sse, withID bool) bool {
+func WriteFrame(w io.Writer, f client.WatchFrame, sse, withID bool) bool {
 	raw, err := json.Marshal(f)
 	if err != nil {
 		return false
