@@ -217,25 +217,34 @@ type Response struct {
 // 5xx replies are retried with backoff, and the last attempt's outcome is
 // returned; see WithRetry for which calls are safe to repeat.
 func (c *Client) Forward(ctx context.Context, method, path string, body []byte, idempotent bool) (Response, error) {
-	attempts := 1
-	if idempotent && c.retries > 1 {
-		attempts = c.retries
-	}
 	var (
 		resp Response
 		err  error
 	)
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 && sleepBackoff(ctx, c.backoff, attempt) != nil {
-			break
-		}
+	c.withRetry(ctx, idempotent, func() bool {
 		resp, err = c.once(ctx, method, path, body)
-		again := retryable(err) || (err == nil && resp.Status >= 500)
-		if !again || ctx.Err() != nil {
-			break
+		return retryable(err) || (err == nil && resp.Status >= 500)
+	})
+	return resp, err
+}
+
+// withRetry is the one retry loop behind every call: it runs attempt once,
+// or, for an idempotent call under WithRetry, again after each backoff
+// while attempt reports a failure worth retrying, until the attempts run
+// out or ctx ends. The caller keeps the last attempt's outcome.
+func (c *Client) withRetry(ctx context.Context, idempotent bool, attempt func() (again bool)) {
+	attempts := 1
+	if idempotent && c.retries > 1 {
+		attempts = c.retries
+	}
+	for i := 0; i < attempts; i++ {
+		if i > 0 && sleepBackoff(ctx, c.backoff, i) != nil {
+			return
+		}
+		if !attempt() || ctx.Err() != nil {
+			return
 		}
 	}
-	return resp, err
 }
 
 // once issues a single HTTP round trip. Connection-level failures come

@@ -166,3 +166,49 @@ func TestRetryStopsOnContextCancel(t *testing.T) {
 		t.Fatalf("all %d attempts ran despite cancellation", n)
 	}
 }
+
+// TestWatchRetryPolicy pins that a subscribe follows the same retry rules
+// as every other idempotent call: a 503 is retried and the second attempt's
+// feed is returned, while a 404 is final after one attempt.
+func TestWatchRetryPolicy(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		switch {
+		case r.URL.Path == "/v1/streams/gone/watch":
+			w.WriteHeader(http.StatusNotFound)
+			fmt.Fprint(w, `{"error":{"code":"unknown_stream","message":"unknown stream \"gone\""}}`)
+		case n == 1:
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprint(w, `{"error":{"code":"unavailable","message":"failover"}}`)
+		default:
+			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprint(w, "id: 0\ndata: {\"stream\":\"s\",\"index\":0,\"next\":1,\"final\":true}\n\n")
+		}
+	}))
+	defer srv.Close()
+	c := retryClient(t, srv, 3)
+
+	ws, err := c.Watch(context.Background(), "s", 0)
+	if err != nil {
+		t.Fatalf("Watch after one 503: %v", err)
+	}
+	defer ws.Close()
+	if f, err := ws.Next(); err != nil || !f.Final || f.Stream != "s" {
+		t.Fatalf("first frame %+v, %v; want the second attempt's final frame", f, err)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("Watch made %d attempts, want 2", calls.Load())
+	}
+
+	calls.Store(0)
+	_, err = c.Watch(context.Background(), "gone", 0)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Fatalf("Watch on a missing stream: want the 404, got %v", err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("404 retried: %d attempts", calls.Load())
+	}
+}

@@ -43,27 +43,15 @@ type WatchStream struct {
 // loop. The since cursor (and thus the Last-Event-ID resume contract) is
 // untouched: every attempt subscribes at the same position.
 func (c *Client) Watch(ctx context.Context, id string, since int) (*WatchStream, error) {
-	attempts := 1
-	if c.retries > 1 {
-		attempts = c.retries
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := sleepBackoff(ctx, c.backoff, attempt); err != nil {
-				return nil, lastErr
-			}
-		}
-		ws, err := c.watchOnce(ctx, id, since)
-		if err == nil {
-			return ws, nil
-		}
-		lastErr = err
-		if !retryable(err) || ctx.Err() != nil {
-			return nil, err
-		}
-	}
-	return nil, lastErr
+	var (
+		ws  *WatchStream
+		err error
+	)
+	c.withRetry(ctx, true, func() bool {
+		ws, err = c.watchOnce(ctx, id, since)
+		return retryable(err)
+	})
+	return ws, err
 }
 
 // watchOnce issues a single subscribe attempt.

@@ -102,16 +102,11 @@ func refTrainTEASER(train *dataset.Dataset, cfg TEASERConfig) (*TEASER, error) {
 		return nil, err
 	}
 	for _, l := range t.lengths {
-		zn, err := train.Truncate(l, true)
+		set, err := train.Truncate(l, t.ZNormPrefix)
 		if err != nil {
 			return nil, err
 		}
-		raw, err := train.Truncate(l, false)
-		if err != nil {
-			return nil, err
-		}
-		t.znTrain = append(t.znTrain, zn)
-		t.rawTrain = append(t.rawTrain, raw)
+		t.addSnapshot(set)
 	}
 	t.fitMasters(func(si, i int) (int, float64, float64) {
 		set := t.slaveSet(si)

@@ -34,13 +34,17 @@ type TEASER struct {
 	V           int  // required consecutive consistent predictions
 	ZNormPrefix bool // footnote-2 behaviour (true = as published)
 
-	train    *dataset.Dataset
-	li       *labelIndex        // dense class indexing for the session hot path
-	znTrain  []*dataset.Dataset // per-snapshot z-normalized prefix training sets
-	rawTrain []*dataset.Dataset // per-snapshot raw prefix training sets
-	lengths  []int
-	masters  []oneClassGate
-	full     int
+	train *dataset.Dataset
+	li    *labelIndex // dense class indexing for the session hot path
+	// sets holds each snapshot's slave training set: the prefixes
+	// z-normalized under ZNormPrefix, raw otherwise. rows views the same
+	// series as kernel rows for the session scan. Both are read-only after
+	// training, so sessions on a shared model scan them race-free.
+	sets    []*dataset.Dataset
+	rows    [][][]float64
+	lengths []int
+	masters []oneClassGate
+	full    int
 }
 
 // TEASERConfig controls training.
@@ -93,16 +97,11 @@ func trainTEASER(c *TrainContext, cfg TEASERConfig) (*TEASER, error) {
 		return nil, err
 	}
 	for _, l := range t.lengths {
-		zn, err := c.Prefixes(l, true)
+		set, err := c.Prefixes(l, t.ZNormPrefix)
 		if err != nil {
 			return nil, err
 		}
-		raw, err := c.Prefixes(l, false)
-		if err != nil {
-			return nil, err
-		}
-		t.znTrain = append(t.znTrain, zn)
-		t.rawTrain = append(t.rawTrain, raw)
+		t.addSnapshot(set)
 	}
 	for _, l := range t.lengths {
 		if t.ZNormPrefix {
@@ -219,12 +218,18 @@ func (t *TEASER) fitMasters(loo func(si, i int) (int, float64, float64), sigma f
 	}
 }
 
-func (t *TEASER) slaveSet(si int) *dataset.Dataset {
-	if t.ZNormPrefix {
-		return t.znTrain[si]
+// addSnapshot appends the next snapshot's slave training set and its
+// kernel rows, which are views of the set's series and copy no data.
+func (t *TEASER) addSnapshot(set *dataset.Dataset) {
+	rows := make([][]float64, set.Len())
+	for i, in := range set.Instances {
+		rows[i] = in.Series
 	}
-	return t.rawTrain[si]
+	t.sets = append(t.sets, set)
+	t.rows = append(t.rows, rows)
 }
+
+func (t *TEASER) slaveSet(si int) *dataset.Dataset { return t.sets[si] }
 
 // slavePosterior computes the snapshot-si slave's posterior for a prepared
 // (already normalized if applicable) prefix, excluding training index skip
@@ -290,23 +295,14 @@ func (t *TEASER) prepareInto(si int, prefix, scratch []float64) []float64 {
 
 // slaveTopMargin is the session's allocation-free slave decision: the same
 // per-class nearest-distance reduction as slavePosterior (skip = none), but
-// over dense scratch and with early abandoning against the running
-// class-nearest — an abandoned scan can only belong to an instance that
-// could not have changed its class's strict minimum, so the resulting
-// nearest distances, and therefore the (label, top, margin) triple, are
-// byte-identical to the map path's. nearest2, nearest, and probs are
-// class-indexed scratch owned by the caller.
+// over dense scratch, with the references scanned in blocks of four by
+// ts.GroupMinD2. Each distance is the same left-to-right fold as
+// SquaredEuclidean and a per-class strict minimum does not depend on scan
+// order, so the nearest distances, and therefore the (label, top, margin)
+// triple, are byte-identical to the map path's. nearest2, nearest, and
+// probs are class-indexed scratch owned by the caller.
 func (t *TEASER) slaveTopMargin(si int, prepared []float64, nearest2, nearest, probs []float64) (label int, top, margin float64) {
-	set := t.slaveSet(si)
-	for c := range nearest2 {
-		nearest2[c] = math.Inf(1)
-	}
-	for i, in := range set.Instances {
-		c := t.li.classOf[i]
-		if d2, ok := ts.SquaredEuclideanEA(prepared, in.Series, nearest2[c]); ok && d2 < nearest2[c] {
-			nearest2[c] = d2
-		}
-	}
+	ts.GroupMinD2(nearest2, prepared, t.rows[si], t.li.classOf)
 	for c, d := range nearest2 {
 		nearest[c] = math.Sqrt(d)
 	}
@@ -369,9 +365,8 @@ func (t *TEASER) ClassifyPrefix(prefix []float64) Decision {
 // evaluates each snapshot exactly once as the stream grows, carrying the
 // master-gated consistency streak across Extends — where the pure path
 // replays every covered snapshot at every opportunity. The z-norm and
-// per-class reduction scratch is session-owned and the slave scan abandons
-// references early against the running class-nearest, so steady-state
-// Extends neither allocate nor scan past hopeless references.
+// per-class reduction scratch is session-owned, so steady-state Extends do
+// not allocate.
 func (t *TEASER) NewIncrementalSession() IncrementalSession {
 	k := t.li.classes()
 	return &teaserSession{

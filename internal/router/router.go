@@ -380,28 +380,28 @@ func (rt *Router) route(id string) (*backend, *client.APIError) {
 
 // placeNew picks the backend for a stream being created (or restored)
 // right now: the hash home when alive, else the deterministic survivor —
-// placement over the alive subset in table order — recorded as an
-// override so subsequent requests route there.
-func (rt *Router) placeNew(id string) (*backend, *client.APIError) {
+// placement over the alive subset in table order. away reports a survivor
+// pick; forward records it as an override once the backend has accepted
+// the stream, so subsequent requests route there and a refused create
+// leaves no override behind.
+func (rt *Router) placeNew(id string) (b *backend, away bool, apiErr *client.APIError) {
 	table := *rt.table.Load()
-	b := table[home(id, table)]
+	b = table[home(id, table)]
 	if b.alive.Load() {
-		return b, nil
+		return b, false, nil
 	}
 	alive := aliveBackends(table)
 	if len(alive) == 0 {
 		if rt.mUnavailable != nil {
 			rt.mUnavailable.Inc()
 		}
-		return nil, &client.APIError{
+		return nil, false, &client.APIError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    client.CodeUnavailable,
 			Message: "no backend available",
 		}
 	}
-	s := alive[placement.Index(id, len(alive))]
-	rt.setOverride(id, s.name)
-	return s, nil
+	return alive[placement.Index(id, len(alive))], true, nil
 }
 
 // aliveBackends filters the table to its alive members, in table order.
@@ -567,19 +567,29 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id string) {
 	} else {
 		g.RLock()
 	}
-	pick := rt.route
+	var (
+		b      *backend
+		away   bool
+		apiErr *client.APIError
+	)
 	if place {
-		pick = rt.placeNew
+		b, away, apiErr = rt.placeNew(id)
+	} else {
+		b, apiErr = rt.route(id)
 	}
-	b, apiErr := pick(id)
 	if apiErr != nil {
 		unlock()
 		writeAPIError(w, apiErr)
 		return
 	}
 	resp, err := b.c.Forward(r.Context(), r.Method, r.URL.RequestURI(), body, idempotent)
-	if err == nil && r.Method == http.MethodDelete && resp.Status == http.StatusOK {
-		rt.setOverride(id, "")
+	if err == nil {
+		switch {
+		case away && resp.Status >= 200 && resp.Status <= 299:
+			rt.setOverride(id, b.name)
+		case r.Method == http.MethodDelete && resp.Status == http.StatusOK:
+			rt.setOverride(id, "")
+		}
 	}
 	// Released before writing, so a slow reader does not hold the gate.
 	unlock()

@@ -208,6 +208,31 @@ func TestErrorPassThrough(t *testing.T) {
 	}
 }
 
+// TestRefusedPlacementLeavesNoOverride pins that a create the backend
+// refuses while the stream's home is dead records no placement override:
+// once the home is back, the stream is created there, and reads through
+// the router find it instead of following a stale override to a backend
+// that never held it.
+func TestRefusedPlacementLeavesNoOverride(t *testing.T) {
+	// The prober never fires, so liveness is set by hand.
+	f := newFleet(t, 3, fleetOpts{probeInterval: time.Hour})
+	ctx := context.Background()
+	const id = "x1"
+	home := byName(f.homeOf(id).name, *f.rt.table.Load())
+
+	home.alive.Store(false)
+	_, err := f.c.CreateStream(ctx, client.CreateStreamRequest{ID: id, Kind: "no-such-kind"})
+	servetest.APIErrOf(t, err, http.StatusBadRequest, client.CodeUnknownKind)
+
+	home.alive.Store(true)
+	if _, err := f.c.CreateStream(ctx, client.CreateStreamRequest{ID: id, Kind: "gunpoint"}); err != nil {
+		t.Fatalf("create on the recovered home: %v", err)
+	}
+	if _, err := f.c.Stream(ctx, id); err != nil {
+		t.Fatalf("read after create: %v", err)
+	}
+}
+
 // TestErrorContractMatchesBackend pins the router's transparency byte for
 // byte: each request, sent straight to the owner backend and then through
 // the router, gets the same status and the same body. The router adds no

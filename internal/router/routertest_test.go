@@ -110,10 +110,15 @@ func newFleet(t *testing.T, n int, opts fleetOpts) *fleet {
 		f.backends = append(f.backends, b)
 		specs[i] = BackendSpec{Name: name, URL: hs.URL}
 	}
+	// The probe timeout sits well above the interval: a slow /v1/healthz
+	// on a live backend (the race detector slows every handler) must not
+	// count as a failed probe. A killed backend refuses connections at
+	// once, so death detection does not wait on the timeout.
 	rt, err := New(Config{
 		Backends:       specs,
 		CheckpointRoot: f.root,
 		ProbeInterval:  opts.probeInterval,
+		ProbeTimeout:   250 * time.Millisecond,
 		FailThreshold:  opts.failThreshold,
 		RouteWait:      opts.routeWait,
 		Logf:           t.Logf,

@@ -257,6 +257,7 @@ type Verifier interface {
 // (a quantile of leave-one-out nearest-neighbour distances per class).
 type NNVerifier struct {
 	train     *dataset.Dataset
+	zn        [][]float64 // zn[i] is train.Instances[i].Series z-normalized once
 	threshold map[int]float64
 }
 
@@ -273,7 +274,10 @@ func NewNNVerifier(train *dataset.Dataset, quantile, slack float64) (*NNVerifier
 	if slack < 1 {
 		slack = 1
 	}
-	v := &NNVerifier{train: train, threshold: map[int]float64{}}
+	v := &NNVerifier{train: train, zn: make([][]float64, train.Len()), threshold: map[int]float64{}}
+	for i, in := range train.Instances {
+		v.zn[i] = ts.ZNorm(in.Series)
+	}
 	byClass := train.ByClass()
 	for label, idx := range byClass {
 		if len(idx) < 2 {
@@ -283,12 +287,11 @@ func NewNNVerifier(train *dataset.Dataset, quantile, slack float64) (*NNVerifier
 		var dists []float64
 		for _, i := range idx {
 			best := math.Inf(1)
-			zi := ts.ZNorm(train.Instances[i].Series)
 			for _, j := range idx {
 				if i == j {
 					continue
 				}
-				d := ts.Euclidean(zi, ts.ZNorm(train.Instances[j].Series))
+				d := ts.Euclidean(v.zn[i], v.zn[j])
 				if d < best {
 					best = d
 				}
@@ -312,14 +315,11 @@ func (v *NNVerifier) Verify(window []float64, label int) bool {
 		return false
 	}
 	zw := ts.ZNorm(window)
-	for _, in := range v.train.Instances {
-		if in.Label != label {
+	for i, in := range v.train.Instances {
+		if in.Label != label || len(v.zn[i]) != len(zw) {
 			continue
 		}
-		if len(in.Series) != len(zw) {
-			continue
-		}
-		if ts.Euclidean(zw, ts.ZNorm(in.Series)) <= thr {
+		if ts.Euclidean(zw, v.zn[i]) <= thr {
 			return true
 		}
 	}

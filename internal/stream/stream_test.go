@@ -156,6 +156,39 @@ func TestNNVerifier(t *testing.T) {
 	}
 }
 
+// TestNNVerifierVerifyAllocatesOnce pins that the training exemplars are
+// z-normalized at construction: a Verify that scans every same-label
+// exemplar and rejects allocates only the window's own z-norm.
+func TestNNVerifierVerifyAllocatesOnce(t *testing.T) {
+	rng := synth.NewRand(3)
+	var instances []dataset.Instance
+	for i := 0; i < 6; i++ {
+		s := make(ts.Series, 16)
+		for j := range s {
+			s[j] = math.Sin(float64(j)/3) + rng.NormFloat64()*0.05
+		}
+		instances = append(instances, dataset.Instance{Label: 1, Series: s})
+	}
+	train, err := dataset.New("allocs", instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewNNVerifier(train, 0.95, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := make([]float64, 16)
+	for j := range window {
+		window[j] = rng.NormFloat64()
+	}
+	if v.Verify(window, 1) {
+		t.Fatal("noise window accepted; the scan must visit every exemplar")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { v.Verify(window, 1) }); allocs != 1 {
+		t.Fatalf("Verify allocated %v times per call, want 1", allocs)
+	}
+}
+
 func TestNNVerifierErrors(t *testing.T) {
 	if _, err := NewNNVerifier(nil, 0.95, 1); err == nil {
 		t.Error("nil train should error")
