@@ -380,7 +380,7 @@ func BenchmarkPrefixSweepParallel(b *testing.B) {
 
 // --- hub benches: multi-stream scaling --------------------------------------
 
-// BenchmarkHubScaling drives the load-generator workload (the three demo
+// BenchmarkHubScaling drives the hub.DemoStreams workload (the three demo
 // stream kinds round-robined over 16 streams) through the hub across a
 // worker grid. Per-stream output is byte-identical at every worker count
 // (the golden test pins that); this bench shows what the workers buy in

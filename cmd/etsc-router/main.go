@@ -13,7 +13,8 @@
 //
 // Clients speak to the router exactly as they would to a single
 // etsc-serve: every /v1 endpoint works unchanged, each proxied response
-// carries the owner backend's name in X-Etsc-Backend, and
+// carries the owner backend's name in X-Etsc-Backend, GET /metrics merges
+// every backend's exposition relabeled with backend="name", and
 // POST /admin/rebalance converges placement back to pure hashing after
 // deaths or table changes. See internal/router for the ownership model.
 package main
@@ -42,7 +43,6 @@ func main() {
 		probeTO   = flag.Duration("probe-timeout", 0, "single health-probe timeout (0 = probe-interval)")
 		failThr   = flag.Int("fail-threshold", 3, "consecutive probe failures before a backend is declared dead")
 		routeWait = flag.Duration("route-wait", 2*time.Second, "how long a request waits out a dead owner before failing 503/unavailable")
-		metricsOn = flag.Bool("metrics", true, "expose the merged Prometheus exposition at GET /metrics")
 	)
 	flag.Parse()
 	if *backends == "" {
@@ -66,9 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("etsc-router: %v", err)
 	}
-	if *metricsOn {
-		rt.EnableMetrics()
-	}
+	rt.EnableMetrics()
 	rt.Start()
 	defer rt.Stop()
 

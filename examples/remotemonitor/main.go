@@ -112,6 +112,35 @@ func run(w io.Writer, quick bool) error {
 
 	const batch = 256
 	cursors := map[string]int{}
+	pushed := map[string]int{}
+	// poll prints the detections settled past each stream's cursor. It
+	// first waits until the server has applied every point pushed so far:
+	// chicken streams have no verifier, so the settled prefix then depends
+	// on the position alone and every run prints the same lines.
+	poll := func() error {
+		for _, id := range []string{stock, custom} {
+			for {
+				info, err := c.Stream(ctx, id)
+				if err != nil {
+					return err
+				}
+				if info.Stats.Position == pushed[id] {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			page, err := c.Detections(ctx, id, cursors[id])
+			if err != nil {
+				return err
+			}
+			for _, det := range page.Detections {
+				fmt.Fprintf(w, "%-12s alarm: dustbathing onset near t=%d (decided at t=%d, %.0f%% of window seen)\n",
+					id, det.Start, det.DecisionAt, det.Earliness*100)
+			}
+			cursors[id] = page.Next
+		}
+		return nil
+	}
 	for off := 0; off < minLen; off += batch {
 		for _, id := range []string{stock, custom} {
 			d := data[id]
@@ -134,26 +163,24 @@ func run(w io.Writer, quick bool) error {
 				}
 				time.Sleep(50 * time.Millisecond)
 			}
+			pushed[id] = end
 		}
 		// Poll incrementally: only detections past the cursor arrive.
 		if off/batch%4 == 3 {
-			for _, id := range []string{stock, custom} {
-				page, err := c.Detections(ctx, id, cursors[id])
-				if err != nil {
-					return err
-				}
-				for _, det := range page.Detections {
-					fmt.Fprintf(w, "%-12s alarm: dustbathing onset near t=%d (decided at t=%d, %.0f%% of window seen)\n",
-						id, det.Start, det.DecisionAt, det.Earliness*100)
-				}
-				cursors[id] = page.Next
+			if err := poll(); err != nil {
+				return err
 			}
 		}
 	}
+	if err := poll(); err != nil {
+		return err
+	}
 
 	// Detach for the final reports — the drain guarantees every queued
-	// batch is applied before the report is cut.
+	// batch is applied before the report is cut. The hub totals sum the
+	// reports: a detached stream no longer counts in GET /v1/stats.
 	fmt.Fprintln(w)
+	var points, batches int64
 	for _, id := range []string{stock, custom} {
 		rep, err := c.DeleteStream(ctx, id)
 		if err != nil {
@@ -161,11 +188,9 @@ func run(w io.Writer, quick bool) error {
 		}
 		fmt.Fprintf(w, "final %-12s %d points, %d detections (%d recanted)\n",
 			id, rep.Stats.Position, len(rep.Detections), rep.Stats.Recanted)
+		points += rep.Stats.Points
+		batches += rep.Stats.Batches
 	}
-	totals, err := c.Stats(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "hub totals: %d points over the session, %d batches\n", totals.Points, totals.Batches)
+	fmt.Fprintf(w, "hub totals: %d points over the session, %d batches\n", points, batches)
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -34,5 +35,23 @@ func TestRunQuick(t *testing.T) {
 func TestRunWritesNothingToStdout(t *testing.T) {
 	if err := run(io.Discard, true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunDeterministic pins the example's output: each poll waits until
+// the server has applied every pushed point, so two runs print the same
+// lines, the loopback port aside.
+func TestRunDeterministic(t *testing.T) {
+	port := regexp.MustCompile(`127\.0\.0\.1:\d+`)
+	var outs [2]string
+	for i := range outs {
+		var sb strings.Builder
+		if err := run(&sb, true); err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = port.ReplaceAllString(sb.String(), "127.0.0.1:PORT")
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("two runs differ:\n--- first\n%s\n--- second\n%s", outs[0], outs[1])
 	}
 }

@@ -68,8 +68,8 @@ const (
 // BackendHeader is the response header a routing front tier (etsc-router)
 // sets on every proxied response: the name of the owner backend that
 // actually served the request. Single-node servers do not set it. The
-// typed client copies it into PushResponse.Backend so load generators can
-// attribute per-backend latency.
+// typed client copies it into PushResponse.Backend so a caller can
+// attribute each push to its owner backend.
 const BackendHeader = "X-Etsc-Backend"
 
 // APIError is the structured error body every /v1 endpoint returns on

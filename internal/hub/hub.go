@@ -12,9 +12,10 @@
 // to driving stream.Online directly over the concatenated batches (plus
 // the same suppression and full-window verification), which
 // TestHubMatchesOnline and the golden test assert. Parallelism changes
-// wall-clock time only. Backpressure is never silent: a full queue either
-// blocks the pusher (Block) or rejects the batch with ErrDropped (Drop),
-// and dropped batches are counted in the stream's stats.
+// wall-clock time only. Backpressure is never silent: a full queue
+// blocks the pusher (Block), rejects the batch with ErrDropped (Drop), or
+// admits it by evicting the stream's oldest queued batch (Shed); dropped
+// and shed batches are counted in the stream's stats.
 package hub
 
 import (

@@ -12,10 +12,11 @@ import (
 )
 
 // This file defines the demo workload shared by the golden determinism
-// test, the hub scaling benchmark, and cmd/etsc-serve's load generator:
-// three stream kinds, each pairing a trained pipeline with a generator for
-// endless telemetry of that kind. Everything is seeded, so a (seed, kind,
-// stream index) triple names one reproducible stream.
+// test, the hub scaling benchmark, the serve test batteries, perfbench
+// and cmd/etsc-serve's pipelines: three stream kinds, each pairing a
+// trained pipeline with a generator for endless telemetry of that kind.
+// Everything is seeded, so a (seed, kind, stream index) triple names one
+// reproducible stream.
 
 // Kind is one stream family: a ready-to-attach pipeline plus a generator.
 type Kind struct {
@@ -189,7 +190,7 @@ type DemoStream struct {
 
 // DemoStreams renders n streams round-robined over the kinds, seeded so
 // the same (seed, n, minLen) triple produces the same fleet everywhere;
-// cmd/etsc-serve's load generator and BenchmarkHubScaling share this
+// perfbench, the test batteries and BenchmarkHubScaling share this
 // constructor so their workloads cannot silently diverge.
 func DemoStreams(kinds []Kind, seed int64, n, minLen int) ([]DemoStream, error) {
 	out := make([]DemoStream, n)

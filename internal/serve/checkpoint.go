@@ -105,33 +105,19 @@ func DecodeCheckpoint(frame []byte) (CheckpointMeta, error) {
 // restoreCheckpoint decodes one checkpoint frame and attaches its stream.
 // A frame that decodes but whose state the hub rejects degrades to a
 // fresh attach with the same configuration (fellBack true); a frame that
-// does not decode, names an unserved kind, or collides with a live stream
-// returns an error and attaches nothing.
+// does not decode, names an unserved kind or a spec that does not train,
+// or collides with a live stream returns an error and attaches nothing.
 func (s *Server) restoreCheckpoint(frame []byte) (id string, fellBack bool, err error) {
 	m, err := DecodeCheckpoint(frame)
 	if err != nil {
 		return m.ID, false, err
 	}
 	id = m.ID
-	kindName := m.Kind
-	spec := m.Spec
-	state := m.State
-	k, ok := s.kinds[kindName]
-	if !ok {
-		return id, false, fmt.Errorf("checkpoint for %q names unserved kind %q", id, kindName)
+	meta, sc, apiErr := s.resolveKind(m.Kind, m.Spec)
+	if apiErr != nil {
+		return id, false, fmt.Errorf("checkpoint for %q (kind %q, spec %q): %s", id, m.Kind, m.Spec, apiErr.Message)
 	}
-	sc := k.Config
-	specStr := k.Spec.String()
-	if spec != "" && spec != specStr {
-		override, err := specStreamConfig(k, spec)
-		if err != nil {
-			return id, false, fmt.Errorf("checkpoint for %q: retrain spec %q: %w", id, spec, err)
-		}
-		sc = override
-		specStr = spec
-	}
-	meta := streamMeta{kind: k.Name, spec: specStr}
-	if _, rerr := s.hub.Restore(state, sc); rerr != nil {
+	if _, rerr := s.hub.Restore(m.State, sc); rerr != nil {
 		if errors.Is(rerr, hub.ErrDuplicate) || errors.Is(rerr, hub.ErrClosed) {
 			return id, false, rerr
 		}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"etsc/internal/client"
 	"etsc/internal/hub"
@@ -186,7 +187,7 @@ func TestV1ErrorPaths(t *testing.T) {
 // TestV1PushBackpressure429 pins the Drop policy surfacing as a 429 with
 // the backpressure code and a Retry-After hint on /v1.
 func TestV1PushBackpressure429(t *testing.T) {
-	srv := servetest.New(t, hub.Config{Workers: 1, QueueDepth: 1, Policy: hub.Drop}, []hub.Kind{servetest.SlowKind()})
+	srv := servetest.New(t, hub.Config{Workers: 1, QueueDepth: 1, Policy: hub.Drop}, []hub.Kind{servetest.SlowKind(30 * time.Millisecond)})
 	h, c, ts := srv.Hub, srv.Client, srv.HTTP
 	ctx := context.Background()
 	if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: "s1"}); err != nil {
@@ -242,7 +243,7 @@ func TestV1PushBackpressure429(t *testing.T) {
 // is accepted — and the loss surfaces as per-stream shed counters in
 // /v1/streams stats instead.
 func TestV1ShedPolicyNoBackpressure(t *testing.T) {
-	srv := servetest.New(t, hub.Config{Workers: 1, QueueDepth: 1, Policy: hub.Shed}, []hub.Kind{servetest.SlowKind()})
+	srv := servetest.New(t, hub.Config{Workers: 1, QueueDepth: 1, Policy: hub.Shed}, []hub.Kind{servetest.SlowKind(30 * time.Millisecond)})
 	h, c := srv.Hub, srv.Client
 	ctx := context.Background()
 	if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: "s1"}); err != nil {
@@ -314,7 +315,7 @@ func TestServeNew(t *testing.T) {
 	if _, err := serve.New(h, nil); err == nil {
 		t.Error("no kinds accepted")
 	}
-	k := servetest.SlowKind()
+	k := servetest.SlowKind(30 * time.Millisecond)
 	if _, err := serve.New(h, []hub.Kind{k, k}); err == nil {
 		t.Error("duplicate kinds accepted")
 	}

@@ -23,6 +23,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -246,36 +247,10 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, badRequest(fmt.Sprintf("stream id %q must be a single path segment (no '/', not %q or %q)", req.ID, ".", "..")))
 		return
 	}
-	kindName := req.Kind
-	if kindName == "" {
-		kindName = s.deflt
-	}
-	kind, ok := s.kinds[kindName]
-	if !ok {
-		writeAPIError(w, &client.APIError{
-			Status:  http.StatusBadRequest,
-			Code:    client.CodeUnknownKind,
-			Message: fmt.Sprintf("unknown kind %q (served: %s)", kindName, strings.Join(s.KindNames(), ", ")),
-		})
+	meta, sc, apiErr := s.resolveKind(cmp.Or(req.Kind, s.deflt), req.Spec)
+	if apiErr != nil {
+		writeAPIError(w, apiErr)
 		return
-	}
-
-	sc := kind.Config
-	specStr := kind.Spec.String()
-	if req.Spec != "" {
-		// A per-stream spec replaces the kind's classifier, trained
-		// against the kind's training set through the registry.
-		override, err := specStreamConfig(kind, req.Spec)
-		if err != nil {
-			writeAPIError(w, &client.APIError{
-				Status:  http.StatusBadRequest,
-				Code:    client.CodeBadSpec,
-				Message: err.Error(),
-			})
-			return
-		}
-		sc = override
-		specStr = req.Spec
 	}
 	if apiErr := checkEngine(req.Engine); apiErr != nil {
 		writeAPIError(w, apiErr)
@@ -291,7 +266,6 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 		sc.Suppress = *req.Suppress
 	}
 
-	meta := streamMeta{kind: kind.Name, spec: specStr}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.hub.Attach(req.ID, sc); err != nil {
@@ -502,33 +476,10 @@ func (s *Server) v1RestoreStream(w http.ResponseWriter, r *http.Request, id stri
 		writeAPIError(w, badSnapshot(fmt.Errorf("state frame is for stream %q, not %q", sid, id)))
 		return
 	}
-	kindName := req.Kind
-	if kindName == "" {
-		kindName = s.deflt
-	}
-	kind, ok := s.kinds[kindName]
-	if !ok {
-		writeAPIError(w, &client.APIError{
-			Status:  http.StatusBadRequest,
-			Code:    client.CodeUnknownKind,
-			Message: fmt.Sprintf("unknown kind %q (served: %s)", kindName, strings.Join(s.KindNames(), ", ")),
-		})
+	meta, sc, apiErr := s.resolveKind(cmp.Or(req.Kind, s.deflt), req.Spec)
+	if apiErr != nil {
+		writeAPIError(w, apiErr)
 		return
-	}
-	sc := kind.Config
-	specStr := kind.Spec.String()
-	if req.Spec != "" && req.Spec != specStr {
-		override, err := specStreamConfig(kind, req.Spec)
-		if err != nil {
-			writeAPIError(w, &client.APIError{
-				Status:  http.StatusBadRequest,
-				Code:    client.CodeBadSpec,
-				Message: err.Error(),
-			})
-			return
-		}
-		sc = override
-		specStr = req.Spec
 	}
 	if apiErr := checkEngine(req.Engine); apiErr != nil {
 		writeAPIError(w, apiErr)
@@ -540,9 +491,40 @@ func (s *Server) v1RestoreStream(w http.ResponseWriter, r *http.Request, id stri
 		writeAPIError(w, restoreError(err))
 		return
 	}
-	s.meta[id] = streamMeta{kind: kind.Name, spec: specStr}
+	s.meta[id] = meta
 	stats := s.hub.Snapshot()[id]
 	writeJSON(w, http.StatusCreated, s.infoLocked(id, stats))
+}
+
+// resolveKind resolves a registration's kind and spec into the stream's
+// metadata and pipeline. An empty spec, or the kind's own, shares the
+// kind's trained detector; any other spec retrains the kind's classifier
+// on its training set. Create, snapshot restore and boot restore all
+// resolve through it, so they accept, refuse and describe a (kind, spec)
+// pair alike.
+func (s *Server) resolveKind(kindName, spec string) (streamMeta, hub.StreamConfig, *client.APIError) {
+	kind, ok := s.kinds[kindName]
+	if !ok {
+		return streamMeta{}, hub.StreamConfig{}, &client.APIError{
+			Status:  http.StatusBadRequest,
+			Code:    client.CodeUnknownKind,
+			Message: fmt.Sprintf("unknown kind %q (served: %s)", kindName, strings.Join(s.KindNames(), ", ")),
+		}
+	}
+	meta := streamMeta{kind: kind.Name, spec: kind.Spec.String()}
+	if spec == "" || spec == meta.spec {
+		return meta, kind.Config, nil
+	}
+	sc, err := specStreamConfig(kind, spec)
+	if err != nil {
+		return streamMeta{}, hub.StreamConfig{}, &client.APIError{
+			Status:  http.StatusBadRequest,
+			Code:    client.CodeBadSpec,
+			Message: err.Error(),
+		}
+	}
+	meta.spec = spec
+	return meta, sc, nil
 }
 
 // specStreamConfig renders a kind's StreamConfig with its classifier

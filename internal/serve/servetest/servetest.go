@@ -1,9 +1,9 @@
 // Package servetest is the shared scaffolding for internal/serve's test
 // batteries: hub + server + typed-client construction over the demo kinds,
-// the slow-classifier kind backpressure tests saturate deterministically,
-// and the raw-HTTP/error-envelope assertion helpers. The e2e, error, watch,
-// metrics, and soak batteries all build on it instead of each carrying its
-// own copy.
+// the slow-classifier kind that backpressure and shed tests saturate
+// deterministically, and the raw-HTTP/error-envelope assertion helpers.
+// The e2e, error, watch, metrics, snapshot and soak batteries all build on
+// it instead of each carrying its own copy.
 //
 // It lives outside the serve package (tests import it from `package
 // serve_test`) so the helpers can construct real serve.Server values
@@ -87,7 +87,7 @@ func DemoKinds(t testing.TB) []hub.Kind {
 
 // slowClassifier is an EarlyClassifier whose every decision sleeps,
 // keeping the drain worker busy so queue-full backpressure is
-// deterministic in the 429/shed tests.
+// deterministic in the 429/shed tests and the soak battery.
 type slowClassifier struct{ delay time.Duration }
 
 func (s slowClassifier) Name() string    { return "slow" }
@@ -98,12 +98,13 @@ func (s slowClassifier) ClassifyPrefix(prefix []float64) etsc.Decision {
 }
 func (s slowClassifier) ForcedLabel(series []float64) int { return 0 }
 
-// SlowKind serves the slow pipeline for backpressure tests.
-func SlowKind() hub.Kind {
+// SlowKind serves the slow pipeline, whose classifier sleeps delay per
+// decision, for backpressure tests.
+func SlowKind(delay time.Duration) hub.Kind {
 	return hub.Kind{
 		Name:   "slow",
 		Spec:   etsc.Spec{Algo: "slow"},
-		Config: hub.StreamConfig{Classifier: slowClassifier{delay: 30 * time.Millisecond}, Stride: 16, Step: 16},
+		Config: hub.StreamConfig{Classifier: slowClassifier{delay: delay}, Stride: 16, Step: 16},
 	}
 }
 

@@ -301,7 +301,9 @@ func TestCheckpointBootRestore(t *testing.T) {
 	flipped[len(flipped)/2] ^= 0x10
 	write("flipped.ckpt", flipped)
 	write("junk.ckpt", []byte("not a checkpoint at all"))
-	write("innerbad.ckpt", innerCorrupt(t, goodFrame))
+	// Outer CRC valid, embedded hub state damaged: the case that must
+	// degrade to a fresh-start fallback rather than a skip.
+	write("innerbad.ckpt", reframe(t, goodFrame, func(m *serve.CheckpointMeta) { m.State[len(m.State)/2] ^= 0x20 }))
 
 	ts3 := servetest.New(t, hub.Config{Workers: 2}, kinds)
 	st3, err := ts3.Srv.RestoreFromDir(dir2, t.Logf)
@@ -322,29 +324,132 @@ func TestCheckpointBootRestore(t *testing.T) {
 	ts3.CloseHub(t)
 }
 
-// innerCorrupt rebuilds a checkpoint frame whose outer CRC is valid but
-// whose embedded hub state is damaged — the case that must degrade to a
-// fresh-start fallback rather than a skip or a failed boot.
-func innerCorrupt(t *testing.T, frame []byte) []byte {
+// reframe rebuilds a checkpoint frame, with a valid outer CRC, after edit
+// has changed its decoded fields.
+func reframe(t *testing.T, frame []byte, edit func(*serve.CheckpointMeta)) []byte {
 	t.Helper()
-	kind, ver, payload, err := snap.Decode(frame)
+	kind, ver, _, err := snap.Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := snap.NewReader(payload)
-	id, kindName, spec, engine := r.String(), r.String(), r.String(), r.String()
-	state := append([]byte(nil), r.Blob()...)
-	if err := r.Done(); err != nil {
+	m, err := serve.DecodeCheckpoint(frame)
+	if err != nil {
 		t.Fatal(err)
 	}
-	state[len(state)/2] ^= 0x20
+	m.State = append([]byte(nil), m.State...)
+	edit(&m)
 	var w snap.Writer
-	w.String(id)
-	w.String(kindName)
-	w.String(spec)
-	w.String(engine)
-	w.Blob(state)
+	w.String(m.ID)
+	w.String(m.Kind)
+	w.String(m.Spec)
+	w.String(m.Engine)
+	w.Blob(m.State)
 	return snap.Encode(kind, ver, w.Bytes())
+}
+
+// TestKindSpecResolution pins the one (kind, spec) resolution behind
+// create, snapshot restore and boot restore: for each registration the
+// three report the same kind and spec, or create and snapshot restore
+// refuse it with the same status and code and RestoreFromDir skips it.
+func TestKindSpecResolution(t *testing.T) {
+	kinds := servetest.DemoKinds(t)
+	ts := servetest.New(t, hub.Config{Workers: 1}, kinds)
+	c := ts.Client
+	ctx := context.Background()
+	var own string
+	for _, k := range kinds {
+		if k.Name == "chicken" {
+			own = k.Spec.String()
+		}
+	}
+	const other = "probthreshold:threshold=0.95,minprefix=12"
+
+	// A fresh chicken stream's state restores under any spec trained on
+	// the chicken dataset: its window is the dataset's series length.
+	const id = "coop"
+	if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: id, Kind: "chicken"}); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := c.SnapshotStream(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := ts.Srv.ExportCheckpoint(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DeleteStream(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, kind, spec string
+		wantSpec         string           // accepted: the spec every path reports
+		code             client.ErrorCode // refused: the code create and restore answer
+	}{
+		{name: "kind only", kind: "chicken", wantSpec: own},
+		{name: "own spec", kind: "chicken", spec: own, wantSpec: own},
+		{name: "other spec", kind: "chicken", spec: other, wantSpec: other},
+		{name: "unknown kind", kind: "turkey", code: client.CodeUnknownKind},
+		{name: "bad spec", kind: "chicken", spec: "nosuchalgo:x=1", code: client.CodeBadSpec},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Each path attaches the one stream id the state frame names,
+			// so each detaches it before the next runs.
+			var infos []client.StreamInfo
+			detach := func() {
+				t.Helper()
+				info, err := c.Stream(ctx, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				infos = append(infos, info)
+				if _, err := c.DeleteStream(ctx, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, createErr := c.CreateStream(ctx, client.CreateStreamRequest{ID: id, Kind: tc.kind, Spec: tc.spec})
+			if createErr == nil {
+				detach()
+			}
+			_, restoreErr := c.RestoreStream(ctx, client.StreamSnapshot{
+				ID: id, Kind: tc.kind, Spec: tc.spec, Position: snapshot.Position, State: snapshot.State,
+			})
+			if restoreErr == nil {
+				detach()
+			}
+			dir := t.TempDir()
+			ckpt := reframe(t, frame, func(m *serve.CheckpointMeta) { m.Kind, m.Spec = tc.kind, tc.spec })
+			if err := os.WriteFile(filepath.Join(dir, id+".ckpt"), ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := ts.Srv.RestoreFromDir(dir, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Restored == 1 {
+				detach()
+			}
+
+			if tc.code != "" {
+				servetest.APIErrOf(t, createErr, http.StatusBadRequest, tc.code)
+				servetest.APIErrOf(t, restoreErr, http.StatusBadRequest, tc.code)
+				if st != (serve.RestoreStats{Skipped: 1}) {
+					t.Errorf("boot restore %+v, want one skip", st)
+				}
+				return
+			}
+			if createErr != nil || restoreErr != nil || st != (serve.RestoreStats{Restored: 1}) {
+				t.Fatalf("create %v, snapshot restore %v, boot restore %+v: want all three accepted", createErr, restoreErr, st)
+			}
+			for i, info := range infos {
+				if info.Kind != "chicken" || info.Spec != tc.wantSpec {
+					t.Errorf("path %d reports {kind %q spec %q}, want {chicken %q}", i, info.Kind, info.Spec, tc.wantSpec)
+				}
+			}
+		})
+	}
+	ts.CloseHub(t)
 }
 
 // TestShutdownRebootResume pins the clean-shutdown contract: a final

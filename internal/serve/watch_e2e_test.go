@@ -41,6 +41,10 @@ func detJSON(t testing.TB, dets []stream.Detection) string {
 type watcherState struct {
 	cursor atomic.Int64
 	stop   atomic.Bool
+	// pause, when set, runs after each delivered frame with the number of
+	// frames delivered so far: the soak battery's slow and stalled
+	// consumers. It is set before the watcher starts.
+	pause func(delivered int)
 }
 
 // await blocks until the watcher has delivered (and finished reconnecting
@@ -97,6 +101,9 @@ func watchTranscript(t *testing.T, c *client.Client, id string, reconnectEvery i
 		}
 		out = append(out, *f.Detection)
 		next = f.Next
+		if st.pause != nil {
+			st.pause(len(out))
+		}
 		sinceReconnect++
 		if reconnectEvery > 0 && sinceReconnect >= reconnectEvery && !st.stop.Load() {
 			sinceReconnect = 0
