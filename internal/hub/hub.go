@@ -897,7 +897,7 @@ func Reference(sc StreamConfig, series []float64) ([]stream.Detection, error) {
 	if err != nil {
 		return nil, err
 	}
-	dets := stream.NewSuppressor(sc.Suppress).Filter(o.PushAll(series))
+	dets := stream.NewSuppressor(sc.Suppress).Filter(o.PushBatch(series))
 	if sc.Verifier != nil {
 		stream.Verify(dets, series, sc.Classifier.FullLength(), sc.Verifier)
 	}

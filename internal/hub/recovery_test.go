@@ -3,13 +3,16 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"etsc/internal/etsc"
 	"etsc/internal/snap"
 )
 
@@ -481,5 +484,180 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	}
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// outsideClassifier is an IncrementalClassifier defined outside package
+// etsc, as etsc.Register lets a deployment add: its session type is one
+// package etsc has never seen.
+type outsideClassifier struct{ etsc.EarlyClassifier }
+
+func (c outsideClassifier) NewIncrementalSession() etsc.IncrementalSession {
+	return &outsideSession{inner: etsc.OpenSession(c.EarlyClassifier)}
+}
+
+type outsideSession struct{ inner etsc.IncrementalSession }
+
+func (s *outsideSession) Extend(points []float64) etsc.Decision { return s.inner.Extend(points) }
+
+// within runs f and fails the test if f panics or has not returned after
+// ten seconds. A call that never returns is left running, so a hang fails
+// this test instead of the whole binary's timeout.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f()
+	}()
+	select {
+	case p := <-done:
+		if p != nil {
+			t.Errorf("%s panicked: %v", what, p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return within 10s", what)
+	}
+}
+
+// TestExportRestoreOutsideSession checkpoints a stream whose classifier's
+// session type is defined outside package etsc. Export must succeed and
+// leave the stream draining, and a fresh hub that restores the frame and
+// takes the rest of the stream through PushAt must end on Reference's
+// transcript.
+func TestExportRestoreOutsideSession(t *testing.T) {
+	streams, err := DemoStreams(recoveryKinds(t), 81, 1, 3_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := streams[0]
+	cfg := ds.Config
+	cfg.Classifier = outsideClassifier{ds.Config.Classifier}
+	ref, err := Reference(cfg, ds.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) == 0 {
+		t.Fatal("Reference fires nothing; the comparison is vacuous")
+	}
+	want := fmt.Sprintf("%+v", ref)
+	const cut = 1_000
+
+	h, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Attach(ds.ID, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Push(ds.ID, ds.Data[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "Flush", h.Flush)
+	var frame []byte
+	within(t, "Export", func() {
+		if frame, err = h.Export(ds.ID); err != nil {
+			t.Errorf("Export: %v", err)
+		}
+	})
+	// The exporting stream must keep draining after the export.
+	if err := h.Push(ds.ID, ds.Data[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "Flush after Export", h.Flush)
+	var reports []StreamReport
+	within(t, "Close", func() { reports, err = h.Close() })
+	if err != nil || len(reports) != 1 {
+		t.Fatalf("Close: %d reports, %v", len(reports), err)
+	}
+	if got := fmt.Sprintf("%+v", reports[0].Detections); got != want {
+		t.Errorf("exporting hub's transcript != Reference\n got %s\nwant %s", got, want)
+	}
+	if frame == nil {
+		t.FailNow()
+	}
+
+	h2, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h2.Restore(frame, cfg); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if err := h2.PushAt(ds.ID, cut, ds.Data[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "Close after restore", func() { reports, err = h2.Close() })
+	if err != nil || len(reports) != 1 {
+		t.Fatalf("Close after restore: %d reports, %v", len(reports), err)
+	}
+	if got := fmt.Sprintf("%+v", reports[0].Detections); got != want {
+		t.Errorf("restored transcript != Reference\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRestoreRejectsFarPositions pins the bound on a restored position. A
+// frame is outside input (POST /v1/streams/{id}/snapshot takes a client's,
+// CRC and all), and /v1 reports positions as JSON numbers, exact up to
+// 2^53: a frame above that fails with ErrCorrupt and attaches nothing,
+// instead of replaying into index arithmetic that wraps. A frame at 2^53
+// itself restores.
+func TestRestoreRejectsFarPositions(t *testing.T) {
+	streams, err := DemoStreams(recoveryKinds(t), 82, 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := StreamConfig{Classifier: streams[0].Config.Classifier}
+	window := sc.Classifier.FullLength()
+	// frameAt writes a version-2 frame, field by field, for a stream
+	// without a verifier or detections at position pos.
+	frameAt := func(pos int) []byte {
+		var w snap.Writer
+		w.String("far")
+		w.Int(pos)
+		w.Int(window)
+		w.Int(4) // stride
+		w.Int(4) // step
+		w.Int(frameEngine)
+		w.Int(0)      // suppression radius
+		w.Bool(false) // verifier
+		for i := 0; i < 6; i++ {
+			w.Int64(0) // batch, point, drop and shed counters
+		}
+		w.Int(0)      // recanted
+		w.Int(0)      // detections
+		w.Ints(nil)   // pending verifications
+		w.Int(0)      // settled boundary
+		w.Int(0)      // tail start
+		w.Floats(nil) // tail
+		w.Int(0)      // suppressor entries
+		w.Int(pos)    // monitor position
+		w.Int(pos - (window - 1))
+		w.Floats(make([]float64, window-1))
+		return snap.Encode(streamStateKind, streamStateVersion, w.Bytes())
+	}
+	for _, pos := range []int{math.MaxInt - 3, 1<<53 + 1} {
+		h, err := New(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rerr error
+		within(t, fmt.Sprintf("Restore at %d", pos), func() { _, rerr = h.Restore(frameAt(pos), sc) })
+		if !errors.Is(rerr, snap.ErrCorrupt) {
+			t.Errorf("Restore at %d: error %v, want ErrCorrupt", pos, rerr)
+		}
+		if _, err := h.Detections("far"); !errors.Is(err, ErrUnknownStream) {
+			t.Errorf("Restore at %d attached the stream", pos)
+		}
+	}
+	h, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Restore(frameAt(1<<53), sc); err != nil {
+		t.Fatalf("Restore at 2^53: %v", err)
+	}
+	if got := h.Snapshot()["far"].Position; got != 1<<53 {
+		t.Fatalf("restored at %d, want 2^53", got)
 	}
 }

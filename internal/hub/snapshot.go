@@ -9,11 +9,12 @@ import (
 )
 
 // Stream snapshot/restore: a hub stream's complete durable state — monitor
-// position and buffer, open candidate sessions, suppressor debounce,
-// detection transcript with verification cursors and the settled watch
-// boundary, and the raw sample tail pending verifications still need —
-// exports as one self-validating snap frame and restores into another Hub
-// (another process, a post-crash reboot).
+// position and the last window−1 points, suppressor debounce, detection
+// transcript with verification cursors and the settled watch boundary, and
+// the raw sample tail pending verifications still need — exports as one
+// self-validating snap frame and restores into another Hub (another
+// process, a post-crash reboot). Open candidate sessions are not written:
+// restore rebuilds them by replaying the kept points (stream.Online).
 //
 // What is NOT in the snapshot: the trained classifier and the verifier.
 // Those are configuration, not stream state — the restoring side supplies
@@ -29,11 +30,13 @@ import (
 // instead of corrupting the transcript.
 
 // streamStateKind tags hub stream snapshots; streamStateVersion is the
-// payload schema version (bump on any layout change below, including the
-// session layouts in internal/etsc).
+// payload schema version this build writes (bump on any layout change
+// below). Version 1 frames also carried each open candidate's session
+// state after the monitor's points; Restore still reads them, leaving
+// those records unread.
 const (
 	streamStateKind    = "etsc-stream-state"
-	streamStateVersion = 1
+	streamStateVersion = 2
 )
 
 // frameEngine is the engine int every stream frame carries. The field once
@@ -104,13 +107,9 @@ func (s *hubStream) exportLocked() []byte {
 	w.Int(s.tailAt)
 	w.Floats(s.tail)
 	s.supp.SnapshotTo(&w)
-	// The monitor last, with its candidate sessions — the bulk of the
-	// payload. Snapshot errors are impossible for sessions the hub itself
-	// opened (every OpenSessionMode product serializes), so a failure here
-	// is a programming error worth failing loudly over.
-	if err := s.online.SnapshotTo(&w); err != nil {
-		panic(fmt.Sprintf("hub: exporting stream %q: %v", s.id, err))
-	}
+	// The monitor last: version 1 frames put their candidate sessions after
+	// it, which is what lets Restore leave them unread.
+	s.online.SnapshotTo(&w)
 	return snap.Encode(streamStateKind, streamStateVersion, w.Bytes())
 }
 
@@ -118,56 +117,57 @@ func (s *hubStream) exportLocked() []byte {
 // position watermark without restoring it — what the serving layer needs
 // to route a restore and what replay drivers need to resume pushing.
 func SnapshotInfo(data []byte) (id string, position int, err error) {
-	kind, version, payload, err := snap.Decode(data)
-	if err != nil {
-		return "", 0, err
-	}
-	if kind != streamStateKind {
-		return "", 0, fmt.Errorf("%w: kind %q is not a stream snapshot", snap.ErrCorrupt, kind)
-	}
-	if version != streamStateVersion {
-		return "", 0, fmt.Errorf("%w: stream snapshot version %d (this build reads %d)",
-			snap.ErrVersion, version, streamStateVersion)
-	}
-	r := snap.NewReader(payload)
-	id = r.String()
-	position = r.Int()
-	if err := r.Err(); err != nil {
-		return "", 0, err
-	}
-	if position < 0 {
-		return "", 0, fmt.Errorf("%w: negative position %d", snap.ErrCorrupt, position)
-	}
-	return id, position, nil
+	_, id, position, _, err = openFrame(data)
+	return id, position, err
 }
 
-// Restore attaches a stream rebuilt from a snapshot. sc supplies what the
-// snapshot deliberately omits — the trained classifier and the verifier —
-// and must match the recorded resolved config: same full-window length and
-// same verifier presence, or ErrBadSnapshot. Stride, step, and
-// suppression radius come from the snapshot itself (sc's values for them
-// are ignored), so the restored pipeline is the one that was exported. Returns the stream ID on success. Corrupt or truncated
-// snapshots fail with snap sentinel errors and never panic; nothing is
-// attached on failure.
-func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
+// openFrame decodes a stream frame, checks its kind and version, and reads
+// the stream ID and position every version starts with; the returned
+// reader stands just past them.
+func openFrame(data []byte) (version uint16, id string, pos int, r *snap.Reader, err error) {
 	kind, version, payload, err := snap.Decode(data)
 	if err != nil {
-		return "", err
+		return 0, "", 0, nil, err
 	}
 	if kind != streamStateKind {
-		return "", fmt.Errorf("%w: kind %q is not a stream snapshot", snap.ErrCorrupt, kind)
+		return 0, "", 0, nil, fmt.Errorf("%w: kind %q is not a stream snapshot", snap.ErrCorrupt, kind)
 	}
-	if version != streamStateVersion {
-		return "", fmt.Errorf("%w: stream snapshot version %d (this build reads %d)",
+	if version < 1 || version > streamStateVersion {
+		return 0, "", 0, nil, fmt.Errorf("%w: stream snapshot version %d (this build reads 1 to %d)",
 			snap.ErrVersion, version, streamStateVersion)
+	}
+	r = snap.NewReader(payload)
+	id = r.String()
+	pos = r.Int()
+	if err := r.Err(); err != nil {
+		return 0, "", 0, nil, err
+	}
+	if pos < 0 {
+		return 0, "", 0, nil, fmt.Errorf("%w: negative position %d", snap.ErrCorrupt, pos)
+	}
+	return version, id, pos, r, nil
+}
+
+// Restore attaches a stream rebuilt from a snapshot of either version. sc
+// supplies what the snapshot deliberately omits — the trained classifier
+// and the verifier — and must match the recorded resolved config: same
+// full-window length and same verifier presence, or ErrBadSnapshot.
+// Stride, step, and suppression radius come from the snapshot itself
+// (sc's values for them are ignored), so the restored pipeline is the one
+// that was exported.
+//
+// Returns the stream ID on success. Corrupt or truncated snapshots fail
+// with snap sentinel errors and never panic; nothing is attached on
+// failure.
+func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
+	version, id, pos, r, err := openFrame(data)
+	if err != nil {
+		return "", err
 	}
 	if sc.Classifier == nil {
 		return "", fmt.Errorf("%w: restore needs a classifier", ErrBadSnapshot)
 	}
 
-	r := snap.NewReader(payload)
-	id := r.String()
-	pos := r.Int()
 	window := r.Int()
 	stride := r.Int()
 	step := r.Int()
@@ -186,7 +186,7 @@ func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
 	if err := r.Err(); err != nil {
 		return "", err
 	}
-	if pos < 0 || window < 1 || stride < 1 || step < 1 || suppress < 0 {
+	if window < 1 || stride < 1 || step < 1 || suppress < 0 {
 		return "", fmt.Errorf("%w: stream geometry (pos %d, window %d, stride %d, step %d, suppress %d)",
 			snap.ErrCorrupt, pos, window, stride, step, suppress)
 	}
@@ -269,8 +269,10 @@ func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
 	if err := online.RestoreFrom(r); err != nil {
 		return "", err
 	}
-	if err := r.Done(); err != nil {
-		return "", err
+	if version == streamStateVersion {
+		if err := r.Done(); err != nil {
+			return "", err
+		}
 	}
 	if online.Pos() != pos {
 		return "", fmt.Errorf("%w: monitor position %d, stream position %d", snap.ErrCorrupt, online.Pos(), pos)

@@ -75,7 +75,7 @@ func FuzzOnlinePush(f *testing.F) {
 				break
 			}
 			prevAt := -1
-			for _, d := range o.PushAll(batch) {
+			for _, d := range o.PushBatch(batch) {
 				if d.Start < 0 || d.DecisionAt < d.Start {
 					t.Fatalf("malformed detection %+v", d)
 				}

@@ -13,7 +13,7 @@ import (
 // samples until it commits or its window completes. Memory is bounded by
 // one window of samples plus WindowLen/Stride live sessions.
 //
-// Online(stride, step).PushAll(stream) produces exactly the detections of
+// Online(stride, step).PushBatch(stream) produces exactly the detections of
 // Monitor{Stride: stride, Step: step}.Run(stream) (without suppression),
 // which TestOnlineMatchesBatch asserts.
 type Online struct {
@@ -239,11 +239,4 @@ func sortDetections(ds []Detection) {
 			ds[j], ds[j-1] = ds[j-1], ds[j]
 		}
 	}
-}
-
-// PushAll consumes a batch of samples and returns all detections. It is
-// PushBatch; the name survives for the hub and test callers that predate
-// batching.
-func (o *Online) PushAll(stream []float64) []Detection {
-	return o.PushBatch(stream)
 }

@@ -27,7 +27,7 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := on.PushAll(sentence)
+	got := on.PushBatch(sentence)
 
 	// The batch monitor only opens candidates whose full window fits the
 	// stream; the online monitor cannot know the stream will end, so drop

@@ -75,7 +75,7 @@ func TestMonitorMatchesUnsuppressedOnlineAcrossWorkers(t *testing.T) {
 	// The batch monitor only opens candidates whose full window fits the
 	// stream; drop online detections on trailing partial windows.
 	var want []Detection
-	for _, d := range on.PushAll(stream) {
+	for _, d := range on.PushBatch(stream) {
 		if d.Start+c.FullLength() <= len(stream) {
 			want = append(want, d)
 		}

@@ -4,19 +4,23 @@ import (
 	"fmt"
 	"sort"
 
-	"etsc/internal/etsc"
 	"etsc/internal/snap"
 )
 
-// Online snapshot/restore: the monitor's live scratch — stream position,
-// sample buffer, and every open candidate window with its session state —
-// serializes through a snap.Writer and rebuilds into a freshly constructed
-// monitor over the same classifier and configuration. The classifier
-// itself is not serialized; the owning layer records the model spec and
-// re-trains (or re-attaches) it before calling RestoreFrom.
+// Online snapshot/restore: the monitor's live state is its position and
+// the last window−1 points. Every open candidate starts inside that span —
+// a candidate whose window has seen window points is closed — and was fed
+// the span in the same step-sized Extend chunks a fresh monitor feeds it,
+// so RestoreFrom rebuilds every open session exactly by pushing the span
+// through a monitor positioned at its start. The classifier is not
+// serialized; the owning layer records the model spec and re-trains (or
+// re-attaches) it before calling RestoreFrom. Any classifier restores this
+// way, since no session state is written.
 
-// Classifier returns the classifier this monitor drives.
-func (o *Online) Classifier() etsc.EarlyClassifier { return o.classifier }
+// maxPosition bounds a restored position: the largest integer a JSON
+// number carries exactly, far below where the monitor's index arithmetic
+// could wrap.
+const maxPosition = 1 << 53
 
 // Stride returns the configured candidate-window stride.
 func (o *Online) Stride() int { return o.stride }
@@ -24,31 +28,28 @@ func (o *Online) Stride() int { return o.stride }
 // Step returns the configured decision-opportunity step.
 func (o *Online) Step() int { return o.step }
 
-// SnapshotTo writes the monitor's live state: position, buffer, and every
-// open candidate (window start, decision cursor, and classifier session
-// scratch).
-func (o *Online) SnapshotTo(w *snap.Writer) error {
+// replaySpan is how many of the points before pos a snapshot keeps: the
+// last window−1, or all of them early in the stream.
+func (o *Online) replaySpan(pos int) int { return max(0, min(pos, o.window-1)) }
+
+// SnapshotTo writes the monitor's live state: its position, the stream
+// index the kept points start at, and the last window−1 points.
+func (o *Online) SnapshotTo(w *snap.Writer) {
+	span := o.buf[len(o.buf)-o.replaySpan(o.pos):]
 	w.Int(o.pos)
-	w.Int(o.bufStart)
-	w.Floats(o.buf)
-	w.Int(len(o.candidates))
-	for _, c := range o.candidates {
-		w.Int(c.start)
-		w.Int(c.nextLen)
-		w.Int(c.seen)
-		if err := etsc.SnapshotSessionState(c.sess, w); err != nil {
-			return fmt.Errorf("stream: candidate at %d: %w", c.start, err)
-		}
-	}
-	return nil
+	w.Int(o.pos - len(span))
+	w.Floats(span)
 }
 
 // RestoreFrom loads state written by SnapshotTo into a freshly constructed
-// monitor (NewOnline with the same classifier, stride, and step) that has
-// not consumed a point. Structurally invalid state —
-// a buffer that cannot belong to this configuration, candidate cursors
-// outside their windows — fails with an error wrapping snap.ErrCorrupt and
-// never panics; the monitor is not usable after a failed restore.
+// monitor (NewOnline with the same stride and step, and a classifier of the
+// same window length) that has not consumed a point, and replays the kept
+// points through it. The detections the replay re-derives fired before the
+// snapshot and are discarded. Points before the last window−1 (writers
+// that predate replay kept more) are skipped. A position outside
+// [0, 2^53], or kept points that do not end at the position or do not
+// cover the last window−1, fail with an error wrapping snap.ErrCorrupt and
+// never panic; the monitor is not usable after a failed restore.
 func (o *Online) RestoreFrom(r *snap.Reader) error {
 	if o.pos != 0 || len(o.candidates) != 0 {
 		return fmt.Errorf("%w: restore into a monitor that has already consumed points", snap.ErrCorrupt)
@@ -56,56 +57,21 @@ func (o *Online) RestoreFrom(r *snap.Reader) error {
 	pos := r.Int()
 	bufStart := r.Int()
 	buf := r.Floats()
-	n := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if pos < 0 || bufStart < 0 || bufStart > pos {
-		return fmt.Errorf("%w: position %d / buffer start %d", snap.ErrCorrupt, pos, bufStart)
+	if pos < 0 || pos > maxPosition {
+		return fmt.Errorf("%w: position %d outside [0, %d]", snap.ErrCorrupt, pos, maxPosition)
 	}
-	if bufStart+len(buf) != pos {
-		return fmt.Errorf("%w: buffer [%d, %d) does not end at position %d", snap.ErrCorrupt, bufStart, bufStart+len(buf), pos)
+	span := o.replaySpan(pos)
+	if bufStart < 0 || bufStart > pos || pos-bufStart != len(buf) || len(buf) < span {
+		return fmt.Errorf("%w: buffer of %d points from %d does not hold the %d points before position %d",
+			snap.ErrCorrupt, len(buf), bufStart, span, pos)
 	}
-	if len(buf) > cap(o.buf) {
-		return fmt.Errorf("%w: buffer of %d points exceeds this configuration's %d capacity", snap.ErrCorrupt, len(buf), cap(o.buf))
-	}
-	if n < 0 || n > len(buf)/o.stride+2 {
-		return fmt.Errorf("%w: %d candidates over a %d-point buffer at stride %d", snap.ErrCorrupt, n, len(buf), o.stride)
-	}
-	o.pos = pos
-	o.bufStart = bufStart
-	o.buf = append(o.buf[:0], buf...)
-	prevStart := -1
-	for i := 0; i < n; i++ {
-		start, nextLen, seen := r.Int(), r.Int(), r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if start < bufStart || start > pos || start%o.stride != 0 {
-			return fmt.Errorf("%w: candidate %d start %d outside buffer [%d, %d] or off stride %d",
-				snap.ErrCorrupt, i, start, bufStart, pos, o.stride)
-		}
-		if start <= prevStart {
-			return fmt.Errorf("%w: candidate %d start %d not after previous %d", snap.ErrCorrupt, i, start, prevStart)
-		}
-		prevStart = start
-		if seen < 0 || seen > pos-start || seen > o.window {
-			return fmt.Errorf("%w: candidate %d has seen %d of a %d-point window with %d available",
-				snap.ErrCorrupt, i, seen, o.window, pos-start)
-		}
-		if nextLen < o.step || nextLen < seen || nextLen > o.window+o.step || nextLen%o.step != 0 {
-			return fmt.Errorf("%w: candidate %d decision cursor %d (seen %d, step %d)",
-				snap.ErrCorrupt, i, nextLen, seen, o.step)
-		}
-		sess := etsc.OpenSession(o.classifier)
-		if err := etsc.RestoreSessionState(sess, r); err != nil {
-			return fmt.Errorf("stream: candidate %d: %w", i, err)
-		}
-		o.candidates = append(o.candidates, &onlineCandidate{
-			start: start, nextLen: nextLen, seen: seen, sess: sess,
-		})
-	}
-	return r.Err()
+	o.pos = pos - span
+	o.bufStart = o.pos
+	o.PushBatch(buf[len(buf)-span:])
+	return nil
 }
 
 // SnapshotTo writes the suppressor's debounce state: for each label, the

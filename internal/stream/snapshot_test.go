@@ -2,7 +2,9 @@ package stream
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"etsc/internal/etsc"
@@ -13,63 +15,129 @@ import (
 // TestOnlineSnapshotEquivalence is the monitor-layer half of the durable
 // state proof: snapshot mid-stream, restore into a fresh monitor, and the
 // remaining points produce exactly the detections of the monitor that
-// never stopped — for several split points, including splits inside open
-// candidate windows.
+// never stopped. It covers every registered algorithm's session, the
+// buffering adapter, and a session type defined outside package etsc, at
+// four stride/step geometries and splits at the start of the stream,
+// around one window, and before the last point.
 func TestOnlineSnapshotEquivalence(t *testing.T) {
-	train := fuzzTrainSet(t)
-	prob, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train)
+	const wordLen = 64 // EDSC's default shapelet lengths reach 60
+	train, err := synth.WordDataset(synth.NewRand(11), []string{"cat", "dog"}, 10, wordLen, synth.DefaultWordConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := synth.NewRand(99)
-	series := make([]float64, 400)
-	for i := range series {
-		series[i] = rng.NormFloat64()
+	series, _, err := synth.Sentence(synth.NewRand(23), synth.CathySentence, synth.DefaultWordConfig(), 30)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, split := range []int{0, 1, 13, 50, 399} {
-		straight, err := NewOnline(prob, 3, 2)
+	var classifiers []etsc.EarlyClassifier
+	for _, spec := range []string{
+		"ects", "ects:relaxed=true", "ecdire", "costaware", "teaser", "edsc", "edsc:method=kde",
+		"relclass", "relclass:pooled=true", "probthreshold", "fixedprefix",
+	} {
+		c, err := etsc.TrainSpecString(spec, train)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", spec, err)
 		}
-		interrupted, err := NewOnline(prob, 3, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := straight.PushBatch(series[:split])
-		got := interrupted.PushBatch(series[:split])
+		classifiers = append(classifiers, c)
+	}
+	classifiers = append(classifiers, adapterOnly{classifiers[0]}, chunkClassifier{full: wordLen})
 
-		var w snap.Writer
-		if err := interrupted.SnapshotTo(&w); err != nil {
-			t.Fatalf("split %d: snapshot: %v", split, err)
-		}
-		restored, err := NewOnline(prob, 3, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := snap.NewReader(w.Bytes())
-		if err := restored.RestoreFrom(r); err != nil {
-			t.Fatalf("split %d: restore: %v", split, err)
-		}
-		if err := r.Done(); err != nil {
-			t.Fatalf("split %d: trailing bytes: %v", split, err)
-		}
-		if restored.Pos() != split || restored.ActiveCandidates() != interrupted.ActiveCandidates() {
-			t.Fatalf("split %d: restored pos %d candidates %d, want %d / %d",
-				split, restored.Pos(), restored.ActiveCandidates(),
-				split, interrupted.ActiveCandidates())
-		}
-
-		want = append(want, straight.PushBatch(series[split:])...)
-		got = append(got, restored.PushBatch(series[split:])...)
-		if len(want) != len(got) {
-			t.Fatalf("split %d: %d vs %d detections", split, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("split %d: detection %d = %+v, want %+v", split, i, got[i], want[i])
+	fired := 0
+	for _, c := range classifiers {
+		for _, g := range []struct{ stride, step int }{{4, 4}, {3, 5}, {8, 8}, {1, 7}} {
+			name := fmt.Sprintf("%s/stride=%d,step=%d", c.Name(), g.stride, g.step)
+			straight, err := NewOnline(c, g.stride, g.step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := straight.PushBatch(series)
+			fired += len(want)
+			w := c.FullLength()
+			for _, split := range []int{0, 1, w - 1, w, w + 1, len(series) - 1} {
+				interrupted, err := NewOnline(c, g.stride, g.step)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := interrupted.PushBatch(series[:split])
+				var sw snap.Writer
+				interrupted.SnapshotTo(&sw)
+				restored, err := NewOnline(c, g.stride, g.step)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := snap.NewReader(sw.Bytes())
+				if err := restored.RestoreFrom(r); err != nil {
+					t.Fatalf("%s split %d: restore: %v", name, split, err)
+				}
+				if err := r.Done(); err != nil {
+					t.Fatalf("%s split %d: trailing bytes: %v", name, split, err)
+				}
+				if restored.Pos() != interrupted.Pos() || restored.ActiveCandidates() != interrupted.ActiveCandidates() {
+					t.Fatalf("%s split %d: restored pos %d candidates %d, want %d / %d", name, split,
+						restored.Pos(), restored.ActiveCandidates(), interrupted.Pos(), interrupted.ActiveCandidates())
+				}
+				got = append(got, restored.PushBatch(series[split:])...)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s split %d: stitched transcript\n got %+v\nwant %+v", name, split, got, want)
+				}
 			}
 		}
 	}
+	if fired == 0 {
+		t.Fatal("no classifier fired on the sentence; the comparison is vacuous")
+	}
+}
+
+// adapterOnly hides a classifier's native session, so OpenSession drives
+// it through the buffering adapter over ClassifyPrefix.
+type adapterOnly struct{ etsc.EarlyClassifier }
+
+func (a adapterOnly) Name() string { return a.EarlyClassifier.Name() + " via adapter" }
+
+// chunkClassifier is an IncrementalClassifier defined outside package
+// etsc. Its session commits, by the sign of the running sum, once that sum
+// leaves [-2, 2] at the end of its third or later Extend call — so its
+// decisions depend on how the points were chunked, not only on which
+// points arrived.
+type chunkClassifier struct{ full int }
+
+func (c chunkClassifier) Name() string    { return "chunk" }
+func (c chunkClassifier) FullLength() int { return c.full }
+
+func (c chunkClassifier) ClassifyPrefix(prefix []float64) etsc.Decision {
+	return c.NewIncrementalSession().Extend(prefix)
+}
+
+func (c chunkClassifier) ForcedLabel(series []float64) int {
+	return c.ClassifyPrefix(series).Label
+}
+
+func (c chunkClassifier) NewIncrementalSession() etsc.IncrementalSession {
+	return &chunkSession{full: c.full}
+}
+
+type chunkSession struct {
+	full, seen, calls int
+	sum               float64
+	dec               etsc.Decision
+}
+
+func (s *chunkSession) Extend(points []float64) etsc.Decision {
+	if s.dec.Ready {
+		return s.dec
+	}
+	points = points[:min(len(points), s.full-s.seen)]
+	for _, v := range points {
+		s.sum += v
+	}
+	s.seen += len(points)
+	s.calls++
+	s.dec.Label = 1
+	if s.sum < 0 {
+		s.dec.Label = 2
+	}
+	s.dec.Ready = s.calls >= 3 && math.Abs(s.sum) > 2
+	return s.dec
 }
 
 // TestOnlineRestoreRejectsCorruption drives truncations and field-level
@@ -93,9 +161,7 @@ func TestOnlineRestoreRejectsCorruption(t *testing.T) {
 	}
 	o.PushBatch(series)
 	var w snap.Writer
-	if err := o.SnapshotTo(&w); err != nil {
-		t.Fatal(err)
-	}
+	o.SnapshotTo(&w)
 	good := w.Bytes()
 
 	fresh := func() *Online {
@@ -180,15 +246,13 @@ func FuzzOnlineRestoreEquivalence(f *testing.F) {
 	f.Add(make([]byte, 300), uint8(7), uint8(3), uint8(100))
 
 	train := fuzzTrainSet(f)
-	classifiers := []etsc.EarlyClassifier{}
-	if c, err := etsc.TrainSpecString("fixedprefix:at=10,znorm=true", train); err == nil {
+	var classifiers []etsc.EarlyClassifier
+	for _, spec := range []string{"fixedprefix:at=10,znorm=true", "probthreshold:threshold=0.8,minprefix=4", "teaser", "ects"} {
+		c, err := etsc.TrainSpecString(spec, train)
+		if err != nil {
+			f.Fatalf("%s: %v", spec, err)
+		}
 		classifiers = append(classifiers, c)
-	}
-	if c, err := etsc.TrainSpecString("probthreshold:threshold=0.8,minprefix=4", train); err == nil {
-		classifiers = append(classifiers, c)
-	}
-	if len(classifiers) == 0 {
-		f.Fatal("no classifiers built")
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, strideB, stepB, splitB uint8) {
@@ -217,9 +281,7 @@ func FuzzOnlineRestoreEquivalence(f *testing.F) {
 
 		got := interrupted.PushBatch(points[:split])
 		var w snap.Writer
-		if err := interrupted.SnapshotTo(&w); err != nil {
-			t.Fatalf("snapshot at %d: %v", split, err)
-		}
+		interrupted.SnapshotTo(&w)
 		restored, err := NewOnline(clf, stride, step)
 		if err != nil {
 			t.Fatal(err)

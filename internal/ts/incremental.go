@@ -71,32 +71,6 @@ func (b *PrefixDistBank) Size() int { return len(b.refs) }
 // is owned by the bank; callers must not modify it.
 func (b *PrefixDistBank) D2() []float64 { return b.d2 }
 
-// RestoreState loads a previously exported (Len, D2) pair into a bank that
-// has not been extended yet, placing it exactly where the exporting bank
-// stood. Restoring into a used bank, a bank over a different reference
-// count, or beyond any reference's length is an error (the snapshot does
-// not match this bank's references).
-func (b *PrefixDistBank) RestoreState(n int, d2 []float64) error {
-	if b.n != 0 {
-		return fmt.Errorf("ts: PrefixDistBank restore into a bank already at prefix length %d", b.n)
-	}
-	if len(d2) != len(b.refs) {
-		return fmt.Errorf("ts: PrefixDistBank restore with %d distances over %d references", len(d2), len(b.refs))
-	}
-	if n < 0 {
-		return fmt.Errorf("ts: PrefixDistBank restore to negative prefix length %d", n)
-	}
-	for i, ref := range b.refs {
-		if n > len(ref) {
-			return fmt.Errorf("ts: PrefixDistBank restore to prefix length %d overruns reference %d length %d",
-				n, i, len(ref))
-		}
-	}
-	copy(b.d2, d2)
-	b.n = n
-	return nil
-}
-
 // Extend advances the query prefix by the given points. All references are
 // bounds-checked up front, then the whole bank advances through the blocked
 // extendD2Rows kernel — one batch-of-points × batch-of-references pass,
