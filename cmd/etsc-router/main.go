@@ -66,7 +66,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("etsc-router: %v", err)
 	}
-	rt.EnableMetrics()
 	rt.Start()
 	defer rt.Stop()
 

@@ -8,7 +8,6 @@ package classify
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"etsc/internal/dataset"
@@ -128,43 +127,6 @@ func (c *KNN) ClassifyConfidence(query []float64) (int, float64) {
 		}
 	}
 	return best, float64(bestVotes) / float64(len(ns))
-}
-
-// Posterior estimates class probabilities for query with a softmin over
-// the nearest per-class distances: P(c) ∝ exp(-d_c / T) where d_c is the
-// distance to the nearest neighbour of class c and T is the mean of the
-// d_c. This is the "predicts the probability of being in each class" model
-// of the paper's Fig. 3 (right).
-func (c *KNN) Posterior(query []float64) map[int]float64 {
-	nearest := map[int]float64{}
-	for _, in := range c.train.Instances {
-		d := c.Distance.Dist(query, in.Series)
-		if cur, ok := nearest[in.Label]; !ok || d < cur {
-			nearest[in.Label] = d
-		}
-	}
-	if len(nearest) == 0 {
-		return nil
-	}
-	mean := 0.0
-	for _, d := range nearest {
-		mean += d
-	}
-	mean /= float64(len(nearest))
-	if mean < 1e-12 {
-		mean = 1e-12
-	}
-	sum := 0.0
-	post := make(map[int]float64, len(nearest))
-	for label, d := range nearest {
-		p := math.Exp(-d / mean)
-		post[label] = p
-		sum += p
-	}
-	for label := range post {
-		post[label] /= sum
-	}
-	return post
 }
 
 // Evaluation summarizes classifier performance on a test set.

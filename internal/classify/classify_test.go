@@ -94,25 +94,6 @@ func TestKNNErrors(t *testing.T) {
 	}
 }
 
-func TestPosterior(t *testing.T) {
-	d := twoBlob(t)
-	knn, err := NewKNN(d, 1, EuclideanDistance{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := knn.Posterior(ts.Series{0, 0, 0, 0})
-	if post[1] <= post[2] {
-		t.Errorf("posterior should favour class 1: %v", post)
-	}
-	sum := 0.0
-	for _, p := range post {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("posterior sums to %v", sum)
-	}
-}
-
 func TestEvaluateAndConfusion(t *testing.T) {
 	d := twoBlob(t)
 	knn, err := NewKNN(d, 1, EuclideanDistance{})

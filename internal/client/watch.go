@@ -17,17 +17,15 @@ import (
 // goroutine. Always Close it — an abandoned subscription holds its HTTP
 // connection and a server-side watcher slot until the stream finalizes.
 type WatchStream struct {
-	body   io.ReadCloser
-	rd     *bufio.Reader
-	lastID string
+	body io.ReadCloser
+	rd   *bufio.Reader
 }
 
 // Watch subscribes to a stream's settled detections starting at index
 // since (GET /v1/streams/{id}/watch?since=N). Frames arrive in transcript
 // order exactly once; the subscription ends with a Final frame when the
 // stream is deleted or the server shuts down. To resume after a lost
-// connection, call Watch again with the last frame's Next (or
-// LastEventID()+1 — the same number).
+// connection, call Watch again with the last frame's Next.
 //
 // The request context governs the whole subscription: cancelling it tears
 // the connection down and surfaces the cancellation from Next. Use a
@@ -77,7 +75,8 @@ func (c *Client) watchOnce(ctx context.Context, id string, since int) (*WatchStr
 
 // Next blocks for the next frame. After a Final frame the server closes
 // the feed and subsequent calls return io.EOF; a severed connection
-// surfaces the transport error (resume with Watch at LastEventID()+1).
+// surfaces the transport error (resume with Watch at the last frame's
+// Next).
 func (w *WatchStream) Next() (WatchFrame, error) {
 	var data strings.Builder
 	var sawData bool
@@ -102,8 +101,6 @@ func (w *WatchStream) Next() (WatchFrame, error) {
 			return f, nil
 		case strings.HasPrefix(line, ":"):
 			// SSE comment (keep-alive); ignore.
-		case strings.HasPrefix(line, "id:"):
-			w.lastID = strings.TrimSpace(line[len("id:"):])
 		case strings.HasPrefix(line, "data:"):
 			if sawData {
 				data.WriteByte('\n') // multi-line data per the SSE spec
@@ -111,15 +108,10 @@ func (w *WatchStream) Next() (WatchFrame, error) {
 			sawData = true
 			data.WriteString(strings.TrimPrefix(strings.TrimSpace(line[len("data:"):]), " "))
 		default:
-			// Unknown field (event:, retry:): ignore per the SSE spec.
+			// Other fields (id:, event:, retry:): ignore per the SSE spec.
 		}
 	}
 }
-
-// LastEventID returns the id of the most recent detection frame ("" before
-// the first). Resuming at LastEventID()+1 — the Last-Event-ID convention —
-// continues the feed without duplicates or gaps.
-func (w *WatchStream) LastEventID() string { return w.lastID }
 
 // Close tears down the subscription.
 func (w *WatchStream) Close() error { return w.body.Close() }

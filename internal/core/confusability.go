@@ -147,18 +147,6 @@ func (h HomophoneResult) HomophonesExist() bool {
 	return len(h.NearestBackground) > 0 && h.NearestBackground[0] < h.IntraClassDist
 }
 
-// HomophoneCount returns how many of the k background neighbours beat the
-// intra-class distance.
-func (h HomophoneResult) HomophoneCount() int {
-	n := 0
-	for _, d := range h.NearestBackground {
-		if d < h.IntraClassDist {
-			n++
-		}
-	}
-	return n
-}
-
 // ProbeHomophones searches background (a long non-target stream) for the k
 // nearest z-normalized-ED neighbours of exemplar, and compares them against
 // the exemplar's nearest same-class sibling distance.

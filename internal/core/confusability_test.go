@@ -118,9 +118,6 @@ func TestProbeHomophones(t *testing.T) {
 	if !res.HomophonesExist() {
 		t.Errorf("planted copy should beat the dissimilar sibling: %+v", res)
 	}
-	if res.HomophoneCount() < 1 {
-		t.Error("at least one homophone expected")
-	}
 	if len(res.NearestBackground) != 3 {
 		t.Errorf("want 3 NN distances, got %d", len(res.NearestBackground))
 	}

@@ -140,20 +140,6 @@ func (d *Dataset) Denormalize(rng *rand.Rand, maxShift float64) *Dataset {
 	return out
 }
 
-// DenormalizeScale returns a copy with each exemplar shifted by U[-maxShift,
-// maxShift] and scaled by U[1-maxScale, 1+maxScale], the stronger
-// perturbation used in ablations.
-func (d *Dataset) DenormalizeScale(rng *rand.Rand, maxShift, maxScale float64) *Dataset {
-	out := &Dataset{Name: d.Name + "-denorm", Instances: make([]Instance, len(d.Instances))}
-	for i, in := range d.Instances {
-		offset := (rng.Float64()*2 - 1) * maxShift
-		factor := 1 + (rng.Float64()*2-1)*maxScale
-		s := ts.Scale(in.Series, factor)
-		out.Instances[i] = Instance{Label: in.Label, Series: ts.Shift(s, offset)}
-	}
-	return out
-}
-
 // Truncate returns a copy keeping only the first n points of every
 // exemplar. If renormalize is true each truncation is re-z-normalized,
 // which is the *correct* handling the paper applies in Fig. 9 (and which
@@ -224,15 +210,6 @@ func (d *Dataset) Sample(rng *rand.Rand, n int) *Dataset {
 	}
 	shuffled := d.Shuffle(rng)
 	out := &Dataset{Name: d.Name + "-sample", Instances: shuffled.Instances[:n]}
-	return out
-}
-
-// Subset returns the instances at the given indices.
-func (d *Dataset) Subset(indices []int) *Dataset {
-	out := &Dataset{Name: d.Name, Instances: make([]Instance, 0, len(indices))}
-	for _, i := range indices {
-		out.Instances = append(out.Instances, d.Instances[i])
-	}
 	return out
 }
 

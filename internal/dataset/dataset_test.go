@@ -100,15 +100,6 @@ func TestDenormalize(t *testing.T) {
 	}
 }
 
-func TestDenormalizeScale(t *testing.T) {
-	d := sample(t).ZNormalize()
-	rng := rand.New(rand.NewSource(2))
-	dn := d.DenormalizeScale(rng, 0.5, 0.2)
-	if dn.Len() != d.Len() || dn.SeriesLen() != d.SeriesLen() {
-		t.Error("shape changed")
-	}
-}
-
 func TestTruncate(t *testing.T) {
 	d := sample(t)
 	tr, err := d.Truncate(2, false)
@@ -217,10 +208,6 @@ func TestShuffleSampleSubset(t *testing.T) {
 	s := d.Sample(rand.New(rand.NewSource(5)), 2)
 	if s.Len() != 2 {
 		t.Errorf("sample size %d, want 2", s.Len())
-	}
-	sub := d.Subset([]int{0, 3})
-	if sub.Len() != 2 || sub.Instances[1].Label != 2 {
-		t.Errorf("subset wrong: %+v", sub.Instances)
 	}
 }
 

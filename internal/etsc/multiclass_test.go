@@ -1,6 +1,7 @@
 package etsc
 
 import (
+	"math"
 	"testing"
 
 	"etsc/internal/dataset"
@@ -125,6 +126,42 @@ func TestFlawedModelsAreNotShiftInvariant(t *testing.T) {
 		}
 		if !changed {
 			t.Errorf("%s: no decision changed under a 2.5 shift — not actually consuming raw values?", c.Name())
+		}
+	}
+}
+
+// TestTEASERPosteriorDeterministic pins PosteriorPrefix on a 4-class set to
+// the shared dense softmin core: every repeated call returns the same bits,
+// reduced in sorted label order. A softmin summed in map order differs in
+// the last ulps from call to call once there are three or more classes.
+func TestTEASERPosteriorDeterministic(t *testing.T) {
+	train, test := fourClassSplit(t)
+	c, err := trainTEASER(serialContext(t, train), DefaultTEASERConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := c.li.classes()
+	nearest, post := make([]float64, k), make([]float64, k)
+	for _, in := range test.Instances[:8] {
+		for si, l := range c.lengths {
+			prepared := c.prepare(si, in.Series[:l])
+			d2 := make([]float64, len(c.rows[si]))
+			for i, row := range c.rows[si] {
+				d2[i] = ts.SquaredEuclidean(prepared, row)
+			}
+			c.li.nearestFromSquaredDists(d2, nearest)
+			softminDenseInto(nearest, 1, post)
+			for rep := 0; rep < 30; rep++ {
+				got := c.PosteriorPrefix(in.Series[:l])
+				if len(got) != k {
+					t.Fatalf("snapshot %d: %d classes, want %d", si, len(got), k)
+				}
+				for ci, lab := range c.li.labels {
+					if math.Float64bits(got[lab]) != math.Float64bits(post[ci]) {
+						t.Fatalf("snapshot %d call %d: P(%d) = %v, shared core %v", si, rep, lab, got[lab], post[ci])
+					}
+				}
+			}
 		}
 	}
 }

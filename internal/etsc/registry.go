@@ -15,8 +15,7 @@ import (
 // This file is the package's construction API. Every algorithm is built
 // through one entry point:
 //
-//	c, err := etsc.Train(etsc.MustParseSpec("ects:support=0"), train,
-//		etsc.WithWorkers(8))
+//	c, err := etsc.Train(etsc.MustParseSpec("ects:support=0"), train)
 //
 // A Spec names an algorithm plus its typed parameters and round-trips
 // through JSON and a flag-friendly string form, so CLIs, config files, and
@@ -118,23 +117,13 @@ func (s Spec) String() string {
 // Options is the shared construction configuration every Builder receives.
 // Build one with functional options:
 //
-//	Train(spec, train, WithTrainContext(ctx), WithSeed(11))
+//	Train(spec, nil, WithTrainContext(ctx))
 type Options struct {
-	workers    int
-	workersSet bool
-	ctx        *TrainContext
-	seed       int64
-	seedSet    bool
+	ctx *TrainContext
 }
 
 // Option mutates an Options.
 type Option func(*Options)
-
-// WithWorkers bounds the worker pools training uses (0 = one per CPU;
-// default 1, serial). Without WithTrainContext it sizes the fresh
-// TrainContext Train builds; the trained model is identical for every
-// value.
-func WithWorkers(n int) Option { return func(o *Options) { o.workers = n; o.workersSet = true } }
 
 // WithTrainContext makes Train read a caller-owned memoized training
 // substrate (prefix-distance matrix, truncation cache, worker pool), so
@@ -142,11 +131,6 @@ func WithWorkers(n int) Option { return func(o *Options) { o.workers = n; o.work
 // context's training set must be the one passed to Train (or pass nil to
 // Train and the context's set is used).
 func WithTrainContext(c *TrainContext) Option { return func(o *Options) { o.ctx = c } }
-
-// WithSeed sets the default randomness seed for algorithms that freeze
-// random draws at training time (currently RelClass's Monte Carlo
-// completions). An explicit "seed" spec parameter wins over the option.
-func WithSeed(s int64) Option { return func(o *Options) { o.seed = s; o.seedSet = true } }
 
 // NewOptions resolves a list of functional options.
 func NewOptions(opts ...Option) *Options {
@@ -160,34 +144,13 @@ func NewOptions(opts ...Option) *Options {
 // TrainContext returns the shared context, or nil when none was supplied.
 func (o *Options) TrainContext() *TrainContext { return o.ctx }
 
-// Workers returns the effective worker bound: the explicit WithWorkers
-// value, else the context's, else 1 (serial).
-func (o *Options) Workers() int {
-	if o.workersSet {
-		return o.workers
-	}
-	if o.ctx != nil {
-		return o.ctx.Workers()
-	}
-	return 1
-}
-
-// SeedOr returns the WithSeed value, or def when the option was not given.
-func (o *Options) SeedOr(def int64) int64 {
-	if o.seedSet {
-		return o.seed
-	}
-	return def
-}
-
 // contextFor resolves the TrainContext a builder trains through: the
-// caller's (WithTrainContext), or else a fresh one over train bounded by
-// Workers — serial unless WithWorkers says otherwise.
+// caller's (WithTrainContext), or else a fresh serial one over train.
 func (o *Options) contextFor(train *dataset.Dataset) (*TrainContext, error) {
 	if o.ctx != nil {
 		return o.ctx, nil
 	}
-	return NewTrainContext(train, o.Workers())
+	return NewTrainContext(train, 1)
 }
 
 // Params is a Spec's parameter set during building. Builders read each
@@ -421,12 +384,11 @@ func AlgorithmDocs() []string {
 // (and any externally Registered one) is reachable:
 //
 //   - Train(spec, train) trains serially, through a private TrainContext.
-//   - Train(spec, train, WithWorkers(n)) gives that context an n-worker
-//     pool.
 //   - Train(spec, nil, WithTrainContext(ctx)) shares ctx's memoized
-//     distances with every other trainer on the same context.
+//     distances and worker pool with every other trainer on the same
+//     context.
 //
-// All three produce byte-identical models (decision-for-decision,
+// Both produce byte-identical models (decision-for-decision,
 // posterior-for-posterior) for any worker count; the registry-equivalence
 // battery pins this for every algorithm.
 func Train(spec Spec, train *dataset.Dataset, opts ...Option) (EarlyClassifier, error) {
@@ -582,7 +544,7 @@ func init() {
 			cfg.Tau = p.Float("tau", cfg.Tau)
 			cfg.Samples = p.Int("samples", cfg.Samples)
 			cfg.MinStd = p.Float("minstd", cfg.MinStd)
-			cfg.Seed = p.Int64("seed", o.SeedOr(cfg.Seed))
+			cfg.Seed = p.Int64("seed", cfg.Seed)
 			cfg.MinPrefix = p.Int("minprefix", cfg.MinPrefix)
 			if err := p.Finish(); err != nil {
 				return nil, err

@@ -40,9 +40,9 @@ func batterySpecs(d *dataset.Dataset) []struct{ name, spec string } {
 
 // TestRegistryEquivalenceBattery is the construction API's core contract:
 // for every algorithm, Train(spec, train) — a private one-worker context —
-// is byte-identical to training with a worker bound (WithWorkers, a fresh
-// context) and over a shared caller context (WithTrainContext), for
-// workers ∈ {1, 4, GOMAXPROCS} on both battery datasets. One TrainContext
+// is byte-identical to training over a shared caller context
+// (WithTrainContext), for workers ∈ {1, 4, GOMAXPROCS} on both battery
+// datasets. One TrainContext
 // per (dataset, workers) cell is shared by every algorithm, so
 // cross-trainer cache reuse is under test too.
 func TestRegistryEquivalenceBattery(t *testing.T) {
@@ -79,12 +79,7 @@ func TestRegistryEquivalenceBattery(t *testing.T) {
 					t.Fatalf("%s serial: %v", name, err)
 				}
 				for wi, w := range workers {
-					got, err := Train(spec, sp.train, WithWorkers(w))
-					if err != nil {
-						t.Fatalf("%s workers=%d: %v", name, w, err)
-					}
-					assertEquivalent(t, fmt.Sprintf("%s/workers=%d", name, w), serial, got, sp.test)
-					got, err = Train(spec, nil, WithTrainContext(sp.ctxs[wi]))
+					got, err := Train(spec, nil, WithTrainContext(sp.ctxs[wi]))
 					if err != nil {
 						t.Fatalf("%s ctx workers=%d: %v", name, w, err)
 					}
@@ -260,11 +255,11 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
-// TestWithSeed pins the seed option's precedence: the spec parameter wins,
-// the option is the default, and the builder default is the fallback.
-func TestWithSeed(t *testing.T) {
+// TestSpecSeed pins the "seed" spec parameter: relclass:seed=N trains the
+// model trainRelClass builds with Seed N.
+func TestSpecSeed(t *testing.T) {
 	train, test := easySplit(t)
-	viaOption, err := Train(MustParseSpec("relclass"), train, WithSeed(99))
+	viaParam, err := Train(MustParseSpec("relclass:seed=99"), train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,17 +269,7 @@ func TestWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEquivalent(t, "seed-option", direct, viaOption, test)
-
-	viaParam, err := Train(MustParseSpec("relclass:seed=5"), train, WithSeed(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deflt, err := trainRelClass(train, DefaultRelClassConfig(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, "seed-param-wins", deflt, viaParam, test)
+	assertEquivalent(t, "seed-param", direct, viaParam, test)
 }
 
 func TestRegistryRegister(t *testing.T) {
@@ -314,19 +299,14 @@ func TestRegistryRegister(t *testing.T) {
 // TestOptionsAccessors covers the Options surface consumers read back.
 func TestOptionsAccessors(t *testing.T) {
 	train, _ := easySplit(t)
-	o := NewOptions()
-	if o.Workers() != 1 || o.TrainContext() != nil || o.SeedOr(7) != 7 {
-		t.Errorf("zero options: workers=%d ctx=%v seed=%d", o.Workers(), o.TrainContext(), o.SeedOr(7))
+	if o := NewOptions(); o.TrainContext() != nil {
+		t.Errorf("zero options: ctx=%v", o.TrainContext())
 	}
 	ctx, err := NewTrainContext(train, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o = NewOptions(WithTrainContext(ctx), WithSeed(11))
-	if o.Workers() != 3 || o.TrainContext() != ctx || o.SeedOr(7) != 11 {
-		t.Errorf("options: workers=%d seed=%d", o.Workers(), o.SeedOr(7))
-	}
-	if o = NewOptions(WithWorkers(8), WithTrainContext(ctx)); o.Workers() != 8 {
-		t.Errorf("explicit workers: %d", o.Workers())
+	if o := NewOptions(WithTrainContext(ctx)); o.TrainContext() != ctx {
+		t.Errorf("options: ctx=%v, want %v", o.TrainContext(), ctx)
 	}
 }

@@ -235,9 +235,15 @@ func (t *TEASER) slaveSet(si int) *dataset.Dataset { return t.sets[si] }
 // (already normalized if applicable) prefix, excluding training index skip
 // (-1 for none). Returns label, top probability and margin (p1-p2).
 func (t *TEASER) slavePosterior(si int, prepared []float64, skip int) (label int, top, margin float64) {
-	set := t.slaveSet(si)
+	return nearestTopMargin(t.slaveNearest(si, prepared, skip))
+}
+
+// slaveNearest returns the per-class nearest distance from a prepared
+// prefix to the snapshot-si slave's references, excluding training index
+// skip (-1 for none).
+func (t *TEASER) slaveNearest(si int, prepared []float64, skip int) map[int]float64 {
 	nearest := map[int]float64{}
-	for i, in := range set.Instances {
+	for i, in := range t.slaveSet(si).Instances {
 		if i == skip {
 			continue
 		}
@@ -246,7 +252,7 @@ func (t *TEASER) slavePosterior(si int, prepared []float64, skip int) (label int
 			nearest[in.Label] = d
 		}
 	}
-	return nearestTopMargin(nearest)
+	return nearest
 }
 
 // nearestTopMargin converts per-class nearest distances into the slave's
@@ -433,38 +439,12 @@ func (t *TEASER) ForcedLabel(series []float64) int {
 }
 
 // PosteriorPrefix implements PosteriorProvider using the latest snapshot
-// that fits the prefix.
+// that fits the prefix: the slave's unit-sharpness softmin, reduced in
+// sorted label order like every other posterior.
 func (t *TEASER) PosteriorPrefix(prefix []float64) map[int]float64 {
 	si := t.snapshotIndexFor(len(prefix))
 	if si < 0 {
 		return nil
 	}
-	set := t.slaveSet(si)
-	prepared := t.prepare(si, prefix)
-	nearest := map[int]float64{}
-	for _, in := range set.Instances {
-		d := math.Sqrt(ts.SquaredEuclidean(prepared, in.Series))
-		if cur, ok := nearest[in.Label]; !ok || d < cur {
-			nearest[in.Label] = d
-		}
-	}
-	mean := 0.0
-	for _, d := range nearest {
-		mean += d
-	}
-	mean /= float64(len(nearest))
-	if mean < 1e-12 {
-		mean = 1e-12
-	}
-	sum := 0.0
-	out := make(map[int]float64, len(nearest))
-	for lab, d := range nearest {
-		p := math.Exp(-d / mean)
-		out[lab] = p
-		sum += p
-	}
-	for lab := range out {
-		out[lab] /= sum
-	}
-	return out
+	return softminFromNearest(t.slaveNearest(si, t.prepare(si, prefix), -1), 1)
 }

@@ -32,10 +32,6 @@ type Config struct {
 	Parallelism int
 }
 
-// DefaultConfig returns the full-size configuration used for
-// EXPERIMENTS.md.
-func DefaultConfig() Config { return Config{Seed: 42} }
-
 // QuickConfig returns the reduced configuration used by tests and benches.
 func QuickConfig() Config { return Config{Seed: 42, Quick: true} }
 

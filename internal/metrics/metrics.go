@@ -7,7 +7,7 @@
 //
 // Two registration styles cover the two cost profiles:
 //
-//   - Instruments (Counter/Gauge/Histogram) are updated on the hot path.
+//   - Instruments (Counter/Histogram) are updated on the hot path.
 //     Every update is a single atomic op — no locks, no allocation — so
 //     they are safe inside paths pinned by the zero-allocation batteries
 //     (hub.Push observes its latency histogram this way).
@@ -67,7 +67,6 @@ func (f *atomicFloat) Add(v float64) {
 	}
 }
 
-func (f *atomicFloat) Set(v float64)  { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) Value() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Counter is a monotonically increasing value. All methods are safe for
@@ -88,24 +87,6 @@ func (c *Counter) Add(v float64) {
 
 // Value reads the current total.
 func (c *Counter) Value() float64 { return c.v.Value() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ v atomicFloat }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v.Set(v) }
-
-// Add adjusts the value by v (negative to decrease).
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return g.v.Value() }
 
 // Histogram is a fixed-bucket distribution. Observe is a binary search
 // plus two atomic ops — safe on hot paths.
@@ -145,7 +126,6 @@ type series struct {
 	sig    string // `{a="b",c="d"}` or "" — sorted by the family renderer
 	labels []Label
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 }
 
@@ -181,13 +161,6 @@ func NewRegistry() *Registry {
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	s := r.family(name, help, TypeCounter, nil, nil).get(labels)
 	return s.ctr
-}
-
-// Gauge registers (or finds) the gauge family name and returns the series
-// for the given labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.family(name, help, TypeGauge, nil, nil).get(labels)
-	return s.gauge
 }
 
 // Histogram registers (or finds) the histogram family name with the given
@@ -270,8 +243,6 @@ func (f *family) get(labels []Label) *series {
 	switch f.typ {
 	case TypeCounter:
 		s.ctr = &Counter{}
-	case TypeGauge:
-		s.gauge = &Gauge{}
 	case TypeHistogram:
 		s.hist = &Histogram{
 			bounds: append([]float64(nil), f.bounds...),
@@ -417,8 +388,6 @@ func (f *family) render(b *strings.Builder) {
 		switch f.typ {
 		case TypeCounter:
 			fmt.Fprintf(b, "%s%s %s\n", f.name, s.sig, formatValue(s.ctr.Value()))
-		case TypeGauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, s.sig, formatValue(s.gauge.Value()))
 		case TypeHistogram:
 			s.renderHistogram(b, f.name)
 		}

@@ -14,7 +14,7 @@ func TestRenderDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("etsc_b_total", "b counter", L("stream", "s2")).Add(3)
 	r.Counter("etsc_b_total", "b counter", L("stream", "s1")).Inc()
-	r.Gauge("etsc_a_depth", "a gauge").Set(7)
+	r.Collect("etsc_a_depth", "a gauge", TypeGauge, func(emit func(float64, ...Label)) { emit(7) })
 	h := r.Histogram("etsc_c_seconds", "c histogram", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -68,8 +68,8 @@ func TestInstrumentIdentity(t *testing.T) {
 	if b.Value() != 2 {
 		t.Errorf("aliased counter reads %v, want 2", b.Value())
 	}
-	if r.Gauge("y", "y") != r.Gauge("y", "y") {
-		t.Error("same gauge resolved twice")
+	if r.Histogram("y_seconds", "y", []float64{1}) != r.Histogram("y_seconds", "y", []float64{1}) {
+		t.Error("same histogram resolved twice")
 	}
 }
 
@@ -105,12 +105,11 @@ etsc_queue_depth{stream="s2"} 4
 	}
 }
 
-// TestConcurrentUpdates hammers one counter, gauge, and histogram from
-// many goroutines and checks totals — the atomic contract.
+// TestConcurrentUpdates hammers one counter and one histogram from many
+// goroutines and checks totals — the atomic contract.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
-	g := r.Gauge("g", "g")
 	h := r.Histogram("h_seconds", "h", []float64{1, 10})
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -120,8 +119,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(float64(i % 20))
 			}
 		}(w)
@@ -129,9 +126,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Errorf("counter %v, want %v", c.Value(), workers*per)
-	}
-	if g.Value() != 0 {
-		t.Errorf("gauge %v, want 0", g.Value())
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count %v, want %v", h.Count(), workers*per)
@@ -144,7 +138,7 @@ func TestValidationPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad metric name":   func() { r.Counter("9bad", "x") },
 		"bad label name":    func() { r.Counter("ok_total", "x", L("9bad", "v")) },
-		"type mismatch":     func() { r.Counter("mix", "x"); r.Gauge("mix", "x") },
+		"type mismatch":     func() { r.Counter("mix", "x"); r.Histogram("mix", "x", []float64{1}) },
 		"empty bounds":      func() { r.Histogram("h0", "x", nil) },
 		"unsorted bounds":   func() { r.Histogram("h1", "x", []float64{2, 1}) },
 		"histogram collect": func() { r.Collect("hc", "x", TypeHistogram, func(func(float64, ...Label)) {}) },
@@ -215,11 +209,9 @@ func TestHistogramObserveAllocFree(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("hot_seconds", "hot", DefaultLatencyBuckets)
 	c := r.Counter("hot_total", "hot")
-	g := r.Gauge("hot_depth", "hot")
 	allocs := testing.AllocsPerRun(200, func() {
 		h.Observe(3e-4)
 		c.Add(2)
-		g.Set(5)
 	})
 	if allocs != 0 {
 		t.Errorf("instrument updates allocated %v per run, want 0", allocs)

@@ -60,9 +60,7 @@ func (rt *Router) probeOnce() {
 		if b.fails == rt.cfg.FailThreshold && b.alive.Load() {
 			rt.logf("router: backend %q dead after %d failed probes: %v", b.name, b.fails, err)
 			b.alive.Store(false)
-			if rt.mDeaths != nil {
-				rt.mDeaths.Inc()
-			}
+			rt.mDeaths.Inc()
 			rt.recoverBackend(b)
 		}
 	}

@@ -20,13 +20,14 @@ import (
 	"time"
 
 	"etsc/internal/metrics"
+	"etsc/internal/serve"
 )
 
-// EnableMetrics wires a registry into the router: request/unavailability
+// initMetrics builds the router's registry: request/unavailability
 // counters, death-recovery and rebalance tallies, and per-backend alive
-// gauges sampled at scrape time. Returns the registry so the caller can
-// add process-level families. Call before Start.
-func (rt *Router) EnableMetrics() *metrics.Registry {
+// gauges sampled at scrape time. New calls it before building the backend
+// table, whose entries resolve their request counters from it.
+func (rt *Router) initMetrics() {
 	reg := metrics.NewRegistry()
 	rt.reg = reg
 	rt.mUnavailable = reg.Counter("etsc_router_unavailable_total",
@@ -41,9 +42,6 @@ func (rt *Router) EnableMetrics() *metrics.Registry {
 		"Checkpoint files skipped during backend-death recovery.")
 	rt.mMoves = reg.Counter("etsc_router_rebalance_moves_total",
 		"Streams migrated between backends by rebalance passes.")
-	for _, b := range *rt.table.Load() {
-		b.requests = rt.requestCounter(b.name)
-	}
 	reg.Collect("etsc_router_backend_alive", "Backend health as seen by the prober (1 alive, 0 dead).",
 		metrics.TypeGauge, func(emit func(float64, ...metrics.Label)) {
 			for _, b := range *rt.table.Load() {
@@ -62,7 +60,6 @@ func (rt *Router) EnableMetrics() *metrics.Registry {
 			}
 			emit(float64(n))
 		})
-	return reg
 }
 
 // requestCounter resolves a backend's etsc_router_requests_total series.
@@ -80,7 +77,7 @@ type family struct {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeAPIError(w, methodNotAllowed(r, http.MethodGet))
+		serve.WriteError(w, serve.MethodNotAllowed(r, http.MethodGet))
 		return
 	}
 	table := *rt.table.Load()
@@ -129,9 +126,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(order)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if rt.reg != nil {
-		rt.reg.WriteTo(w)
-	}
+	rt.reg.WriteTo(w)
 	for _, name := range order {
 		f := fams[name]
 		if f.help != "" {

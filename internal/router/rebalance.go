@@ -61,9 +61,7 @@ func (rt *Router) Rebalance(ctx context.Context) RebalanceReport {
 				rt.logf("router: rebalance %q %s→%s: %v", si.ID, b.name, target.name, err)
 			} else {
 				rep.Moved++
-				if rt.mMoves != nil {
-					rt.mMoves.Inc()
-				}
+				rt.mMoves.Inc()
 			}
 			rep.Moves = append(rep.Moves, move)
 		}

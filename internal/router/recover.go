@@ -76,11 +76,9 @@ func (rt *Router) recoverBackend(dead *backend) RecoveryReport {
 			rep.Skipped++
 		}
 	}
-	if rt.mRecovered != nil {
-		rt.mRecovered.Add(float64(rep.Restored))
-		rt.mFallbacks.Add(float64(rep.Fallbacks))
-		rt.mSkipped.Add(float64(rep.Skipped))
-	}
+	rt.mRecovered.Add(float64(rep.Restored))
+	rt.mFallbacks.Add(float64(rep.Fallbacks))
+	rt.mSkipped.Add(float64(rep.Skipped))
 	rt.logf("router: recovered %q: %d restored, %d fallbacks, %d skipped",
 		dead.name, rep.Restored, rep.Fallbacks, rep.Skipped)
 	return rep

@@ -33,12 +33,15 @@
 //	  POST /admin/rebalance   migrate every stream back to its hash home
 //	  POST /admin/backends    replace the table, then rebalance onto it
 //
-// Request path. A stream-scoped call other than /watch is forwarded to
-// the owner as bytes: the router parses only what routing needs (the path
-// id, ?stream=, a create body's id), and the backend's status and body
-// come back verbatim, so the backend is the one place a /v1 request is
-// validated. /watch is re-rendered frame by frame through serve's own
-// query parser and frame writer.
+// Request path. Both binaries match /v1 requests against serve's route
+// table (serve.ParseV1), so they answer an unknown path, a wrong method
+// or a missing ?stream= with the same envelope. A stream-scoped call
+// other than /watch is forwarded to the owner as bytes: the router reads
+// only what routing needs (the table's stream id, a create body's id),
+// and the backend's status and body come back verbatim, so the backend
+// is the one place a /v1 request is validated. An endpoint added to the
+// table is forwarded with no router edit. /watch is re-rendered frame by
+// frame through serve's own query parser and frame writer.
 //
 // Ownership model. The stream's *home* is placement.Index(id, N) over the
 // fixed table — process-independent, so any client or operator computes
@@ -88,7 +91,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,10 +99,8 @@ import (
 	"etsc/internal/hub"
 	"etsc/internal/metrics"
 	"etsc/internal/placement"
+	"etsc/internal/serve"
 )
-
-// maxBody bounds one request body, mirroring the backend's own cap.
-const maxBody = 32 << 20
 
 // BackendSpec names one backend process for Config.
 type BackendSpec struct {
@@ -157,8 +157,7 @@ type backend struct {
 	c *client.Client
 	// probe is a single-shot, timeout-bound client for the health loop.
 	probe *client.Client
-	// requests is this backend's etsc_router_requests_total series (nil
-	// until EnableMetrics).
+	// requests is this backend's etsc_router_requests_total series.
 	requests *metrics.Counter
 
 	alive atomic.Bool
@@ -198,7 +197,7 @@ type Router struct {
 	probeStop chan struct{}
 	probeDone chan struct{}
 
-	// Metrics (nil until EnableMetrics).
+	// Metrics, built by New.
 	reg          *metrics.Registry
 	mUnavailable *metrics.Counter
 	mDeaths      *metrics.Counter
@@ -237,6 +236,7 @@ func New(cfg Config) (*Router, error) {
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
+	rt.initMetrics()
 	table, err := rt.buildTable(cfg.Backends, nil)
 	if err != nil {
 		return nil, err
@@ -293,10 +293,7 @@ func (rt *Router) buildTable(specs []BackendSpec, prev []*backend) ([]*backend, 
 		if err != nil {
 			return nil, fmt.Errorf("router: backend %q: %w", name, err)
 		}
-		b := &backend{name: name, base: sp.URL, c: c, probe: probe}
-		if rt.reg != nil {
-			b.requests = rt.requestCounter(name)
-		}
+		b := &backend{name: name, base: sp.URL, c: c, probe: probe, requests: rt.requestCounter(name)}
 		// Optimistic start: backends are presumed alive until the prober
 		// says otherwise, so a router boot does not 503 a healthy fleet.
 		b.alive.Store(true)
@@ -365,9 +362,7 @@ func (rt *Router) route(id string) (*backend, *client.APIError) {
 			return b, nil
 		}
 		if time.Now().After(deadline) {
-			if rt.mUnavailable != nil {
-				rt.mUnavailable.Inc()
-			}
+			rt.mUnavailable.Inc()
 			return nil, &client.APIError{
 				Status:  http.StatusServiceUnavailable,
 				Code:    client.CodeUnavailable,
@@ -392,9 +387,7 @@ func (rt *Router) placeNew(id string) (b *backend, away bool, apiErr *client.API
 	}
 	alive := aliveBackends(table)
 	if len(alive) == 0 {
-		if rt.mUnavailable != nil {
-			rt.mUnavailable.Inc()
-		}
+		rt.mUnavailable.Inc()
 		return nil, false, &client.APIError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    client.CodeUnavailable,
@@ -446,110 +439,60 @@ func (rt *Router) gate(id string) *sync.RWMutex {
 
 // ---- /v1 dispatch ----
 
+// handleV1 dispatches on serve's route table: the router answers the
+// fan-out endpoints, healthz and /watch itself and forwards every other
+// endpoint to the stream's owner.
 func (rt *Router) handleV1(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/")
-	seg := strings.Split(rest, "/")
-	switch {
-	case rest == "streams":
-		switch r.Method {
-		case http.MethodPost:
-			rt.forward(w, r, "")
-		case http.MethodGet:
-			rt.v1ListStreams(w, r)
-		default:
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodPost))
-		}
-	case len(seg) == 2 && seg[0] == "streams" && seg[1] != "":
-		if r.Method != http.MethodGet && r.Method != http.MethodDelete {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodDelete))
-			return
-		}
-		rt.forward(w, r, seg[1])
-	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "push":
-		if r.Method != http.MethodPost {
-			writeAPIError(w, methodNotAllowed(r, http.MethodPost))
-			return
-		}
-		rt.forward(w, r, seg[1])
-	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "snapshot":
-		if r.Method != http.MethodGet && r.Method != http.MethodPost {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodPost))
-			return
-		}
-		rt.forward(w, r, seg[1])
-	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "watch":
-		if r.Method != http.MethodGet {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
-			return
-		}
-		rt.v1Watch(w, r, seg[1])
-	case rest == "stats":
-		if r.Method != http.MethodGet {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
-			return
-		}
+	ep, id, apiErr := serve.ParseV1(r)
+	if apiErr != nil {
+		serve.WriteError(w, apiErr)
+		return
+	}
+	switch ep {
+	case serve.EndpointList:
+		rt.v1ListStreams(w, r)
+	case serve.EndpointStats:
 		rt.v1Stats(w, r)
-	case rest == "detections":
-		if r.Method != http.MethodGet {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
-			return
-		}
-		id := r.URL.Query().Get("stream")
-		if id == "" {
-			writeAPIError(w, badRequest("missing ?stream="))
-			return
-		}
-		rt.forward(w, r, id)
-	case rest == "healthz":
-		if r.Method != http.MethodGet {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
-			return
-		}
-		writeJSON(w, http.StatusOK, client.Health{Status: "ok"})
+	case serve.EndpointHealthz:
+		serve.WriteJSON(w, http.StatusOK, client.Health{Status: "ok"})
+	case serve.EndpointWatch:
+		rt.v1Watch(w, r, id)
 	default:
-		writeAPIError(w, &client.APIError{
-			Status:  http.StatusNotFound,
-			Code:    client.CodeNotFound,
-			Message: fmt.Sprintf("no /v1 endpoint %q", r.URL.Path),
-		})
+		rt.forward(w, r, ep, id)
 	}
 }
 
 // forward relays one stream-scoped call to stream id's owner as bytes and
 // writes the backend's status and body back verbatim: the backend is the
-// only place a request is parsed and validated. An empty id marks a
-// create, whose id is read from the body. Creates and restores (the POSTs
-// that make a stream) are placed by placeNew and never retried; every
-// other call is routed to wherever the stream lives, and retried under
-// the backend client's WithRetry when it is safe to repeat: GETs, DELETE,
-// and pushes that carry "at".
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id string) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+// only place a request is parsed and validated. A create's id is read
+// from the body. Creates and restores (the calls that make a stream) are
+// placed by placeNew and never retried; every other call is routed to
+// wherever the stream lives, and retried under the backend client's
+// WithRetry when it is safe to repeat: GETs, DELETE, and pushes that
+// carry "at".
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ep serve.Endpoint, id string) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBody))
 	if err != nil {
-		writeAPIError(w, bodyError(err))
+		serve.WriteError(w, serve.BodyError(err))
 		return
 	}
-	// Of the POSTs forwarded here, push feeds a stream; create and
-	// restore make one.
-	post := r.Method == http.MethodPost
-	push := post && strings.HasSuffix(r.URL.Path, "/push")
-	place := post && !push
-	idempotent := !post
-	if id == "" {
+	place := ep == serve.EndpointCreate || ep == serve.EndpointRestore
+	idempotent := r.Method != http.MethodPost
+	if ep == serve.EndpointCreate {
 		// Decode the whole request as the backend does, so a body it
 		// rejects gets the backend's own envelope.
 		var req client.CreateStreamRequest
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			writeAPIError(w, bodyError(err))
+			serve.WriteError(w, serve.BodyError(err))
 			return
 		}
 		if req.ID == "" {
-			writeAPIError(w, badRequest("missing stream id"))
+			serve.WriteError(w, serve.BadRequest("missing stream id"))
 			return
 		}
 		id = req.ID
 	}
-	if push {
+	if ep == serve.EndpointPush {
 		var pos struct {
 			At *int `json:"at"`
 		}
@@ -558,7 +501,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id string) {
 
 	g := rt.gate(id)
 	unlock := g.RUnlock
-	if r.Method == http.MethodDelete {
+	if ep == serve.EndpointDelete {
 		// Exclusive: a DELETE must not interleave with a migration of the
 		// same stream (the migration would restore a copy the caller just
 		// deleted).
@@ -579,7 +522,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	if apiErr != nil {
 		unlock()
-		writeAPIError(w, apiErr)
+		serve.WriteError(w, apiErr)
 		return
 	}
 	resp, err := b.c.Forward(r.Context(), r.Method, r.URL.RequestURI(), body, idempotent)
@@ -587,17 +530,15 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id string) {
 		switch {
 		case away && resp.Status >= 200 && resp.Status <= 299:
 			rt.setOverride(id, b.name)
-		case r.Method == http.MethodDelete && resp.Status == http.StatusOK:
+		case ep == serve.EndpointDelete && resp.Status == http.StatusOK:
 			rt.setOverride(id, "")
 		}
 	}
 	// Released before writing, so a slow reader does not hold the gate.
 	unlock()
-	if b.requests != nil {
-		b.requests.Inc()
-	}
+	b.requests.Inc()
 	if err != nil {
-		writeAPIError(w, &client.APIError{
+		serve.WriteError(w, &client.APIError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    client.CodeUnavailable,
 			Message: fmt.Sprintf("backend %q: %v", b.name, err),
@@ -648,7 +589,7 @@ func (rt *Router) v1ListStreams(w http.ResponseWriter, r *http.Request) {
 		merged = append(merged, re.streams...)
 	}
 	sort.Slice(merged, func(a, b int) bool { return merged[a].ID < merged[b].ID })
-	writeJSON(w, http.StatusOK, client.StreamList{Streams: merged})
+	serve.WriteJSON(w, http.StatusOK, client.StreamList{Streams: merged})
 }
 
 // v1Stats sums every alive backend's totals and reports one row per
@@ -689,7 +630,7 @@ func (rt *Router) v1Stats(w http.ResponseWriter, r *http.Request) {
 		sum.Recanted += row.Recanted
 		sum.Watchers += row.Watchers
 	}
-	writeJSON(w, http.StatusOK, client.RouterStatsResponse{Totals: sum, Backends: rows})
+	serve.WriteJSON(w, http.StatusOK, client.RouterStatsResponse{Totals: sum, Backends: rows})
 }
 
 // ---- admin ----
@@ -697,78 +638,31 @@ func (rt *Router) v1Stats(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]any{"backends": rt.Backends()})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"backends": rt.Backends()})
 	case http.MethodPost:
 		var req struct {
 			Backends []BackendSpec `json:"backends"`
 		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-			writeAPIError(w, bodyError(err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxBody)).Decode(&req); err != nil {
+			serve.WriteError(w, serve.BodyError(err))
 			return
 		}
 		rep, err := rt.SetBackends(req.Backends)
 		if err != nil {
-			writeAPIError(w, badRequest(err.Error()))
+			serve.WriteError(w, serve.BadRequest(err.Error()))
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		serve.WriteJSON(w, http.StatusOK, rep)
 	default:
-		writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodPost))
+		serve.WriteError(w, serve.MethodNotAllowed(r, http.MethodGet, http.MethodPost))
 	}
 }
 
 func (rt *Router) handleAdminRebalance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeAPIError(w, methodNotAllowed(r, http.MethodPost))
+		serve.WriteError(w, serve.MethodNotAllowed(r, http.MethodPost))
 		return
 	}
 	rep := rt.Rebalance(r.Context())
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// ---- shared helpers ----
-
-// bodyError maps a failure to read or decode a request body onto the
-// envelope the backend answers for the same failure.
-func bodyError(err error) *client.APIError {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return &client.APIError{
-			Status:  http.StatusRequestEntityTooLarge,
-			Code:    client.CodeTooLarge,
-			Message: fmt.Sprintf("body over %d bytes; split the batch", tooBig.Limit),
-		}
-	}
-	return &client.APIError{
-		Status:  http.StatusBadRequest,
-		Code:    client.CodeBadJSON,
-		Message: fmt.Sprintf("bad JSON body: %v", err),
-	}
-}
-
-func badRequest(msg string) *client.APIError {
-	return &client.APIError{Status: http.StatusBadRequest, Code: client.CodeBadRequest, Message: msg}
-}
-
-func methodNotAllowed(r *http.Request, allow ...string) *client.APIError {
-	return &client.APIError{
-		Status:  http.StatusMethodNotAllowed,
-		Code:    client.CodeMethodNotAllowed,
-		Message: fmt.Sprintf("%s not allowed on %s (allow: %s)", r.Method, r.URL.Path, strings.Join(allow, ", ")),
-	}
-}
-
-func writeAPIError(w http.ResponseWriter, ae *client.APIError) {
-	if ae.Status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, ae.Status, client.ErrorEnvelope{Error: *ae})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("router: encode: %v", err)
-	}
+	serve.WriteJSON(w, http.StatusOK, rep)
 }

@@ -25,6 +25,7 @@ import (
 	"etsc/internal/hub"
 	"etsc/internal/metrics"
 	"etsc/internal/placement"
+	"etsc/internal/serve"
 	"etsc/internal/serve/servetest"
 )
 
@@ -87,6 +88,39 @@ func TestRoutingMatchesPlacement(t *testing.T) {
 		}
 		if !reflect.DeepEqual(via, direct) {
 			t.Errorf("stream %s: router view %+v != backend view %+v", ds.ID, via, direct)
+		}
+	}
+}
+
+// TestStreamEndpointsReachOwner walks serve's route table: every endpoint
+// whose pattern names a stream reaches that stream's owner, which the
+// router echoes in X-Etsc-Backend. An endpoint added to the table is
+// covered with no edit here.
+func TestStreamEndpointsReachOwner(t *testing.T) {
+	f := newFleet(t, 3, fleetOpts{})
+	for i, ep := range serve.Endpoints {
+		method, pattern, _ := strings.Cut(string(ep), " ")
+		if !strings.Contains(pattern, "{id}") {
+			continue
+		}
+		id := fmt.Sprintf("ep-%d", i)
+		if _, err := f.c.CreateStream(context.Background(), client.CreateStreamRequest{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		req, err := http.NewRequestWithContext(ctx, method, f.http.URL+strings.Replace(pattern, "{id}", id, 1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", ep, err)
+		}
+		// A watch answers headers first; cancelling ends its feed.
+		cancel()
+		resp.Body.Close()
+		if got, want := resp.Header.Get(client.BackendHeader), f.homeOf(id).name; got != want {
+			t.Errorf("%s for %s: %s %q, want owner %q (status %d)", ep, id, client.BackendHeader, got, want, resp.StatusCode)
 		}
 	}
 }
@@ -288,6 +322,20 @@ func TestErrorContractMatchesBackend(t *testing.T) {
 		{name: "restore id mismatch", method: http.MethodPost, path: "/v1/streams/s/snapshot", body: string(mismatch), owner: "s"},
 		{name: "watch bad format", method: http.MethodGet, path: "/v1/streams/s/watch?format=bogus", owner: "s"},
 		{name: "watch bad Last-Event-ID", method: http.MethodGet, path: "/v1/streams/s/watch", lastEventID: "x", owner: "s"},
+		{name: "streams wrong method", method: http.MethodPut, path: "/v1/streams"},
+		{name: "stream wrong method", method: http.MethodPost, path: "/v1/streams/s", owner: "s"},
+		{name: "push wrong method", method: http.MethodGet, path: "/v1/streams/s/push", owner: "s"},
+		{name: "snapshot wrong method", method: http.MethodDelete, path: "/v1/streams/s/snapshot", owner: "s"},
+		{name: "watch wrong method", method: http.MethodPost, path: "/v1/streams/s/watch", owner: "s"},
+		{name: "stats wrong method", method: http.MethodPost, path: "/v1/stats"},
+		{name: "detections wrong method", method: http.MethodPost, path: "/v1/detections?stream=s", owner: "s"},
+		{name: "detections without stream", method: http.MethodGet, path: "/v1/detections"},
+		{name: "healthz wrong method", method: http.MethodPost, path: "/v1/healthz"},
+		{name: "metrics wrong method", method: http.MethodPost, path: "/metrics"},
+		{name: "unknown endpoint", method: http.MethodGet, path: "/v1/nonesuch"},
+		// The mux redirects the empty id segment to /v1/streams/push, and
+		// the client follows with a GET of stream "push".
+		{name: "empty id segment", method: http.MethodPost, path: "/v1/streams//push", owner: "push"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wantStatus, wantBody, err := do(f.homeOf(tc.owner).http.URL, tc.method, tc.path, tc.body, tc.lastEventID)

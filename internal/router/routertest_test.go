@@ -126,7 +126,6 @@ func newFleet(t *testing.T, n int, opts fleetOpts) *fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.EnableMetrics()
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	f.rt = rt

@@ -21,12 +21,12 @@ import (
 func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 	since, sse, apiErr := serve.WatchQuery(r)
 	if apiErr != nil {
-		writeAPIError(w, apiErr)
+		serve.WriteError(w, apiErr)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeAPIError(w, &client.APIError{
+		serve.WriteError(w, &client.APIError{
 			Status:  http.StatusInternalServerError,
 			Code:    client.CodeInternal,
 			Message: "response writer does not support streaming",
@@ -39,7 +39,7 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 	// fleet-wide outage) still gets the structured error envelope.
 	b, ws, apiErr := rt.subscribe(ctx, id, since)
 	if apiErr != nil {
-		writeAPIError(w, apiErr)
+		serve.WriteError(w, apiErr)
 		return
 	}
 	// A failed re-subscribe leaves ws nil.

@@ -176,7 +176,7 @@ func (s *Server) kindStreams() map[string]int {
 // handleMetrics serves the Prometheus exposition; 404 until EnableMetrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		WriteError(w, MethodNotAllowed(r, http.MethodGet))
 		return
 	}
 	s.mu.Lock()

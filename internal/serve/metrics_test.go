@@ -114,8 +114,9 @@ func TestMetricsEndpointFlat(t *testing.T) {
 	}
 
 	// Method and non-enabled paths.
-	if status, _ := servetest.RawStatus(t, http.MethodPost, srv.HTTP.URL+"/metrics", ""); status != http.StatusMethodNotAllowed {
-		t.Errorf("POST /metrics: status %d, want 405", status)
+	if status, body := servetest.RawStatus(t, http.MethodPost, srv.HTTP.URL+"/metrics", ""); status != http.StatusMethodNotAllowed ||
+		servetest.EnvelopeCode(t, body) != client.CodeMethodNotAllowed {
+		t.Errorf("POST /metrics: %d %s, want the 405 envelope", status, body)
 	}
 	ws.Close()
 	srv.CloseHub(t)

@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"sort"
 	"strconv"
@@ -40,10 +39,6 @@ import (
 	"etsc/internal/hub"
 	"etsc/internal/metrics"
 )
-
-// maxBody bounds one request's body (~32 MB ≈ 1.5M points as text) so a
-// single client cannot balloon process memory.
-const maxBody = 32 << 20
 
 // Server routes HTTP traffic onto one hub.
 type Server struct {
@@ -88,7 +83,7 @@ func checkEngine(engine string) *client.APIError {
 	case "", "pruned", "eager":
 		return nil
 	}
-	return badRequest(fmt.Sprintf("unknown engine %q (want pruned or eager)", engine))
+	return BadRequest(fmt.Sprintf("unknown engine %q (want pruned or eager)", engine))
 }
 
 // New builds the handler over an attached hub and the kinds it serves.
@@ -134,78 +129,39 @@ func (s *Server) KindNames() []string {
 
 // ---- /v1 routing ----
 
-// handleV1 dispatches /v1/... paths manually: the error contract (JSON
+// handleV1 dispatches /v1/... paths on ParseV1: the error contract (JSON
 // envelope with a code on every failure, including 404 and 405) is part
 // of the protocol, so routing misses cannot fall through to the mux's
 // plain-text defaults.
 func (s *Server) handleV1(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/")
-	seg := strings.Split(rest, "/")
-	switch {
-	case rest == "streams":
-		switch r.Method {
-		case http.MethodPost:
-			s.v1CreateStream(w, r)
-		case http.MethodGet:
-			s.v1ListStreams(w)
-		default:
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodPost))
-		}
-	case len(seg) == 2 && seg[0] == "streams" && seg[1] != "":
-		id := seg[1]
-		switch r.Method {
-		case http.MethodGet:
-			s.v1GetStream(w, id)
-		case http.MethodDelete:
-			s.v1DeleteStream(w, id)
-		default:
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodDelete))
-		}
-	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "push":
-		if r.Method != http.MethodPost {
-			writeAPIError(w, methodNotAllowed(r, http.MethodPost))
-			return
-		}
-		s.v1Push(w, r, seg[1])
-	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "snapshot":
-		switch r.Method {
-		case http.MethodGet:
-			s.v1SnapshotStream(w, seg[1])
-		case http.MethodPost:
-			s.v1RestoreStream(w, r, seg[1])
-		default:
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet, http.MethodPost))
-		}
-	case len(seg) == 3 && seg[0] == "streams" && seg[1] != "" && seg[2] == "watch":
-		if r.Method != http.MethodGet {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
-			return
-		}
-		s.v1Watch(w, r, seg[1])
-	case rest == "healthz":
-		if r.Method != http.MethodGet {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
-			return
-		}
+	ep, id, apiErr := ParseV1(r)
+	if apiErr != nil {
+		WriteError(w, apiErr)
+		return
+	}
+	switch ep {
+	case EndpointList:
+		s.v1ListStreams(w)
+	case EndpointCreate:
+		s.v1CreateStream(w, r)
+	case EndpointGet:
+		s.v1GetStream(w, id)
+	case EndpointDelete:
+		s.v1DeleteStream(w, id)
+	case EndpointPush:
+		s.v1Push(w, r, id)
+	case EndpointSnapshot:
+		s.v1SnapshotStream(w, id)
+	case EndpointRestore:
+		s.v1RestoreStream(w, r, id)
+	case EndpointWatch:
+		s.v1Watch(w, r, id)
+	case EndpointStats:
+		WriteJSON(w, http.StatusOK, s.hub.Stats())
+	case EndpointDetections:
+		s.v1Detections(w, r, id)
+	case EndpointHealthz:
 		s.v1Healthz(w)
-	case rest == "stats":
-		if r.Method != http.MethodGet {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
-			return
-		}
-		writeJSON(w, http.StatusOK, s.hub.Stats())
-	case rest == "detections":
-		if r.Method != http.MethodGet {
-			writeAPIError(w, methodNotAllowed(r, http.MethodGet))
-			return
-		}
-		s.v1Detections(w, r)
-	default:
-		writeAPIError(w, &client.APIError{
-			Status:  http.StatusNotFound,
-			Code:    client.CodeNotFound,
-			Message: fmt.Sprintf("no /v1 endpoint %q", r.URL.Path),
-		})
 	}
 }
 
@@ -216,14 +172,14 @@ func (s *Server) handleV1(w http.ResponseWriter, r *http.Request) {
 // rebuilding its streams.
 func (s *Server) v1Healthz(w http.ResponseWriter) {
 	if s.restoring.Load() > 0 {
-		writeAPIError(w, &client.APIError{
+		WriteError(w, &client.APIError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    client.CodeUnavailable,
 			Message: "checkpoint restore in flight; not ready",
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, client.Health{Status: "ok", Streams: s.hub.Stats().Streams})
+	WriteJSON(w, http.StatusOK, client.Health{Status: "ok", Streams: s.hub.Stats().Streams})
 }
 
 // v1CreateStream registers a stream from a declarative description: a
@@ -232,11 +188,11 @@ func (s *Server) v1Healthz(w http.ResponseWriter) {
 func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 	var req client.CreateStreamRequest
 	if apiErr := decodeJSON(r, w, &req); apiErr != nil {
-		writeAPIError(w, apiErr)
+		WriteError(w, apiErr)
 		return
 	}
 	if req.ID == "" {
-		writeAPIError(w, badRequest("missing stream id"))
+		WriteError(w, BadRequest("missing stream id"))
 		return
 	}
 	// Ids live in /v1/streams/{id}/... path segments; one containing a
@@ -244,16 +200,16 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 	// request path splits on it), and "." / ".." are rewritten away by
 	// the mux's path cleaning. Reject them all at registration.
 	if strings.Contains(req.ID, "/") || req.ID == "." || req.ID == ".." {
-		writeAPIError(w, badRequest(fmt.Sprintf("stream id %q must be a single path segment (no '/', not %q or %q)", req.ID, ".", "..")))
+		WriteError(w, BadRequest(fmt.Sprintf("stream id %q must be a single path segment (no '/', not %q or %q)", req.ID, ".", "..")))
 		return
 	}
 	meta, sc, apiErr := s.resolveKind(cmp.Or(req.Kind, s.deflt), req.Spec)
 	if apiErr != nil {
-		writeAPIError(w, apiErr)
+		WriteError(w, apiErr)
 		return
 	}
 	if apiErr := checkEngine(req.Engine); apiErr != nil {
-		writeAPIError(w, apiErr)
+		WriteError(w, apiErr)
 		return
 	}
 	if req.Stride != nil {
@@ -269,11 +225,11 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.hub.Attach(req.ID, sc); err != nil {
-		writeAPIError(w, attachError(err))
+		WriteError(w, attachError(err))
 		return
 	}
 	s.meta[req.ID] = meta
-	writeJSON(w, http.StatusCreated, s.infoLocked(req.ID, hub.StreamStats{}))
+	WriteJSON(w, http.StatusCreated, s.infoLocked(req.ID, hub.StreamStats{}))
 }
 
 // infoLocked renders one stream's StreamInfo; s.mu must be held.
@@ -295,26 +251,26 @@ func (s *Server) v1ListStreams(w http.ResponseWriter) {
 		out.Streams = append(out.Streams, s.infoLocked(id, snap[id]))
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) v1GetStream(w http.ResponseWriter, id string) {
 	snap := s.hub.Snapshot()
 	stats, ok := snap[id]
 	if !ok {
-		writeAPIError(w, unknownStream(id))
+		WriteError(w, unknownStream(id))
 		return
 	}
 	s.mu.Lock()
 	info := s.infoLocked(id, stats)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) v1Push(w http.ResponseWriter, r *http.Request, id string) {
 	var req client.PushRequest
 	if apiErr := decodeJSON(r, w, &req); apiErr != nil {
-		writeAPIError(w, apiErr)
+		WriteError(w, apiErr)
 		return
 	}
 	var err error
@@ -322,7 +278,7 @@ func (s *Server) v1Push(w http.ResponseWriter, r *http.Request, id string) {
 		// Positioned replay: points below the stream's watermark are
 		// skipped, a gap beyond it is refused — see client.PushRequest.At.
 		if *req.At < 0 {
-			writeAPIError(w, badRequest(fmt.Sprintf("bad at=%d: want a non-negative position", *req.At)))
+			WriteError(w, BadRequest(fmt.Sprintf("bad at=%d: want a non-negative position", *req.At)))
 			return
 		}
 		err = s.hub.PushAt(id, *req.At, req.Points)
@@ -331,9 +287,9 @@ func (s *Server) v1Push(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, client.PushResponse{Stream: id, Queued: len(req.Points)})
+		WriteJSON(w, http.StatusOK, client.PushResponse{Stream: id, Queued: len(req.Points)})
 	case errors.Is(err, hub.ErrGap):
-		writeAPIError(w, &client.APIError{
+		WriteError(w, &client.APIError{
 			Status:  http.StatusConflict,
 			Code:    client.CodeGap,
 			Message: err.Error(),
@@ -342,38 +298,33 @@ func (s *Server) v1Push(w http.ResponseWriter, r *http.Request, id string) {
 		// Backpressure is the Drop policy doing its job: tell the client
 		// to retry the whole batch after the drain catches up.
 		w.Header().Set("Retry-After", "1")
-		writeAPIError(w, &client.APIError{
+		WriteError(w, &client.APIError{
 			Status:  http.StatusTooManyRequests,
 			Code:    client.CodeBackpressure,
 			Message: err.Error(),
 		})
 	case errors.Is(err, hub.ErrUnknownStream):
-		writeAPIError(w, unknownStream(id))
+		WriteError(w, unknownStream(id))
 	case errors.Is(err, hub.ErrClosed):
-		writeAPIError(w, hubClosed(err))
+		WriteError(w, hubClosed(err))
 	default:
-		writeAPIError(w, badRequest(err.Error()))
+		WriteError(w, BadRequest(err.Error()))
 	}
 }
 
-func (s *Server) v1Detections(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("stream")
-	if id == "" {
-		writeAPIError(w, badRequest("missing ?stream="))
-		return
-	}
+func (s *Server) v1Detections(w http.ResponseWriter, r *http.Request, id string) {
 	since := 0
 	if raw := r.URL.Query().Get("since"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			writeAPIError(w, badRequest(fmt.Sprintf("bad ?since=%q: want a non-negative integer", raw)))
+			WriteError(w, BadRequest(fmt.Sprintf("bad ?since=%q: want a non-negative integer", raw)))
 			return
 		}
 		since = n
 	}
 	dets, settled, err := s.hub.DetectionsSettled(id)
 	if err != nil {
-		writeAPIError(w, unknownStream(id))
+		WriteError(w, unknownStream(id))
 		return
 	}
 	// Only the settled prefix is paged: those Recanted flags are final,
@@ -383,7 +334,7 @@ func (s *Server) v1Detections(w http.ResponseWriter, r *http.Request) {
 	if since > settled {
 		since = settled
 	}
-	writeJSON(w, http.StatusOK, client.DetectionsPage{
+	WriteJSON(w, http.StatusOK, client.DetectionsPage{
 		Stream:     id,
 		Since:      since,
 		Next:       settled,
@@ -396,16 +347,16 @@ func (s *Server) v1DeleteStream(w http.ResponseWriter, id string) {
 	rep, err := s.hub.Detach(id)
 	if err != nil {
 		if errors.Is(err, hub.ErrClosed) {
-			writeAPIError(w, hubClosed(err))
+			WriteError(w, hubClosed(err))
 			return
 		}
-		writeAPIError(w, unknownStream(id))
+		WriteError(w, unknownStream(id))
 		return
 	}
 	s.mu.Lock()
 	delete(s.meta, id)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, rep)
+	WriteJSON(w, http.StatusOK, rep)
 }
 
 // v1SnapshotStream exports a stream's durable state
@@ -419,15 +370,15 @@ func (s *Server) v1SnapshotStream(w http.ResponseWriter, id string) {
 	switch {
 	case err == nil:
 	case errors.Is(err, hub.ErrClosed):
-		writeAPIError(w, hubClosed(err))
+		WriteError(w, hubClosed(err))
 		return
 	default:
-		writeAPIError(w, unknownStream(id))
+		WriteError(w, unknownStream(id))
 		return
 	}
 	_, pos, err := hub.SnapshotInfo(data)
 	if err != nil {
-		writeAPIError(w, &client.APIError{
+		WriteError(w, &client.APIError{
 			Status:  http.StatusInternalServerError,
 			Code:    client.CodeInternal,
 			Message: fmt.Sprintf("exported snapshot failed self-validation: %v", err),
@@ -437,7 +388,7 @@ func (s *Server) v1SnapshotStream(w http.ResponseWriter, id string) {
 	s.mu.Lock()
 	m := s.meta[id]
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, client.StreamSnapshot{
+	WriteJSON(w, http.StatusOK, client.StreamSnapshot{
 		ID: id, Kind: m.kind, Spec: m.spec, Engine: engineName,
 		Position: pos, State: data,
 	})
@@ -453,15 +404,15 @@ func (s *Server) v1SnapshotStream(w http.ResponseWriter, id string) {
 func (s *Server) v1RestoreStream(w http.ResponseWriter, r *http.Request, id string) {
 	var req client.StreamSnapshot
 	if apiErr := decodeJSON(r, w, &req); apiErr != nil {
-		writeAPIError(w, apiErr)
+		WriteError(w, apiErr)
 		return
 	}
 	if req.ID != "" && req.ID != id {
-		writeAPIError(w, badRequest(fmt.Sprintf("snapshot id %q does not match path id %q", req.ID, id)))
+		WriteError(w, BadRequest(fmt.Sprintf("snapshot id %q does not match path id %q", req.ID, id)))
 		return
 	}
 	if strings.Contains(id, "/") || id == "." || id == ".." {
-		writeAPIError(w, badRequest(fmt.Sprintf("stream id %q must be a single path segment", id)))
+		WriteError(w, BadRequest(fmt.Sprintf("stream id %q must be a single path segment", id)))
 		return
 	}
 	// The state frame names its stream; a mismatch means the caller mixed
@@ -469,31 +420,31 @@ func (s *Server) v1RestoreStream(w http.ResponseWriter, r *http.Request, id stri
 	// validation runs.
 	sid, _, err := hub.SnapshotInfo(req.State)
 	if err != nil {
-		writeAPIError(w, badSnapshot(err))
+		WriteError(w, badSnapshot(err))
 		return
 	}
 	if sid != id {
-		writeAPIError(w, badSnapshot(fmt.Errorf("state frame is for stream %q, not %q", sid, id)))
+		WriteError(w, badSnapshot(fmt.Errorf("state frame is for stream %q, not %q", sid, id)))
 		return
 	}
 	meta, sc, apiErr := s.resolveKind(cmp.Or(req.Kind, s.deflt), req.Spec)
 	if apiErr != nil {
-		writeAPIError(w, apiErr)
+		WriteError(w, apiErr)
 		return
 	}
 	if apiErr := checkEngine(req.Engine); apiErr != nil {
-		writeAPIError(w, apiErr)
+		WriteError(w, apiErr)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.hub.Restore(req.State, sc); err != nil {
-		writeAPIError(w, restoreError(err))
+		WriteError(w, restoreError(err))
 		return
 	}
 	s.meta[id] = meta
 	stats := s.hub.Snapshot()[id]
-	writeJSON(w, http.StatusCreated, s.infoLocked(id, stats))
+	WriteJSON(w, http.StatusCreated, s.infoLocked(id, stats))
 }
 
 // resolveKind resolves a registration's kind and spec into the stream's
@@ -545,27 +496,10 @@ func specStreamConfig(kind hub.Kind, spec string) (hub.StreamConfig, error) {
 // decodeJSON reads a size-capped JSON body. A non-nil return is the
 // structured error to write.
 func decodeJSON(r *http.Request, w http.ResponseWriter, into any) *client.APIError {
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &client.APIError{
-				Status:  http.StatusRequestEntityTooLarge,
-				Code:    client.CodeTooLarge,
-				Message: fmt.Sprintf("body over %d bytes; split the batch", tooBig.Limit),
-			}
-		}
-		return &client.APIError{
-			Status:  http.StatusBadRequest,
-			Code:    client.CodeBadJSON,
-			Message: fmt.Sprintf("bad JSON body: %v", err),
-		}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(into); err != nil {
+		return BodyError(err)
 	}
 	return nil
-}
-
-func badRequest(msg string) *client.APIError {
-	return &client.APIError{Status: http.StatusBadRequest, Code: client.CodeBadRequest, Message: msg}
 }
 
 func unknownStream(id string) *client.APIError {
@@ -605,26 +539,6 @@ func attachError(err error) *client.APIError {
 	case errors.Is(err, hub.ErrClosed):
 		return hubClosed(err)
 	default:
-		return badRequest(err.Error())
-	}
-}
-
-func methodNotAllowed(r *http.Request, allow ...string) *client.APIError {
-	return &client.APIError{
-		Status:  http.StatusMethodNotAllowed,
-		Code:    client.CodeMethodNotAllowed,
-		Message: fmt.Sprintf("%s not allowed on %s (allow: %s)", r.Method, r.URL.Path, strings.Join(allow, ", ")),
-	}
-}
-
-func writeAPIError(w http.ResponseWriter, ae *client.APIError) {
-	writeJSON(w, ae.Status, client.ErrorEnvelope{Error: *ae})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("serve: encode: %v", err)
+		return BadRequest(err.Error())
 	}
 }

@@ -32,12 +32,12 @@ import (
 func (s *Server) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 	since, sse, apiErr := WatchQuery(r)
 	if apiErr != nil {
-		writeAPIError(w, apiErr)
+		WriteError(w, apiErr)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeAPIError(w, &client.APIError{
+		WriteError(w, &client.APIError{
 			Status:  http.StatusInternalServerError,
 			Code:    client.CodeInternal,
 			Message: "response writer does not support streaming",
@@ -49,10 +49,10 @@ func (s *Server) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 	switch {
 	case err == nil:
 	case errors.Is(err, hub.ErrClosed):
-		writeAPIError(w, hubClosed(err))
+		WriteError(w, hubClosed(err))
 		return
 	default:
-		writeAPIError(w, unknownStream(id))
+		WriteError(w, unknownStream(id))
 		return
 	}
 	defer wch.Close()
@@ -104,13 +104,13 @@ func WatchQuery(r *http.Request) (since int, sse bool, apiErr *client.APIError) 
 	if raw := q.Get("since"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			return 0, false, badRequest(fmt.Sprintf("bad ?since=%q: want a non-negative integer", raw))
+			return 0, false, BadRequest(fmt.Sprintf("bad ?since=%q: want a non-negative integer", raw))
 		}
 		since = n
 	} else if lei := r.Header.Get("Last-Event-ID"); lei != "" {
 		n, err := strconv.Atoi(lei)
 		if err != nil || n < 0 {
-			return 0, false, badRequest(fmt.Sprintf("bad Last-Event-ID %q: want a non-negative integer", lei))
+			return 0, false, BadRequest(fmt.Sprintf("bad Last-Event-ID %q: want a non-negative integer", lei))
 		}
 		// Resume after M without wrapping: M = MaxInt overshoots every
 		// transcript, so it replays nothing, like any overshot ?since=.
@@ -124,7 +124,7 @@ func WatchQuery(r *http.Request) (since int, sse bool, apiErr *client.APIError) 
 		sse = true
 	case "ndjson":
 	default:
-		return 0, false, badRequest(fmt.Sprintf("bad ?format=%q: want sse or ndjson", format))
+		return 0, false, BadRequest(fmt.Sprintf("bad ?format=%q: want sse or ndjson", format))
 	}
 	return since, sse, nil
 }

@@ -31,9 +31,6 @@ func NewKDE(samples []float64, bandwidth float64) *KDE {
 	return &KDE{samples: cp, bandwidth: bandwidth}
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // N returns the number of fitted samples.
 func (k *KDE) N() int { return len(k.samples) }
 
@@ -47,18 +44,6 @@ func (k *KDE) PDF(x float64) float64 {
 		sum += NormalPDF((x - s) / k.bandwidth)
 	}
 	return sum / (float64(len(k.samples)) * k.bandwidth)
-}
-
-// CDF evaluates the cumulative distribution estimate at x.
-func (k *KDE) CDF(x float64) float64 {
-	if len(k.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range k.samples {
-		sum += NormalCDF((x - s) / k.bandwidth)
-	}
-	return sum / float64(len(k.samples))
 }
 
 // CrossingBelow scans [lo, hi] in steps and returns the largest x at which

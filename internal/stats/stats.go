@@ -1,7 +1,8 @@
 // Package stats provides the statistical machinery used across the
 // reproduction: running moments, Gaussian utilities, kernel density
-// estimation (for EDSC-KDE threshold learning), the hypothesis tests behind
-// the paper's "not statistically significantly different" claim (Fig. 8),
+// estimation (for EDSC-KDE threshold learning), the two-proportion test
+// behind the paper's "not statistically significantly different" claim
+// (Fig. 8),
 // and the Zipf model referenced by the inclusion-problem analysis.
 package stats
 
@@ -131,12 +132,6 @@ func NormalPDF(x float64) float64 {
 // NormalCDF is the standard normal cumulative distribution at x.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// GaussianPDF is the density of N(mean, std²) at x. std must be > 0.
-func GaussianPDF(x, mean, std float64) float64 {
-	z := (x - mean) / std
-	return NormalPDF(z) / std
 }
 
 // LogGaussianPDF is the log-density of N(mean, std²) at x.

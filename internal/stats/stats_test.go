@@ -124,12 +124,12 @@ func TestNormalPDFCDF(t *testing.T) {
 	}
 }
 
-func TestGaussianPDF(t *testing.T) {
-	if !almostEqual(GaussianPDF(3, 3, 2), NormalPDF(0)/2, 1e-12) {
-		t.Error("GaussianPDF at mean")
+func TestLogGaussianPDF(t *testing.T) {
+	if !almostEqual(math.Exp(LogGaussianPDF(3, 3, 2)), NormalPDF(0)/2, 1e-12) {
+		t.Error("LogGaussianPDF at mean")
 	}
 	lp := LogGaussianPDF(1.3, 0.5, 1.7)
-	if !almostEqual(math.Exp(lp), GaussianPDF(1.3, 0.5, 1.7), 1e-12) {
-		t.Error("LogGaussianPDF inconsistent with GaussianPDF")
+	if !almostEqual(math.Exp(lp), NormalPDF((1.3-0.5)/1.7)/1.7, 1e-12) {
+		t.Error("LogGaussianPDF inconsistent with NormalPDF")
 	}
 }

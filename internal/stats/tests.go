@@ -38,157 +38,3 @@ func TwoProportionZTest(success1, trials1, success2, trials2 int, alpha float64)
 	p := 2 * (1 - NormalCDF(math.Abs(z)))
 	return TestResult{Statistic: z, PValue: p, Significant: p < alpha, Alpha: alpha}, nil
 }
-
-// PairedTTest performs a two-sided paired t-test on equal-length samples,
-// approximating the t distribution tail with the normal for n >= 30 and
-// with a Student-t series for smaller n.
-func PairedTTest(a, b []float64, alpha float64) (TestResult, error) {
-	if len(a) != len(b) {
-		return TestResult{}, errors.New("stats: PairedTTest length mismatch")
-	}
-	n := len(a)
-	if n < 2 {
-		return TestResult{}, ErrNoData
-	}
-	var r Running
-	for i := range a {
-		r.Add(a[i] - b[i])
-	}
-	sd := math.Sqrt(r.SampleVar())
-	if sd == 0 {
-		// All differences identical: either exactly zero (no effect) or a
-		// constant shift (infinitely significant in the limit).
-		if r.Mean() == 0 {
-			return TestResult{Statistic: 0, PValue: 1, Significant: false, Alpha: alpha}, nil
-		}
-		return TestResult{Statistic: math.Inf(1), PValue: 0, Significant: true, Alpha: alpha}, nil
-	}
-	t := r.Mean() / (sd / math.Sqrt(float64(n)))
-	p := 2 * studentTSF(math.Abs(t), n-1)
-	return TestResult{Statistic: t, PValue: p, Significant: p < alpha, Alpha: alpha}, nil
-}
-
-// studentTSF is the survival function P(T > t) for Student's t with df
-// degrees of freedom, via the regularized incomplete beta function.
-func studentTSF(t float64, df int) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	v := float64(df)
-	x := v / (v + t*t)
-	return 0.5 * regIncBeta(v/2, 0.5, x)
-}
-
-// regIncBeta computes the regularized incomplete beta function I_x(a, b)
-// using the continued-fraction expansion (Numerical Recipes betacf).
-func regIncBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b)
-	front := math.Exp(lbeta + a*math.Log(x) + b*math.Log(1-x))
-	if x < (a+1)/(a+b+2) {
-		return front * betacf(a, b, x) / a
-	}
-	return 1 - front*betacf(b, a, 1-x)/b
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
-func betacf(a, b, x float64) float64 {
-	const (
-		maxIter = 300
-		eps     = 3e-14
-		fpmin   = 1e-300
-	)
-	qab := a + b
-	qap := a + 1
-	qam := a - 1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < fpmin {
-		d = fpmin
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
-}
-
-// BinomialTest returns the two-sided exact binomial p-value for observing
-// k successes in n trials under success probability p0, using a normal
-// approximation with continuity correction when n > 200 to stay O(1).
-func BinomialTest(k, n int, p0, alpha float64) (TestResult, error) {
-	if n <= 0 || k < 0 || k > n {
-		return TestResult{}, errors.New("stats: BinomialTest invalid counts")
-	}
-	if p0 <= 0 || p0 >= 1 {
-		return TestResult{}, errors.New("stats: BinomialTest p0 must be in (0,1)")
-	}
-	mean := float64(n) * p0
-	if n > 200 {
-		sd := math.Sqrt(float64(n) * p0 * (1 - p0))
-		z := (math.Abs(float64(k)-mean) - 0.5) / sd
-		if z < 0 {
-			z = 0
-		}
-		p := 2 * (1 - NormalCDF(z))
-		if p > 1 {
-			p = 1
-		}
-		return TestResult{Statistic: z, PValue: p, Significant: p < alpha, Alpha: alpha}, nil
-	}
-	// Exact: sum probabilities <= P(k).
-	pk := binomPMF(k, n, p0)
-	p := 0.0
-	for i := 0; i <= n; i++ {
-		if pi := binomPMF(i, n, p0); pi <= pk*(1+1e-12) {
-			p += pi
-		}
-	}
-	if p > 1 {
-		p = 1
-	}
-	z := (float64(k) - mean) / math.Sqrt(float64(n)*p0*(1-p0))
-	return TestResult{Statistic: z, PValue: p, Significant: p < alpha, Alpha: alpha}, nil
-}
-
-func binomPMF(k, n int, p float64) float64 {
-	lg := lgamma(float64(n+1)) - lgamma(float64(k+1)) - lgamma(float64(n-k+1))
-	return math.Exp(lg + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p))
-}

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestTwoProportionZTest(t *testing.T) {
 	// Identical proportions: z = 0, p = 1.
@@ -49,116 +46,5 @@ func TestTwoProportionZTestErrors(t *testing.T) {
 	}
 	if _, err := TwoProportionZTest(3, 2, 1, 2, 0.05); err == nil {
 		t.Error("successes > trials should error")
-	}
-}
-
-func TestPairedTTest(t *testing.T) {
-	// Strong constant-ish difference: significant.
-	a := []float64{5.1, 5.2, 4.9, 5.3, 5.0, 5.1, 5.2, 4.8}
-	b := []float64{4.1, 4.0, 3.9, 4.2, 4.1, 4.0, 4.2, 3.8}
-	r, err := PairedTTest(a, b, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Significant {
-		t.Errorf("clear difference should be significant: %+v", r)
-	}
-
-	// No difference: not significant.
-	r, err = PairedTTest(a, a, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Significant || r.PValue != 1 {
-		t.Errorf("self-comparison: %+v", r)
-	}
-
-	// Constant non-zero difference: infinitely significant.
-	c := make([]float64, len(a))
-	for i := range a {
-		c[i] = a[i] + 1
-	}
-	r, err = PairedTTest(c, a, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Significant || !math.IsInf(r.Statistic, 1) {
-		t.Errorf("constant shift: %+v", r)
-	}
-
-	if _, err := PairedTTest(a, a[:3], 0.05); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := PairedTTest([]float64{1}, []float64{2}, 0.05); err == nil {
-		t.Error("n < 2 should error")
-	}
-}
-
-func TestStudentTSFAgainstKnownValues(t *testing.T) {
-	// t=2.086, df=20 gives one-sided p ~ 0.025 (classic table value).
-	p := studentTSF(2.086, 20)
-	if !almostEqual(p, 0.025, 0.002) {
-		t.Errorf("studentTSF(2.086, 20) = %v, want ~0.025", p)
-	}
-	// Large df approaches the normal tail.
-	p = studentTSF(1.96, 10000)
-	if !almostEqual(p, 0.025, 0.002) {
-		t.Errorf("studentTSF(1.96, large) = %v, want ~0.025", p)
-	}
-}
-
-func TestRegIncBetaBounds(t *testing.T) {
-	if regIncBeta(2, 3, 0) != 0 || regIncBeta(2, 3, 1) != 1 {
-		t.Error("bounds wrong")
-	}
-	// I_x(1,1) = x (uniform distribution CDF).
-	for _, x := range []float64{0.1, 0.5, 0.9} {
-		if !almostEqual(regIncBeta(1, 1, x), x, 1e-9) {
-			t.Errorf("I_%v(1,1) = %v", x, regIncBeta(1, 1, x))
-		}
-	}
-}
-
-func TestBinomialTest(t *testing.T) {
-	// Fair coin, 50/100 heads: p ~ 1.
-	r, err := BinomialTest(50, 100, 0.5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Significant {
-		t.Errorf("50/100 fair coin significant: %+v", r)
-	}
-	// 80/100 heads on a fair coin: highly significant.
-	r, err = BinomialTest(80, 100, 0.5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Significant || r.PValue > 1e-6 {
-		t.Errorf("80/100 fair coin: %+v", r)
-	}
-	// Large-n path.
-	r, err = BinomialTest(130, 250, 0.5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Significant {
-		t.Errorf("130/250 fair coin: %+v", r)
-	}
-	if _, err := BinomialTest(5, 0, 0.5, 0.05); err == nil {
-		t.Error("invalid counts should error")
-	}
-	if _, err := BinomialTest(5, 10, 1.5, 0.05); err == nil {
-		t.Error("invalid p0 should error")
-	}
-}
-
-func TestBinomPMFSumsToOne(t *testing.T) {
-	n := 30
-	sum := 0.0
-	for k := 0; k <= n; k++ {
-		sum += binomPMF(k, n, 0.3)
-	}
-	if !almostEqual(sum, 1, 1e-9) {
-		t.Errorf("PMF sums to %v", sum)
 	}
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Zipf models word-frequency ranks: P(rank r) ∝ 1/r^s for r in 1..N.
@@ -13,7 +12,6 @@ import (
 type Zipf struct {
 	S    float64 // exponent, typically ~1 for natural language
 	N    int     // vocabulary size
-	cdf  []float64
 	norm float64
 }
 
@@ -25,18 +23,11 @@ func NewZipf(s float64, n int) (*Zipf, error) {
 	if s < 0 {
 		return nil, errors.New("stats: Zipf needs s >= 0")
 	}
-	z := &Zipf{S: s, N: n}
-	z.cdf = make([]float64, n)
 	sum := 0.0
 	for r := 1; r <= n; r++ {
 		sum += 1 / math.Pow(float64(r), s)
-		z.cdf[r-1] = sum
 	}
-	z.norm = sum
-	for i := range z.cdf {
-		z.cdf[i] /= sum
-	}
-	return z, nil
+	return &Zipf{S: s, N: n, norm: sum}, nil
 }
 
 // PMF returns P(rank r), 1-indexed.
@@ -45,26 +36,6 @@ func (z *Zipf) PMF(r int) float64 {
 		return 0
 	}
 	return 1 / math.Pow(float64(r), z.S) / z.norm
-}
-
-// CDF returns P(rank <= r).
-func (z *Zipf) CDF(r int) float64 {
-	if r < 1 {
-		return 0
-	}
-	if r > z.N {
-		return 1
-	}
-	return z.cdf[r-1]
-}
-
-// Sample maps a uniform variate u in [0,1) to a rank in 1..N by inverse CDF.
-func (z *Zipf) Sample(u float64) int {
-	idx := sort.SearchFloat64s(z.cdf, u)
-	if idx >= z.N {
-		idx = z.N - 1
-	}
-	return idx + 1
 }
 
 // FrequencyRatio returns PMF(rankA)/PMF(rankB): how much more often the

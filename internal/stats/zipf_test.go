@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestZipfPMFSums(t *testing.T) {
 	z, err := NewZipf(1.0, 100)
@@ -32,9 +29,6 @@ func TestZipfMonotone(t *testing.T) {
 			t.Fatalf("PMF not decreasing at rank %d", r)
 		}
 	}
-	if z.CDF(50) != 1 || z.CDF(0) != 0 {
-		t.Error("CDF bounds")
-	}
 }
 
 func TestZipfFrequencyRatio(t *testing.T) {
@@ -48,31 +42,6 @@ func TestZipfFrequencyRatio(t *testing.T) {
 	}
 	if got := z.FrequencyRatio(1, 0); got <= 0 {
 		t.Errorf("unknown rank ratio = %v, want +Inf", got)
-	}
-}
-
-func TestZipfSampleProperty(t *testing.T) {
-	z, err := NewZipf(1.0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(u float64) bool {
-		if u < 0 {
-			u = -u
-		}
-		u -= float64(int(u)) // to [0,1)
-		r := z.Sample(u)
-		return r >= 1 && r <= 20
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	// Inverse-CDF correctness at the boundaries.
-	if z.Sample(0) != 1 {
-		t.Errorf("Sample(0) = %d, want rank 1", z.Sample(0))
-	}
-	if z.Sample(0.999999) != 20 {
-		t.Errorf("Sample(~1) = %d, want rank 20", z.Sample(0.999999))
 	}
 }
 

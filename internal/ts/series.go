@@ -167,15 +167,6 @@ func Concat(parts ...[]float64) Series {
 	return out
 }
 
-// Reverse returns a reversed copy of s.
-func Reverse(s []float64) Series {
-	out := make(Series, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
-}
-
 // MinMax returns the minimum and maximum of s. It panics on empty input.
 func MinMax(s []float64) (lo, hi float64) {
 	if len(s) == 0 {
@@ -240,35 +231,6 @@ func MovingAverage(s []float64, window int) Series {
 			hi = len(s)
 		}
 		out[i] = (prefix[hi] - prefix[lo]) / float64(hi-lo)
-	}
-	return out
-}
-
-// ExponentialSmooth applies single exponential smoothing with factor
-// alpha in (0,1]; alpha=1 returns a copy of s.
-func ExponentialSmooth(s []float64, alpha float64) Series {
-	out := make(Series, len(s))
-	if len(s) == 0 {
-		return out
-	}
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("ts: ExponentialSmooth alpha out of range: %v", alpha))
-	}
-	out[0] = s[0]
-	for i := 1; i < len(s); i++ {
-		out[i] = alpha*s[i] + (1-alpha)*out[i-1]
-	}
-	return out
-}
-
-// Diff returns the first difference of s (length len(s)-1).
-func Diff(s []float64) Series {
-	if len(s) < 2 {
-		return Series{}
-	}
-	out := make(Series, len(s)-1)
-	for i := 1; i < len(s); i++ {
-		out[i-1] = s[i] - s[i-1]
 	}
 	return out
 }

@@ -200,29 +200,7 @@ func TestMovingAveragePreservesMeanProperty(t *testing.T) {
 	}
 }
 
-func TestExponentialSmooth(t *testing.T) {
-	s := Series{1, 1, 1}
-	sm := ExponentialSmooth(s, 0.5)
-	for i := range sm {
-		if !almostEqual(sm[i], 1, 1e-12) {
-			t.Errorf("constant series should smooth to itself: %v", sm)
-		}
-	}
-	id := ExponentialSmooth(Series{1, 5, 2}, 1)
-	if id[1] != 5 {
-		t.Errorf("alpha=1 should be identity: %v", id)
-	}
-}
-
 func TestDiffReverseConcat(t *testing.T) {
-	d := Diff(Series{1, 4, 9})
-	if len(d) != 2 || d[0] != 3 || d[1] != 5 {
-		t.Errorf("Diff = %v", d)
-	}
-	r := Reverse(Series{1, 2, 3})
-	if r[0] != 3 || r[2] != 1 {
-		t.Errorf("Reverse = %v", r)
-	}
 	c := Concat(Series{1}, Series{2, 3})
 	if len(c) != 3 || c[2] != 3 {
 		t.Errorf("Concat = %v", c)
