@@ -53,6 +53,10 @@ type Label struct {
 // L is shorthand for building a Label.
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
+// String renders l as the text format writes a label pair: name="value",
+// with the value escaped.
+func (l Label) String() string { return l.Name + `="` + escapeLabel(l.Value) + `"` }
+
 // atomicFloat is a float64 updated via compare-and-swap on its bits; Add is
 // lock-free and allocation-free.
 type atomicFloat struct{ bits atomic.Uint64 }
@@ -268,10 +272,7 @@ func labelSignature(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteString(`"`)
+		b.WriteString(l.String())
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -10,20 +10,43 @@ package router
 // to the hash home. This is the property that lets any client, operator,
 // or second router compute ownership without asking anyone.
 //
-// Merge half: mergeExposition over arbitrary bytes must never panic, and
-// every sample line it keeps must carry the injected backend label — a
-// misbehaving backend can degrade its own scrape but never corrupt the
-// merged output's attribution.
+// Merge half: arbitrary bytes from one backend, merged beside a
+// well-formed exposition from a backend earlier in the table, must never
+// panic; the merged body, the router's own families included, must pass
+// metrics.Lint and keep every sample of the well-formed backend,
+// relabeled with its backend label — a misbehaving backend can degrade
+// its own contribution but nobody else's.
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
+	"etsc/internal/metrics"
 	"etsc/internal/placement"
 )
 
 func FuzzRouterMerge(f *testing.F) {
+	mr, err := New(Config{
+		Backends: []BackendSpec{{Name: "b0", URL: "http://127.0.0.1:20000"}, {Name: "b1", URL: "http://127.0.0.1:20001"}},
+		Logf:     func(string, ...any) {},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	reg.Counter("etsc_hub_batches_total", "Batches accepted.").Add(3)
+	reg.Counter("etsc_stream_detections_total", "Detections per stream.", metrics.L("stream", "coop7")).Inc()
+	reg.Histogram("etsc_hub_push_seconds", "Push latency.", metrics.DefaultLatencyBuckets).Observe(2e-4)
+	reg.Collect("etsc_streams", "Attached streams.", metrics.TypeGauge,
+		func(emit func(float64, ...metrics.Label)) { emit(4) })
+	var good bytes.Buffer
+	reg.WriteTo(&good)
+	goodFams, err := metrics.Parse(bytes.NewReader(good.Bytes()))
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	f.Add("coop7", uint8(3), uint8(1), []byte("# TYPE etsc_streams gauge\netsc_streams 4\n"))
 	f.Add("", uint8(1), uint8(0), []byte("# HELP x y\n# TYPE x counter\nx{a=\"b\"} 1\n"))
 	f.Add("words-00", uint8(4), uint8(7), []byte("garbage\n\n#\n# TYPE\nname_bucket{le=\"+Inf\"} 2\n"))
@@ -62,20 +85,30 @@ func FuzzRouterMerge(f *testing.F) {
 			t.Fatalf("resolve(%q) after clear = %q, want home %q", id, got.name, want.name)
 		}
 
-		// Merging arbitrary bytes never panics, and every surviving sample
-		// is attributed to the contributing backend.
-		fams := map[string]*family{}
-		var order []string
-		mergeExposition(fams, &order, string(expo), "b0")
-		for _, name := range order {
-			fam := fams[name]
-			for _, s := range fam.samples {
-				if !strings.Contains(s, `backend="b0"`) {
-					t.Fatalf("merged sample %q lost its backend label", s)
-				}
+		// Merging arbitrary bytes beside a well-formed backend never
+		// panics, lints, and keeps every well-formed sample.
+		var out bytes.Buffer
+		mr.writeMetrics(&out, *mr.table.Load(), [][]byte{good.Bytes(), expo})
+		merged, err := metrics.Parse(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("merged body does not lint: %v\n%s", err, out.Bytes())
+		}
+		have := map[string]float64{}
+		for _, fam := range merged {
+			for _, s := range fam.Samples {
+				have[s.Name+"{"+s.Labels+"}"] = s.Value
 			}
-			if fam.typ == "" && len(fam.samples) > 0 {
-				t.Fatalf("family %q has samples but no type", name)
+		}
+		for _, fam := range goodFams {
+			for _, s := range fam.Samples {
+				labels := `backend="b0"`
+				if s.Labels != "" {
+					labels += "," + s.Labels
+				}
+				key := s.Name + "{" + labels + "}"
+				if v, ok := have[key]; !ok || v != s.Value {
+					t.Fatalf("well-formed sample %s %v missing from the merged body\n%s", key, s.Value, out.Bytes())
+				}
 			}
 		}
 	})

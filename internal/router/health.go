@@ -39,14 +39,16 @@ func (rt *Router) probeLoop() {
 }
 
 // probeOnce runs one probe round over the current table. Probes are
-// sequential — the table is small and the probe client is timeout-bound,
-// so a round takes at most N×ProbeTimeout. fails is only touched here
-// (the prober goroutine), so no lock is needed.
+// sequential — the table is small and each probe's context carries the
+// ProbeTimeout deadline, so a round takes at most N×ProbeTimeout. A probe
+// goes through the backend's one client: Health is single-shot even under
+// WithRetry. fails is only touched here (the prober goroutine), so no
+// lock is needed.
 func (rt *Router) probeOnce() {
 	table := *rt.table.Load()
 	for _, b := range table {
 		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-		_, err := b.probe.Health(ctx)
+		_, err := b.c.Health(ctx)
 		cancel()
 		if err == nil {
 			if !b.alive.Load() {

@@ -1,22 +1,25 @@
 // GET /metrics on the router: the router's own instruments plus every
-// alive backend's exposition, fetched at scrape time, relabeled with
-// backend="name", and merged per family — one HELP/TYPE header per
-// family, the backends' series side by side under it. The merged output
-// passes the repo's own exposition linter (metrics.Lint): the backend
-// label keeps series keys unique across backends, and family headers are
-// emitted exactly once in sorted order. A dead (or mid-scrape failing)
-// backend contributes nothing; its absence is visible through
+// alive backend's exposition, fetched at scrape time, parsed by
+// metrics.Parse, relabeled with backend="name", and merged per family —
+// one HELP/TYPE header per family, the backends' series side by side
+// under it. The merged body passes metrics.Lint whatever the backends
+// send, because a backend degrades only its own contribution: the backend
+// label keeps series keys unique across backends, an exposition that does
+// not parse is dropped whole, and a family is dropped when its TYPE
+// disagrees with an earlier backend's in table order, or when it bears
+// the name of one of the router's own families, whose series it could
+// repeat. Each drop is logged. A dead (or mid-scrape failing) backend
+// contributes nothing; its absence is visible through
 // etsc_router_backend_alive.
 package router
 
 import (
-	"bufio"
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"etsc/internal/metrics"
@@ -68,181 +71,77 @@ func (rt *Router) requestCounter(name string) *metrics.Counter {
 		"Requests proxied to each backend.", metrics.L("backend", name))
 }
 
-// family is one merged metric family across backends.
-type family struct {
-	help    string
-	typ     string
-	samples []string
-}
-
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		serve.WriteError(w, serve.MethodNotAllowed(r, http.MethodGet))
 		return
 	}
 	table := *rt.table.Load()
-	texts := make([]string, len(table))
-	var wg sync.WaitGroup
-	hc := rt.cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 5 * time.Second}
-	}
-	for i, b := range table {
-		if !b.alive.Load() {
-			continue
+	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
+	defer cancel()
+	bodies, _ := fanOut(table, func(b *backend) ([]byte, error) {
+		resp, err := b.c.Forward(ctx, http.MethodGet, "/metrics", nil, false)
+		if err == nil && resp.Status != http.StatusOK {
+			err = fmt.Errorf("status %d", resp.Status)
 		}
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.base+"/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := hc.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			if err != nil {
-				return
-			}
-			texts[i] = string(raw)
-		}(i, b)
-	}
-	wg.Wait()
-
-	fams := map[string]*family{}
-	var order []string
-	for i, text := range texts {
-		if text == "" {
-			continue
-		}
-		mergeExposition(fams, &order, text, table[i].name)
-	}
-	sort.Strings(order)
-
+		return resp.Body, err
+	})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	rt.reg.WriteTo(w)
-	for _, name := range order {
-		f := fams[name]
-		if f.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", name, f.help)
-		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, f.typ)
-		for _, s := range f.samples {
-			fmt.Fprintln(w, s)
-		}
-	}
+	rt.writeMetrics(w, table, bodies)
 }
 
-// mergeExposition parses one backend's text exposition and folds its
-// families into fams, tagging every sample with backend="name". Unknown
-// or malformed lines are dropped — the merged scrape must stay lintable
-// even when one backend misbehaves.
-func mergeExposition(fams map[string]*family, order *[]string, text, backendName string) {
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var cur string
-	for sc.Scan() {
-		line := strings.TrimRight(sc.Text(), " \t")
-		if line == "" {
+// writeMetrics writes the router's own exposition, then the families of
+// bodies[i], table[i]'s exposition (nil when it sent none), relabeled and
+// merged per family in name order.
+func (rt *Router) writeMetrics(w io.Writer, table []*backend, bodies [][]byte) {
+	var own bytes.Buffer
+	rt.reg.WriteTo(&own)
+	// A registry's rendering always parses; only its family names are read.
+	ownFams, _ := metrics.Parse(bytes.NewReader(own.Bytes()))
+	ownNames := map[string]bool{}
+	for _, f := range ownFams {
+		ownNames[f.Name] = true
+	}
+	merged := map[string]*metrics.Family{}
+	var names []string
+	for i, body := range bodies {
+		if body == nil {
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.SplitN(line, " ", 4)
-			if len(fields) < 3 {
+		name := table[i].name
+		fams, err := metrics.Parse(bytes.NewReader(body))
+		if err != nil {
+			rt.logf("router: /metrics: dropped %q's exposition: %v", name, err)
+			continue
+		}
+		tag := metrics.L("backend", name).String()
+		for _, f := range fams {
+			m := merged[f.Name]
+			switch {
+			case ownNames[f.Name]:
+				rt.logf("router: /metrics: dropped %q's family %s: the router's own", name, f.Name)
 				continue
+			case m != nil && m.Type != f.Type:
+				rt.logf("router: /metrics: dropped %q's family %s: TYPE %s, earlier %s", name, f.Name, f.Type, m.Type)
+				continue
+			case m == nil:
+				m = &metrics.Family{Name: f.Name, Help: f.Help, Type: f.Type}
+				merged[f.Name] = m
+				names = append(names, f.Name)
 			}
-			switch fields[1] {
-			case "HELP":
-				name := fields[2]
-				f := getFamily(fams, order, name)
-				if f.help == "" && len(fields) == 4 {
-					f.help = fields[3]
+			for _, s := range f.Samples {
+				if s.Labels == "" {
+					s.Labels = tag
+				} else {
+					s.Labels = tag + "," + s.Labels
 				}
-			case "TYPE":
-				if len(fields) < 4 {
-					continue
-				}
-				name := fields[2]
-				f := getFamily(fams, order, name)
-				if f.typ == "" {
-					f.typ = fields[3]
-				}
-				cur = name
+				m.Samples = append(m.Samples, s)
 			}
-			continue
 		}
-		fam := sampleFamily(line, cur)
-		if fam == "" {
-			continue
-		}
-		f := getFamily(fams, order, fam)
-		if f.typ == "" {
-			f.typ = "untyped"
-		}
-		f.samples = append(f.samples, relabel(line, backendName))
 	}
-}
-
-func getFamily(fams map[string]*family, order *[]string, name string) *family {
-	if f, ok := fams[name]; ok {
-		return f
+	w.Write(own.Bytes())
+	sort.Strings(names)
+	for _, name := range names {
+		merged[name].WriteTo(w)
 	}
-	f := &family{}
-	fams[name] = f
-	*order = append(*order, name)
-	return f
-}
-
-// sampleFamily maps a sample line's metric name to its family: histogram
-// suffixes (_bucket/_sum/_count) of the current TYPE'd family fold into
-// it; anything else is its own family name. A line that does not start
-// with a well-formed metric name followed by labels or a value maps to
-// "" and is dropped by the caller.
-func sampleFamily(line, cur string) string {
-	name := metricName(line)
-	if name == "" || !strings.Contains(line[len(name):], " ") {
-		return ""
-	}
-	if cur != "" && (name == cur || name == cur+"_bucket" || name == cur+"_sum" || name == cur+"_count") {
-		return cur
-	}
-	return name
-}
-
-// metricName returns the leading Prometheus metric name of a sample line
-// ("" when the line does not start with one ending at '{' or ' ').
-func metricName(line string) string {
-	i := 0
-	for i < len(line) {
-		c := line[i]
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			break
-		}
-		i++
-	}
-	if i == 0 || i >= len(line) || (line[i] != '{' && line[i] != ' ') {
-		return ""
-	}
-	return line[:i]
-}
-
-// relabel injects backend="name" as the first label of a sample line.
-func relabel(line, backendName string) string {
-	tag := fmt.Sprintf("backend=%q", backendName)
-	if i := strings.Index(line, "{"); i > 0 {
-		return line[:i+1] + tag + "," + line[i+1:]
-	}
-	if i := strings.IndexByte(line, ' '); i > 0 {
-		return line[:i] + "{" + tag + "}" + line[i:]
-	}
-	return line
 }

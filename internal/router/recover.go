@@ -2,10 +2,7 @@ package router
 
 import (
 	"context"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"etsc/internal/client"
@@ -23,13 +20,14 @@ type RecoveryReport struct {
 }
 
 // recoverBackend re-registers a dead backend's streams on the survivors
-// from shared checkpoint storage, via the same ladder the backend's own
-// boot restore uses (serve.RestoreFromDir): clean restore when the state
-// frame is accepted, fresh re-attach with the checkpointed kind/spec when
-// it is rejected, skip when the file does not decode. Each recovered
-// stream gets a placement override pointing at its survivor — chosen by
-// placement over the alive subset in table order, so a concurrent or
-// restarted router picks the identical target.
+// from shared checkpoint storage, read in name order by the reader the
+// backend's own boot restore uses (serve.ReadCheckpoints), via the same
+// ladder: clean restore when the state frame is accepted, fresh re-attach
+// with the checkpointed kind/spec when it is rejected, skip when the file
+// does not read or decode. Each recovered stream gets a placement
+// override pointing at its survivor — chosen by placement over the alive
+// subset in table order, so a concurrent or restarted router picks the
+// identical target.
 //
 // A checkpoint is a slightly stale cut, so a recovered stream resumes at
 // its checkpointed watermark; pushers using positioned pushes (PushAt)
@@ -40,32 +38,13 @@ func (rt *Router) recoverBackend(dead *backend) RecoveryReport {
 		rt.logf("router: no checkpoint root; streams on %q stay unavailable until it returns", dead.name)
 		return rep
 	}
-	dir := filepath.Join(rt.cfg.CheckpointRoot, dead.name)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		rt.logf("router: recover %q: %v", dead.name, err)
-		return rep
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".ckpt") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // deterministic recovery order
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for _, name := range names {
-		frame, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			rep.Skipped++
-			continue
-		}
-		meta, err := serve.DecodeCheckpoint(frame)
+	err := serve.ReadCheckpoints(filepath.Join(rt.cfg.CheckpointRoot, dead.name), func(name string, meta serve.CheckpointMeta, err error) {
 		if err != nil {
 			rt.logf("router: recover %q: skip %s: %v", dead.name, name, err)
 			rep.Skipped++
-			continue
+			return
 		}
 		switch rt.recoverStream(ctx, meta) {
 		case recoverRestored:
@@ -75,6 +54,10 @@ func (rt *Router) recoverBackend(dead *backend) RecoveryReport {
 		default:
 			rep.Skipped++
 		}
+	})
+	if err != nil {
+		rt.logf("router: recover %q: %v", dead.name, err)
+		return rep
 	}
 	rt.mRecovered.Add(float64(rep.Restored))
 	rt.mFallbacks.Add(float64(rep.Fallbacks))

@@ -20,12 +20,14 @@
 //	                                     migrations and backend deaths
 //	  GET    /v1/detections?stream=ID    cursor page (routed by ?stream=)
 //
-//	fan-out, merged deterministically over the alive backends:
+//	fan-out, one concurrent call per alive backend (fanOut), merged
+//	deterministically:
 //	  GET /v1/streams     union of the backends' lists, sorted by id
 //	  GET /v1/stats       fleet sum + one row per backend (table order)
-//	  GET /metrics        every backend's exposition relabeled with
-//	                      backend="name", merged per family, plus the
-//	                      router's own instruments
+//	  GET /metrics        the router's own instruments, then every
+//	                      backend's exposition parsed by metrics.Parse,
+//	                      relabeled with backend="name" and merged per
+//	                      family
 //
 //	router-local:
 //	  GET  /v1/healthz        the router's own liveness (always ok)
@@ -33,24 +35,27 @@
 //	  POST /admin/rebalance   migrate every stream back to its hash home
 //	  POST /admin/backends    replace the table, then rebalance onto it
 //
-// Request path. Both binaries match /v1 requests against serve's route
-// table (serve.ParseV1), so they answer an unknown path, a wrong method
-// or a missing ?stream= with the same envelope. A stream-scoped call
-// other than /watch is forwarded to the owner as bytes: the router reads
-// only what routing needs (the table's stream id, a create body's id),
-// and the backend's status and body come back verbatim, so the backend
-// is the one place a /v1 request is validated. An endpoint added to the
-// table is forwarded with no router edit. /watch is re-rendered frame by
-// frame through serve's own query parser and frame writer.
+// Request path. Both binaries dispatch in ServeHTTP on the path exactly
+// as sent, with no ServeMux to clean or redirect it, and match /v1
+// requests against serve's route table (serve.ParseV1), so they answer an
+// unknown path, a wrong method or a missing ?stream= with the same
+// envelope. A stream-scoped call other than /watch is forwarded to the
+// owner as bytes: the router reads only what routing needs (the table's
+// stream id, a create body's id), and the backend's status and body come
+// back verbatim, so the backend is the one place a /v1 request is
+// validated. An endpoint added to the table is forwarded with no router
+// edit. /watch is re-rendered frame by frame through serve's own query
+// parser, preamble and frame writer.
 //
 // Ownership model. The stream's *home* is placement.Index(id, N) over the
 // fixed table — process-independent, so any client or operator computes
 // it offline. A copy-on-write override map records streams that currently
 // live away from home: streams migrated by a rebalance step, and streams
 // recovered onto survivors after a backend death. Routing is
-// override-first, then home; there is no other state, so the router can
-// restart and rebuild overrides by asking the backends who has what
-// (/admin/rebalance converges the fleet back to pure-hash placement).
+// override-first, then home. The overrides live only in this router's
+// memory: a restarted router, or a second one over the same table, routes
+// those streams to their home, which answers unknown_stream, until
+// /admin/rebalance moves them home (pure-hash placement again).
 //
 // Rebalancing (POST /admin/rebalance, or a table change) moves one stream
 // at a time over the wire with transcripts invariant: the router
@@ -66,7 +71,8 @@
 // FailThreshold consecutive failures the backend is marked dead and its
 // streams are re-registered on the survivors from shared checkpoint
 // storage (CheckpointRoot/<backend>/*.ckpt — the files the backend's own
-// -checkpoint loop writes) via the same ladder as a backend boot: clean
+// -checkpoint loop writes, read by serve.ReadCheckpoints as a backend
+// boot reads them) via the same ladder as a backend boot: clean
 // restore, else fresh re-attach with the checkpointed kind/spec, else
 // skip — each counted. The survivor for a stream is
 // placement.Index(id, len(survivors)) over the alive backends in table
@@ -137,8 +143,10 @@ type Config struct {
 	// 503/unavailable (default 2s).
 	RouteWait time.Duration
 
-	// HTTPClient overrides the proxy transport (tests). Probes always use
-	// their own timeout-bound client.
+	// HTTPClient overrides the transport of every backend call (tests):
+	// forwarded requests, fan-outs, /metrics fetches, migrations and
+	// health probes. A probe is bounded by ProbeTimeout through its
+	// context.
 	HTTPClient *http.Client
 
 	// Logf sinks router diagnostics (default log.Printf).
@@ -149,14 +157,13 @@ type Config struct {
 type backend struct {
 	name string
 	base string
-	// c is the backend's /v1 client, with WithRetry so transient faults
+	// c is the backend's one client, with WithRetry so transient faults
 	// on idempotent calls (reads, DELETE, positioned pushes) retry with
 	// backoff inside the router instead of surfacing per-blip. forward
-	// sends stream-scoped calls through its raw Forward; the fan-out,
-	// watch and migration paths use its typed calls.
+	// and the /metrics fetch send through its raw Forward; the fan-out,
+	// watch, migration and probe paths use its typed calls (Health is
+	// single-shot even under WithRetry).
 	c *client.Client
-	// probe is a single-shot, timeout-bound client for the health loop.
-	probe *client.Client
 	// requests is this backend's etsc_router_requests_total series.
 	requests *metrics.Counter
 
@@ -190,8 +197,6 @@ type Router struct {
 
 	// opMu single-flights rebalances and table swaps.
 	opMu sync.Mutex
-
-	mux *http.ServeMux
 
 	// Prober lifecycle.
 	probeStop chan struct{}
@@ -242,13 +247,6 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	rt.table.Store(&table)
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/", rt.handleV1)
-	mux.HandleFunc("/metrics", rt.handleMetrics)
-	mux.HandleFunc("/admin/backends", rt.handleAdminBackends)
-	mux.HandleFunc("/admin/rebalance", rt.handleAdminRebalance)
-	rt.mux = mux
 	return rt, nil
 }
 
@@ -289,11 +287,7 @@ func (rt *Router) buildTable(specs []BackendSpec, prev []*backend) ([]*backend, 
 		if err != nil {
 			return nil, fmt.Errorf("router: backend %q: %w", name, err)
 		}
-		probe, err := client.New(sp.URL, client.WithHTTPClient(&http.Client{Timeout: rt.cfg.ProbeTimeout}))
-		if err != nil {
-			return nil, fmt.Errorf("router: backend %q: %w", name, err)
-		}
-		b := &backend{name: name, base: sp.URL, c: c, probe: probe, requests: rt.requestCounter(name)}
+		b := &backend{name: name, base: sp.URL, c: c, requests: rt.requestCounter(name)}
 		// Optimistic start: backends are presumed alive until the prober
 		// says otherwise, so a router boot does not 503 a healthy fleet.
 		b.alive.Store(true)
@@ -302,8 +296,21 @@ func (rt *Router) buildTable(specs []BackendSpec, prev []*backend) ([]*backend, 
 	return table, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. Like etsc-serve's, it dispatches on
+// the path exactly as sent, with no ServeMux, so every path outside
+// /metrics and /admin reaches serve.ParseV1 unchanged.
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/metrics":
+		rt.handleMetrics(w, r)
+	case "/admin/backends":
+		rt.handleAdminBackends(w, r)
+	case "/admin/rebalance":
+		rt.handleAdminRebalance(w, r)
+	default:
+		rt.handleV1(w, r)
+	}
+}
 
 // Backends reports the table in placement order with live probe state.
 func (rt *Router) Backends() []BackendState {
@@ -363,11 +370,7 @@ func (rt *Router) route(id string) (*backend, *client.APIError) {
 		}
 		if time.Now().After(deadline) {
 			rt.mUnavailable.Inc()
-			return nil, &client.APIError{
-				Status:  http.StatusServiceUnavailable,
-				Code:    client.CodeUnavailable,
-				Message: fmt.Sprintf("backend %q owning stream %q is unavailable; recovery in progress", b.name, id),
-			}
+			return nil, serve.Unavailable(fmt.Sprintf("backend %q owning stream %q is unavailable; recovery in progress", b.name, id))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -388,11 +391,7 @@ func (rt *Router) placeNew(id string) (b *backend, away bool, apiErr *client.API
 	alive := aliveBackends(table)
 	if len(alive) == 0 {
 		rt.mUnavailable.Inc()
-		return nil, false, &client.APIError{
-			Status:  http.StatusServiceUnavailable,
-			Code:    client.CodeUnavailable,
-			Message: "no backend available",
-		}
+		return nil, false, serve.Unavailable("no backend available")
 	}
 	return alive[placement.Index(id, len(alive))], true, nil
 }
@@ -538,11 +537,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ep serve.Endpo
 	unlock()
 	b.requests.Inc()
 	if err != nil {
-		serve.WriteError(w, &client.APIError{
-			Status:  http.StatusServiceUnavailable,
-			Code:    client.CodeUnavailable,
-			Message: fmt.Sprintf("backend %q: %v", b.name, err),
-		})
+		serve.WriteError(w, serve.Unavailable(fmt.Sprintf("backend %q: %v", b.name, err)))
 		return
 	}
 	h := w.Header()
@@ -557,78 +552,70 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ep serve.Endpo
 
 // ---- fan-out endpoints ----
 
-// v1ListStreams merges every alive backend's stream list, sorted by id.
-// A dead backend's streams are simply absent until recovery re-registers
-// them — the merge never blocks on a corpse.
-func (rt *Router) v1ListStreams(w http.ResponseWriter, r *http.Request) {
-	table := *rt.table.Load()
-	type res struct {
-		idx     int
-		streams []client.StreamInfo
-		err     error
-	}
-	results := make([]res, len(table))
+// fanOut calls get on every alive backend of table at once and returns
+// the results by table index; ok[i] is false where table[i] is dead or
+// its call failed. A fan-out never waits on a dead backend, and merging
+// in table order keeps the merge independent of response order.
+func fanOut[T any](table []*backend, get func(*backend) (T, error)) (vals []T, ok []bool) {
+	vals = make([]T, len(table))
+	ok = make([]bool, len(table))
 	var wg sync.WaitGroup
 	for i, b := range table {
 		if !b.alive.Load() {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, b *backend) {
+		go func() {
 			defer wg.Done()
-			streams, err := b.c.Streams(r.Context())
-			results[i] = res{idx: i, streams: streams, err: err}
-		}(i, b)
+			if v, err := get(b); err == nil {
+				vals[i], ok[i] = v, true
+			}
+		}()
 	}
 	wg.Wait()
+	return vals, ok
+}
+
+// v1ListStreams merges every alive backend's stream list, sorted by id.
+// A dead backend's streams, or those of one that fails mid-fan-out, are
+// absent until recovery re-registers them.
+func (rt *Router) v1ListStreams(w http.ResponseWriter, r *http.Request) {
+	lists, _ := fanOut(*rt.table.Load(), func(b *backend) ([]client.StreamInfo, error) {
+		return b.c.Streams(r.Context())
+	})
 	var merged []client.StreamInfo
-	for _, re := range results {
-		if re.err != nil {
-			continue // a backend that fell over mid-fan-out is treated as dead for this read
-		}
-		merged = append(merged, re.streams...)
+	for _, l := range lists {
+		merged = append(merged, l...)
 	}
 	sort.Slice(merged, func(a, b int) bool { return merged[a].ID < merged[b].ID })
 	serve.WriteJSON(w, http.StatusOK, client.StreamList{Streams: merged})
 }
 
 // v1Stats sums every alive backend's totals and reports one row per
-// backend in table order (dead rows zero-valued, Alive false). The sum is
-// commutative, so the merged totals do not depend on response order.
+// backend in table order (Alive false and zero totals where the backend
+// is dead or did not answer). The sum is commutative, so the merged
+// totals do not depend on response order.
 func (rt *Router) v1Stats(w http.ResponseWriter, r *http.Request) {
 	table := *rt.table.Load()
+	totals, ok := fanOut(table, func(b *backend) (client.Totals, error) {
+		return b.c.Stats(r.Context())
+	})
 	rows := make([]client.BackendTotals, len(table))
-	var wg sync.WaitGroup
-	for i, b := range table {
-		rows[i] = client.BackendTotals{Backend: b.name, Alive: b.alive.Load()}
-		if !rows[i].Alive {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			t, err := b.c.Stats(r.Context())
-			if err != nil {
-				rows[i].Alive = false
-				return
-			}
-			rows[i].Totals = t
-		}(i, b)
-	}
-	wg.Wait()
 	var sum hub.Totals
-	for _, row := range rows {
-		sum.Streams += row.Streams
-		sum.Batches += row.Batches
-		sum.Points += row.Points
-		sum.QueuedBatches += row.QueuedBatches
-		sum.DroppedBatches += row.DroppedBatches
-		sum.DroppedPoints += row.DroppedPoints
-		sum.ShedBatches += row.ShedBatches
-		sum.ShedPoints += row.ShedPoints
-		sum.Detections += row.Detections
-		sum.Recanted += row.Recanted
-		sum.Watchers += row.Watchers
+	for i, b := range table {
+		t := totals[i]
+		rows[i] = client.BackendTotals{Backend: b.name, Alive: ok[i], Totals: t}
+		sum.Streams += t.Streams
+		sum.Batches += t.Batches
+		sum.Points += t.Points
+		sum.QueuedBatches += t.QueuedBatches
+		sum.DroppedBatches += t.DroppedBatches
+		sum.DroppedPoints += t.DroppedPoints
+		sum.ShedBatches += t.ShedBatches
+		sum.ShedPoints += t.ShedPoints
+		sum.Detections += t.Detections
+		sum.Recanted += t.Recanted
+		sum.Watchers += t.Watchers
 	}
 	serve.WriteJSON(w, http.StatusOK, client.RouterStatsResponse{Totals: sum, Backends: rows})
 }

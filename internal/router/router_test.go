@@ -333,8 +333,9 @@ func TestErrorContractMatchesBackend(t *testing.T) {
 		{name: "healthz wrong method", method: http.MethodPost, path: "/v1/healthz"},
 		{name: "metrics wrong method", method: http.MethodPost, path: "/metrics"},
 		{name: "unknown endpoint", method: http.MethodGet, path: "/v1/nonesuch"},
-		// The mux redirects the empty id segment to /v1/streams/push, and
-		// the client follows with a GET of stream "push".
+		// An empty id segment matches no endpoint: both binaries answer
+		// the 404 not_found envelope (owner only picks the backend asked
+		// directly).
 		{name: "empty id segment", method: http.MethodPost, path: "/v1/streams//push", owner: "push"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -598,6 +599,67 @@ func TestMetricsAggregation(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("merged exposition missing %q", want)
+		}
+	}
+}
+
+// TestMetricsSurvivesMalformedBackend pins that a backend degrades only
+// its own contribution to the merged exposition: one whose body does not
+// parse is dropped, and the merged body still lints and still carries
+// the healthy backend's families.
+func TestMetricsSurvivesMalformedBackend(t *testing.T) {
+	good := servetest.New(t, hub.Config{Workers: 1}, servetest.DemoKinds(t))
+	defer good.CloseHub(t)
+	good.Srv.EnableMetrics(nil)
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "x{a=b} 1\n")
+	}))
+	defer bad.Close()
+	rt, err := New(Config{
+		Backends: []BackendSpec{{Name: "good", URL: good.HTTP.URL}, {Name: "bad", URL: bad.URL}},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+	if err := metrics.Lint(strings.NewReader(text)); err != nil {
+		t.Fatalf("merged exposition does not lint: %v\n%s", err, text)
+	}
+	if !strings.Contains(text, `etsc_streams{backend="good"}`) {
+		t.Errorf("merged exposition lost the healthy backend's etsc_streams:\n%s", text)
+	}
+}
+
+// TestNonCanonicalPathsAre404 pins dispatch on the path as sent: a path a
+// ServeMux would clean and answer with a 301, which a client follows as a
+// GET of another path, gets the 404 not_found envelope from a backend
+// and through the router alike.
+func TestNonCanonicalPathsAre404(t *testing.T) {
+	f := newFleet(t, 1, fleetOpts{})
+	hc := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	for _, base := range []string{f.backends[0].http.URL, f.http.URL} {
+		for _, tc := range []struct{ method, path string }{
+			{http.MethodPost, "/v1/streams//push"},
+			{http.MethodPost, "/v1/streams/x/../push"},
+			{http.MethodGet, "/v1"},
+		} {
+			req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(`{"points":[1]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := hc.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := readAll(t, resp)
+			resp.Body.Close()
+			var env client.ErrorEnvelope
+			if resp.StatusCode != http.StatusNotFound || json.Unmarshal([]byte(body), &env) != nil || env.Error.Code != client.CodeNotFound {
+				t.Errorf("%s %s%s: %d %s, want 404 %s", tc.method, base, tc.path, resp.StatusCode, body, client.CodeNotFound)
+			}
 		}
 	}
 }

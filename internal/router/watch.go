@@ -24,16 +24,6 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 		serve.WriteError(w, apiErr)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		serve.WriteError(w, &client.APIError{
-			Status:  http.StatusInternalServerError,
-			Code:    client.CodeInternal,
-			Message: "response writer does not support streaming",
-		})
-		return
-	}
-
 	ctx := r.Context()
 	// First subscribe before committing headers, so a missing stream (or a
 	// fleet-wide outage) still gets the structured error envelope.
@@ -49,19 +39,11 @@ func (rt *Router) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 		}
 	}()
 
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
 	w.Header().Set(client.BackendHeader, b.name)
-	w.WriteHeader(http.StatusOK)
-	if sse {
-		fmt.Fprintf(w, ": watch %s since=%d via %s\n\n", id, since, b.name)
+	flusher := serve.WatchPreamble(w, sse, fmt.Sprintf("watch %s since=%d via %s", id, since, b.name))
+	if flusher == nil {
+		return
 	}
-	flusher.Flush()
 
 	cursor := since
 	for {
@@ -139,11 +121,7 @@ func (rt *Router) subscribe(ctx context.Context, id string, since int) (*backend
 		if errors.As(err, &ae) {
 			return nil, nil, ae
 		}
-		return nil, nil, &client.APIError{
-			Status:  http.StatusServiceUnavailable,
-			Code:    client.CodeUnavailable,
-			Message: fmt.Sprintf("backend %q: %v", b.name, err),
-		}
+		return nil, nil, serve.Unavailable(fmt.Sprintf("backend %q: %v", b.name, err))
 	}
 	return b, ws, nil
 }

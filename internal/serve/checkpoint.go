@@ -20,7 +20,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -47,7 +46,7 @@ func (s *Server) ExportCheckpoint(id string) ([]byte, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	m := s.meta[id]
+	m := s.metaLocked(id)
 	s.mu.Unlock()
 	var w snap.Writer
 	w.String(id)
@@ -60,9 +59,9 @@ func (s *Server) ExportCheckpoint(id string) ([]byte, error) {
 
 // CheckpointMeta is a decoded checkpoint frame: the stream's identity,
 // the registration metadata needed to rebuild its trained classifier, and
-// the opaque hub state frame. DecodeCheckpoint produces it; the router
-// front tier uses it to restore a dead backend's streams onto survivors
-// from shared checkpoint storage.
+// the opaque hub state frame. ReadCheckpoints and DecodeCheckpoint
+// produce it; the router front tier uses it to restore a dead backend's
+// streams onto survivors from shared checkpoint storage.
 type CheckpointMeta struct {
 	ID   string
 	Kind string
@@ -102,40 +101,60 @@ func DecodeCheckpoint(frame []byte) (CheckpointMeta, error) {
 	return m, nil
 }
 
-// restoreCheckpoint decodes one checkpoint frame and attaches its stream.
-// A frame that decodes but whose state the hub rejects degrades to a
-// fresh attach with the same configuration (fellBack true); a frame that
-// does not decode, names an unserved kind or a spec that does not train,
-// or collides with a live stream returns an error and attaches nothing.
-func (s *Server) restoreCheckpoint(frame []byte) (id string, fellBack bool, err error) {
-	m, err := DecodeCheckpoint(frame)
-	if err != nil {
-		return m.ID, false, err
+// ReadCheckpoints reads dir's checkpoint files (*.ckpt) in name order and
+// calls fn with each file's name and its decoded frame, or with the error
+// that kept the file from reading or decoding. Boot restore
+// (RestoreFromDir) and the router's backend-death recovery both read
+// checkpoints here. A missing dir reads as empty; the returned error
+// covers only an unreadable directory.
+func ReadCheckpoints(dir string, fn func(name string, m CheckpointMeta, err error)) error {
+	entries, err := os.ReadDir(dir) // sorted by name
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
 	}
-	id = m.ID
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ckpt") {
+			continue
+		}
+		var m CheckpointMeta
+		frame, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			m, err = DecodeCheckpoint(frame)
+		}
+		fn(e.Name(), m, err)
+	}
+	return nil
+}
+
+// restoreCheckpoint attaches a decoded checkpoint's stream. A checkpoint
+// whose state the hub rejects degrades to a fresh attach with the same
+// configuration (fellBack true); one that names an unserved kind or a
+// spec that does not train, or collides with a live stream, returns an
+// error and attaches nothing.
+func (s *Server) restoreCheckpoint(m CheckpointMeta) (fellBack bool, err error) {
 	meta, sc, apiErr := s.resolveKind(m.Kind, m.Spec)
 	if apiErr != nil {
-		return id, false, fmt.Errorf("checkpoint for %q (kind %q, spec %q): %s", id, m.Kind, m.Spec, apiErr.Message)
+		return false, fmt.Errorf("checkpoint for %q (kind %q, spec %q): %s", m.ID, m.Kind, m.Spec, apiErr.Message)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, rerr := s.hub.Restore(m.State, sc); rerr != nil {
 		if errors.Is(rerr, hub.ErrDuplicate) || errors.Is(rerr, hub.ErrClosed) {
-			return id, false, rerr
+			return false, rerr
 		}
 		// State rejected — corrupt inner frame, stale format, config
 		// drift. Everything but runtime position is rebuildable, so
 		// restart the stream fresh rather than losing it entirely.
-		if aerr := s.hub.Attach(id, sc); aerr != nil {
-			return id, false, fmt.Errorf("restore %q: %v; fresh attach also failed: %w", id, rerr, aerr)
+		if aerr := s.hub.Attach(m.ID, sc); aerr != nil {
+			return false, fmt.Errorf("restore %q: %v; fresh attach also failed: %w", m.ID, rerr, aerr)
 		}
-		s.mu.Lock()
-		s.meta[id] = meta
-		s.mu.Unlock()
-		return id, true, nil
+		fellBack = true
 	}
-	s.mu.Lock()
-	s.meta[id] = meta
-	s.mu.Unlock()
-	return id, false, nil
+	s.meta[m.ID] = &meta
+	return fellBack, nil
 }
 
 // RestoreStats tallies one RestoreFromDir pass.
@@ -163,44 +182,26 @@ func (s *Server) RestoreFromDir(dir string, logf func(format string, args ...any
 	s.restoring.Add(1)
 	defer s.restoring.Add(-1)
 	var st RestoreStats
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return st, nil
-	}
-	if err != nil {
-		return st, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".ckpt") {
-			names = append(names, e.Name())
+	err := ReadCheckpoints(dir, func(name string, m CheckpointMeta, err error) {
+		fellBack := false
+		if err == nil {
+			fellBack, err = s.restoreCheckpoint(m)
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		frame, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			st.Skipped++
-			s.ckptSkipped.Add(1)
-			logf("serve: checkpoint %s: %v", name, err)
-			continue
-		}
-		id, fellBack, err := s.restoreCheckpoint(frame)
 		switch {
 		case err != nil:
 			st.Skipped++
 			s.ckptSkipped.Add(1)
-			logf("serve: checkpoint %s (stream %q) skipped: %v", name, id, err)
+			logf("serve: checkpoint %s (stream %q) skipped: %v", name, m.ID, err)
 		case fellBack:
 			st.Fallbacks++
 			s.ckptFallbacks.Add(1)
-			logf("serve: checkpoint %s: state for %q rejected; stream restarted fresh", name, id)
+			logf("serve: checkpoint %s: state for %q rejected; stream restarted fresh", name, m.ID)
 		default:
 			st.Restored++
 			s.ckptRestored.Add(1)
 		}
-	}
-	return st, nil
+	})
+	return st, err
 }
 
 // Checkpointer periodically writes every live stream's checkpoint to a

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"etsc/internal/client"
 	"etsc/internal/hub"
@@ -241,4 +242,55 @@ func TestV1StatsShape(t *testing.T) {
 		t.Fatalf(`StreamInfo %s: want "shard": 0`, body)
 	}
 	srv.CloseHub(t)
+}
+
+// TestDeleteRecreateKeepsRegistration pins that a DELETE drops only the
+// registration it detached. Detach takes the stream out of the hub before
+// it drains the queue, so a create of the same id can land while the
+// DELETE still drains; that new stream must keep its kind and spec.
+func TestDeleteRecreateKeepsRegistration(t *testing.T) {
+	demo := servetest.DemoKinds(t)[0]
+	srv := servetest.New(t, hub.Config{Workers: 2, QueueDepth: 16}, []hub.Kind{servetest.SlowKind(5 * time.Millisecond), demo})
+	defer srv.CloseHub(t)
+	c := srv.Client
+	ctx := context.Background()
+	if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: "x", Kind: "slow"}); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]float64, 64)
+	for i := 0; i < 12; i++ {
+		if _, err := c.Push(ctx, "x", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deleted := make(chan error, 1)
+	go func() {
+		_, err := c.DeleteStream(ctx, "x")
+		deleted <- err
+	}()
+	for {
+		_, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: "x", Kind: demo.Name})
+		if err == nil {
+			break
+		}
+		if !client.IsCode(err, client.CodeDuplicateStream) {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-deleted:
+		t.Fatal("the DELETE finished before the create landed: the queue drained too fast to race")
+	default:
+	}
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Stream(ctx, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Kind != demo.Name || info.Spec != demo.Spec.String() {
+		t.Errorf("re-created stream reports kind %q spec %q, want %q %q", info.Kind, info.Spec, demo.Name, demo.Spec.String())
+	}
 }

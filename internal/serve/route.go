@@ -132,6 +132,12 @@ func BadRequest(msg string) *client.APIError {
 	return &client.APIError{Status: http.StatusBadRequest, Code: client.CodeBadRequest, Message: msg}
 }
 
+// Unavailable is the 503 unavailable envelope: the server, or the backend
+// a router needs, cannot answer now; WriteError adds Retry-After: 1.
+func Unavailable(msg string) *client.APIError {
+	return &client.APIError{Status: http.StatusServiceUnavailable, Code: client.CodeUnavailable, Message: msg}
+}
+
 // MethodNotAllowed is the 405 envelope naming the methods r's path allows.
 func MethodNotAllowed(r *http.Request, allow ...string) *client.APIError {
 	return &client.APIError{

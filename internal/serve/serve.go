@@ -45,13 +45,15 @@ type Server struct {
 	hub   *hub.Hub
 	kinds map[string]hub.Kind
 	deflt string
-	mux   *http.ServeMux
 	// reg is the /metrics registry, nil until EnableMetrics; handlers
 	// read it through the atomic-friendly accessor under s.mu.
 	reg *metrics.Registry
 
-	mu   sync.Mutex
-	meta map[string]streamMeta
+	mu sync.Mutex
+	// meta holds each attached stream's registration, compared by
+	// identity: a DELETE drops only the one registered when it began, not
+	// one a create or restore made while it drained.
+	meta map[string]*streamMeta
 
 	// Checkpoint counters (see checkpoint.go); exposed via /metrics.
 	ckptWrites    atomic.Int64
@@ -96,7 +98,7 @@ func New(h *hub.Hub, kinds []hub.Kind) (*Server, error) {
 		hub:   h,
 		kinds: map[string]hub.Kind{},
 		deflt: kinds[0].Name,
-		meta:  map[string]streamMeta{},
+		meta:  map[string]*streamMeta{},
 	}
 	for _, k := range kinds {
 		if _, dup := s.kinds[k.Name]; dup {
@@ -104,18 +106,21 @@ func New(h *hub.Hub, kinds []hub.Kind) (*Server, error) {
 		}
 		s.kinds[k.Name] = k
 	}
-	mux := http.NewServeMux()
-	// The versioned API. One prefix handler keeps full control over
-	// method dispatch so 404/405 carry structured bodies too.
-	mux.HandleFunc("/v1/", s.handleV1)
-	// Prometheus text exposition; 404s until EnableMetrics is called.
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux = mux
 	return s, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. It dispatches on the path exactly as
+// sent: /metrics, else the /v1 route table, which answers every path it
+// does not know with its 404 envelope. There is no ServeMux, which would
+// clean a path such as /v1/streams//push and answer it with a redirect
+// that a client follows as a GET.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/metrics" {
+		s.handleMetrics(w, r)
+		return
+	}
+	s.handleV1(w, r)
+}
 
 // KindNames lists the served kinds, sorted.
 func (s *Server) KindNames() []string {
@@ -129,10 +134,9 @@ func (s *Server) KindNames() []string {
 
 // ---- /v1 routing ----
 
-// handleV1 dispatches /v1/... paths on ParseV1: the error contract (JSON
+// handleV1 dispatches a request on ParseV1: the error contract (JSON
 // envelope with a code on every failure, including 404 and 405) is part
-// of the protocol, so routing misses cannot fall through to the mux's
-// plain-text defaults.
+// of the protocol, so a routing miss gets an envelope too.
 func (s *Server) handleV1(w http.ResponseWriter, r *http.Request) {
 	ep, id, apiErr := ParseV1(r)
 	if apiErr != nil {
@@ -172,11 +176,7 @@ func (s *Server) handleV1(w http.ResponseWriter, r *http.Request) {
 // rebuilding its streams.
 func (s *Server) v1Healthz(w http.ResponseWriter) {
 	if s.restoring.Load() > 0 {
-		WriteError(w, &client.APIError{
-			Status:  http.StatusServiceUnavailable,
-			Code:    client.CodeUnavailable,
-			Message: "checkpoint restore in flight; not ready",
-		})
+		WriteError(w, Unavailable("checkpoint restore in flight; not ready"))
 		return
 	}
 	WriteJSON(w, http.StatusOK, client.Health{Status: "ok", Streams: s.hub.Stats().Streams})
@@ -197,8 +197,8 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Ids live in /v1/streams/{id}/... path segments; one containing a
 	// slash would register fine and then be unroutable (the decoded
-	// request path splits on it), and "." / ".." are rewritten away by
-	// the mux's path cleaning. Reject them all at registration.
+	// request path splits on it), and clients and proxies rewrite "." and
+	// ".." segments away. Reject them all at registration.
 	if strings.Contains(req.ID, "/") || req.ID == "." || req.ID == ".." {
 		WriteError(w, BadRequest(fmt.Sprintf("stream id %q must be a single path segment (no '/', not %q or %q)", req.ID, ".", "..")))
 		return
@@ -228,13 +228,22 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, attachError(err))
 		return
 	}
-	s.meta[req.ID] = meta
+	s.meta[req.ID] = &meta
 	WriteJSON(w, http.StatusCreated, s.infoLocked(req.ID, hub.StreamStats{}))
+}
+
+// metaLocked returns id's registration, zero when it has none; s.mu must
+// be held.
+func (s *Server) metaLocked(id string) streamMeta {
+	if m := s.meta[id]; m != nil {
+		return *m
+	}
+	return streamMeta{}
 }
 
 // infoLocked renders one stream's StreamInfo; s.mu must be held.
 func (s *Server) infoLocked(id string, stats hub.StreamStats) client.StreamInfo {
-	m := s.meta[id]
+	m := s.metaLocked(id)
 	return client.StreamInfo{ID: id, Kind: m.kind, Spec: m.spec, Engine: engineName, Stats: stats}
 }
 
@@ -344,6 +353,9 @@ func (s *Server) v1Detections(w http.ResponseWriter, r *http.Request, id string)
 }
 
 func (s *Server) v1DeleteStream(w http.ResponseWriter, id string) {
+	s.mu.Lock()
+	m := s.meta[id]
+	s.mu.Unlock()
 	rep, err := s.hub.Detach(id)
 	if err != nil {
 		if errors.Is(err, hub.ErrClosed) {
@@ -353,8 +365,13 @@ func (s *Server) v1DeleteStream(w http.ResponseWriter, id string) {
 		WriteError(w, unknownStream(id))
 		return
 	}
+	// Detach removes the stream from the hub before it drains the queue,
+	// so a create or restore of the same id may have registered since;
+	// drop the registration only if it is still the one this call saw.
 	s.mu.Lock()
-	delete(s.meta, id)
+	if s.meta[id] == m {
+		delete(s.meta, id)
+	}
 	s.mu.Unlock()
 	WriteJSON(w, http.StatusOK, rep)
 }
@@ -386,7 +403,7 @@ func (s *Server) v1SnapshotStream(w http.ResponseWriter, id string) {
 		return
 	}
 	s.mu.Lock()
-	m := s.meta[id]
+	m := s.metaLocked(id)
 	s.mu.Unlock()
 	WriteJSON(w, http.StatusOK, client.StreamSnapshot{
 		ID: id, Kind: m.kind, Spec: m.spec, Engine: engineName,
@@ -442,7 +459,7 @@ func (s *Server) v1RestoreStream(w http.ResponseWriter, r *http.Request, id stri
 		WriteError(w, restoreError(err))
 		return
 	}
-	s.meta[id] = meta
+	s.meta[id] = &meta
 	stats := s.hub.Snapshot()[id]
 	WriteJSON(w, http.StatusCreated, s.infoLocked(id, stats))
 }

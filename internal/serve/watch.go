@@ -35,16 +35,6 @@ func (s *Server) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 		WriteError(w, apiErr)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		WriteError(w, &client.APIError{
-			Status:  http.StatusInternalServerError,
-			Code:    client.CodeInternal,
-			Message: "response writer does not support streaming",
-		})
-		return
-	}
-
 	wch, err := s.hub.Watch(id, since)
 	switch {
 	case err == nil:
@@ -57,22 +47,11 @@ func (s *Server) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	defer wch.Close()
 
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not coalesce frames
-	w.WriteHeader(http.StatusOK)
-	if sse {
-		// An immediate comment commits the headers so the subscriber knows
-		// it is attached before the first detection settles.
-		fmt.Fprintf(w, ": watch %s since=%d\n\n", id, wch.Cursor())
-	}
-	flusher.Flush()
-
 	cursor := wch.Cursor() // hub-side clamp applied
+	flusher := WatchPreamble(w, sse, fmt.Sprintf("watch %s since=%d", id, cursor))
+	if flusher == nil {
+		return
+	}
 	ctx := r.Context()
 	for {
 		dets, final, err := wch.Next(ctx)
@@ -93,6 +72,38 @@ func (s *Server) v1Watch(w http.ResponseWriter, r *http.Request, id string) {
 		}
 		flusher.Flush()
 	}
+}
+
+// WatchPreamble starts a /watch feed: it answers 500 when w cannot
+// stream and returns nil; otherwise it writes the feed's headers and
+// status 200, then for SSE the line ": "+comment, which commits the
+// headers so the subscriber knows it is attached before the first
+// detection settles, and flushes. Every server that answers /watch starts
+// its feed here.
+func WatchPreamble(w http.ResponseWriter, sse bool, comment string) http.Flusher {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		WriteError(w, &client.APIError{
+			Status:  http.StatusInternalServerError,
+			Code:    client.CodeInternal,
+			Message: "response writer does not support streaming",
+		})
+		return nil
+	}
+	h := w.Header()
+	if sse {
+		h.Set("Content-Type", "text/event-stream")
+	} else {
+		h.Set("Content-Type", "application/x-ndjson")
+	}
+	h.Set("Cache-Control", "no-store")
+	h.Set("X-Accel-Buffering", "no") // proxies must not coalesce frames
+	w.WriteHeader(http.StatusOK)
+	if sse {
+		fmt.Fprintf(w, ": %s\n\n", comment)
+	}
+	flusher.Flush()
+	return flusher
 }
 
 // WatchQuery reads a watch request's resume cursor and format: ?since=N,
