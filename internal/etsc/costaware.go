@@ -1,7 +1,6 @@
 package etsc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -87,11 +86,8 @@ func trainCostAware(tc *TrainContext, cfg CostAwareConfig) (*CostAware, error) {
 // costAwareSetup validates the configuration and builds the untrained
 // model with its snapshot lengths.
 func costAwareSetup(train *dataset.Dataset, cfg CostAwareConfig) (*CostAware, error) {
-	if train == nil || train.Len() < 2 {
-		return nil, errors.New("etsc: CostAware needs at least 2 training instances")
-	}
-	if err := train.Validate(); err != nil {
-		return nil, fmt.Errorf("etsc: CostAware: %w", err)
+	if err := checkTrain("CostAware", train); err != nil {
+		return nil, err
 	}
 	if cfg.MisclassCost <= 0 {
 		return nil, fmt.Errorf("etsc: CostAware MisclassCost must be positive, got %v", cfg.MisclassCost)
@@ -102,25 +98,14 @@ func costAwareSetup(train *dataset.Dataset, cfg CostAwareConfig) (*CostAware, er
 	if cfg.Snapshots < 2 {
 		cfg.Snapshots = 2
 	}
-	L := train.SeriesLen()
-	c := &CostAware{
+	return &CostAware{
 		MisclassCost: cfg.MisclassCost,
 		DelayCost:    cfg.DelayCost,
 		Snapshots:    cfg.Snapshots,
 		train:        train,
-		full:         L,
-	}
-	for k := 1; k <= cfg.Snapshots; k++ {
-		l := k * L / cfg.Snapshots
-		if l < 3 {
-			continue
-		}
-		if len(c.lengths) > 0 && c.lengths[len(c.lengths)-1] == l {
-			continue
-		}
-		c.lengths = append(c.lengths, l)
-	}
-	return c, nil
+		lengths:      snapshotLengths(train.SeriesLen(), cfg.Snapshots),
+		full:         train.SeriesLen(),
+	}, nil
 }
 
 // fitErrAt learns the leave-one-out 1NN error on raw prefixes at each
@@ -141,42 +126,6 @@ func (c *CostAware) fitErrAt(nearest func(i, l int) int, workers int) {
 		}
 		c.errAt = append(c.errAt, float64(errs)/float64(c.train.Len()))
 	}
-}
-
-// nearestLabel is raw-prefix 1NN excluding index skip (-1 for none).
-func (c *CostAware) nearestLabel(prefix []float64, skip int) int {
-	best, bestD := 0, math.Inf(1)
-	l := len(prefix)
-	for i, in := range c.train.Instances {
-		if i == skip {
-			continue
-		}
-		d := 0.0
-		s := in.Series
-		for j := 0; j < l; j++ {
-			diff := prefix[j] - s[j]
-			d += diff * diff
-			if d > bestD {
-				break
-			}
-		}
-		if d < bestD {
-			best, bestD = in.Label, d
-		}
-	}
-	return best
-}
-
-// snapshotIndex returns the largest snapshot index fitting the prefix
-// (-1 if none).
-func (c *CostAware) snapshotIndex(prefixLen int) int {
-	idx := -1
-	for i, l := range c.lengths {
-		if l <= prefixLen {
-			idx = i
-		}
-	}
-	return idx
 }
 
 // ExpectedCost returns the instance-adapted expected cost of deciding at
@@ -203,7 +152,7 @@ func (c *CostAware) FullLength() int { return c.full }
 
 // ClassifyPrefix implements EarlyClassifier with the non-myopic rule.
 func (c *CostAware) ClassifyPrefix(prefix []float64) Decision {
-	k := c.snapshotIndex(len(prefix))
+	k := snapshotAt(c.lengths, len(prefix))
 	if k < 0 {
 		return Decision{}
 	}
@@ -222,8 +171,8 @@ func (c *CostAware) ClassifyPrefix(prefix []float64) Decision {
 
 // ForcedLabel implements EarlyClassifier.
 func (c *CostAware) ForcedLabel(series []float64) int {
-	l := minIntE(len(series), c.full)
-	return c.nearestLabel(series[:l], -1)
+	_, label := nearestNeighbor(c.train, series[:min(len(series), c.full)], -1)
+	return label
 }
 
 // PosteriorPrefix implements PosteriorProvider.

@@ -1,7 +1,6 @@
 package etsc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -89,11 +88,8 @@ func trainECDIRE(c *TrainContext, cfg ECDIREConfig) (*ECDIRE, error) {
 
 // ecdireCheck validates and normalizes the configuration.
 func ecdireCheck(train *dataset.Dataset, cfg ECDIREConfig) (ECDIREConfig, error) {
-	if train == nil || train.Len() < 2 {
-		return cfg, errors.New("etsc: ECDIRE needs at least 2 training instances")
-	}
-	if err := train.Validate(); err != nil {
-		return cfg, fmt.Errorf("etsc: ECDIRE: %w", err)
+	if err := checkTrain("ECDIRE", train); err != nil {
+		return cfg, err
 	}
 	if cfg.AccFraction <= 0 || cfg.AccFraction > 1 {
 		return cfg, fmt.Errorf("etsc: ECDIRE AccFraction must be in (0,1], got %v", cfg.AccFraction)
@@ -109,27 +105,36 @@ func ecdireCheck(train *dataset.Dataset, cfg ECDIREConfig) (ECDIREConfig, error)
 
 // ecdireSetup builds the untrained model and its snapshot lengths.
 func ecdireSetup(train *dataset.Dataset, cfg ECDIREConfig) *ECDIRE {
-	L := train.SeriesLen()
-	e := &ECDIRE{
+	return &ECDIRE{
 		AccFraction: cfg.AccFraction,
 		Snapshots:   cfg.Snapshots,
 		train:       train,
+		lengths:     snapshotLengths(train.SeriesLen(), cfg.Snapshots),
 		safeIdx:     map[int]int{},
 		relThr:      map[int]float64{},
-		full:        L,
+		full:        train.SeriesLen(),
 		sharp:       cfg.Sharpness,
 	}
-	for k := 1; k <= cfg.Snapshots; k++ {
-		l := k * L / cfg.Snapshots
-		if l < 3 {
-			continue
+}
+
+// snapshotLengths is the snapshot grid ECDIRE, CostAware and TEASER share:
+// k·L/S for k = 1…S, skipping lengths under 3 points and repeats, so the
+// grid ascends strictly.
+func snapshotLengths(L, S int) []int {
+	var lengths []int
+	for k := 1; k <= S; k++ {
+		l := k * L / S
+		if l >= 3 && (len(lengths) == 0 || lengths[len(lengths)-1] != l) {
+			lengths = append(lengths, l)
 		}
-		if len(e.lengths) > 0 && e.lengths[len(e.lengths)-1] == l {
-			continue
-		}
-		e.lengths = append(e.lengths, l)
 	}
-	return e
+	return lengths
+}
+
+// snapshotAt returns the index of the largest snapshot length that fits a
+// prefix of n points, or -1 when none does.
+func snapshotAt(lengths []int, n int) int {
+	return sort.SearchInts(lengths, n+1) - 1
 }
 
 // fit learns the safe timestamps and reliability thresholds from a
@@ -243,13 +248,7 @@ func (e *ECDIRE) FullLength() int { return e.full }
 
 // ClassifyPrefix implements EarlyClassifier.
 func (e *ECDIRE) ClassifyPrefix(prefix []float64) Decision {
-	// Largest snapshot fitting the prefix.
-	k := -1
-	for i, l := range e.lengths {
-		if l <= len(prefix) {
-			k = i
-		}
-	}
+	k := snapshotAt(e.lengths, len(prefix))
 	if k < 0 {
 		return Decision{}
 	}
@@ -265,7 +264,7 @@ func (e *ECDIRE) ClassifyPrefix(prefix []float64) Decision {
 
 // ForcedLabel implements EarlyClassifier.
 func (e *ECDIRE) ForcedLabel(series []float64) int {
-	l := minIntE(len(series), e.full)
+	l := min(len(series), e.full)
 	post := softminPosteriorT(e.train, series[:l], e.sharp)
 	label, _ := topAndMargin(post)
 	return label

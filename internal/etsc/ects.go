@@ -1,7 +1,6 @@
 package etsc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -49,7 +48,7 @@ type ECTS struct {
 // scan is an independent index-owned unit.
 func trainECTS(c *TrainContext, relaxed bool, minSupport int) (*ECTS, error) {
 	train := c.train
-	if err := ectsValidate(train); err != nil {
+	if err := checkTrain("ECTS", train); err != nil {
 		return nil, err
 	}
 	n := train.Len()
@@ -63,16 +62,6 @@ func trainECTS(c *TrainContext, relaxed bool, minSupport int) (*ECTS, error) {
 		nn[l] = ectsNearestAt(n, func(i, j int) float64 { return c.m.D2(i, j, l) })
 	})
 	return ectsFromNN(train, nn, relaxed, minSupport), nil
-}
-
-func ectsValidate(train *dataset.Dataset) error {
-	if train == nil || train.Len() < 2 {
-		return errors.New("etsc: ECTS needs at least 2 training instances")
-	}
-	if err := train.Validate(); err != nil {
-		return fmt.Errorf("etsc: ECTS: %w", err)
-	}
-	return nil
 }
 
 // ectsNearestAt computes every instance's 1NN at one prefix length from a
@@ -181,7 +170,7 @@ func (e *ECTS) ClassifyPrefix(prefix []float64) Decision {
 	if l < 1 || l > e.full {
 		return Decision{}
 	}
-	best, label := e.nearestPrefix(prefix)
+	best, label := nearestNeighbor(e.train, prefix, -1)
 	if best < 0 {
 		return Decision{}
 	}
@@ -193,7 +182,7 @@ func (e *ECTS) ClassifyPrefix(prefix []float64) Decision {
 
 // ForcedLabel implements EarlyClassifier: plain full-length 1NN.
 func (e *ECTS) ForcedLabel(series []float64) int {
-	_, label := e.nearestPrefix(series[:minIntE(len(series), e.full)])
+	_, label := nearestNeighbor(e.train, series[:min(len(series), e.full)], -1)
 	return label
 }
 
@@ -245,19 +234,27 @@ func (s *ectsSession) Extend(points []float64) Decision {
 	return Decision{Label: label, Ready: false}
 }
 
-func (e *ECTS) nearestPrefix(prefix []float64) (index, label int) {
-	l := len(prefix)
+// nearestNeighbor is the package's one raw-distance 1NN scan: the index
+// and label of the instance of set whose first len(q) points lie nearest
+// q, skipping index skip (-1 for none; a training instance's own index for
+// a leave-one-out scan). Distances come from ts.SquaredEuclideanEA with the
+// best-so-far as cutoff, and the comparison is strict, so ties break
+// toward the lowest index. It returns (-1, 0) when no distance is below
+// +Inf.
+func nearestNeighbor(set *dataset.Dataset, q []float64, skip int) (index, label int) {
 	best, bestD := -1, math.Inf(1)
-	for i, in := range e.train.Instances {
-		d, ok := ts.SquaredEuclideanEA(prefix, in.Series[:l], bestD)
-		if ok && d < bestD {
+	for i, in := range set.Instances {
+		if i == skip {
+			continue
+		}
+		if d, ok := ts.SquaredEuclideanEA(q, in.Series[:len(q)], bestD); ok && d < bestD {
 			best, bestD = i, d
 		}
 	}
 	if best < 0 {
 		return -1, 0
 	}
-	return best, e.train.Instances[best].Label
+	return best, set.Instances[best].Label
 }
 
 // softminPosterior estimates P(class) for a prefix from the nearest
@@ -363,11 +360,4 @@ func containsAll(a, b []int32) bool {
 
 func sortInt32(s []int32) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func minIntE(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -97,11 +97,8 @@ type EDSC struct {
 // enumeration order, so the selected shapelet set is byte-identical for any
 // worker count.
 func newEDSC(train *dataset.Dataset, cfg EDSCConfig, workers int) (*EDSC, error) {
-	if train == nil || train.Len() < 2 {
-		return nil, errors.New("etsc: EDSC needs at least 2 training instances")
-	}
-	if err := train.Validate(); err != nil {
-		return nil, fmt.Errorf("etsc: EDSC: %w", err)
+	if err := checkTrain("EDSC", train); err != nil {
+		return nil, err
 	}
 	L := train.SeriesLen()
 	if cfg.MinLen < 2 || cfg.MaxLen < cfg.MinLen || cfg.MaxLen > L {

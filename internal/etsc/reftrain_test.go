@@ -16,7 +16,7 @@ import (
 
 // refTrainECTS is the serial reference for trainECTS.
 func refTrainECTS(train *dataset.Dataset, relaxed bool, minSupport int) (*ECTS, error) {
-	if err := ectsValidate(train); err != nil {
+	if err := checkTrain("ECTS", train); err != nil {
 		return nil, err
 	}
 	n := train.Len()
@@ -90,7 +90,8 @@ func refTrainCostAware(train *dataset.Dataset, cfg CostAwareConfig) (*CostAware,
 		return nil, err
 	}
 	c.fitErrAt(func(i, l int) int {
-		return c.nearestLabel(train.Instances[i].Series[:l], i)
+		_, label := nearestNeighbor(train, train.Instances[i].Series[:l], i)
+		return label
 	}, 1)
 	return c, nil
 }

@@ -114,8 +114,8 @@ func (s Spec) String() string {
 	return b.String()
 }
 
-// Options is the shared construction configuration every Builder receives.
-// Build one with functional options:
+// Options is the construction configuration Train resolves from its
+// functional options:
 //
 //	Train(spec, nil, WithTrainContext(ctx))
 type Options struct {
@@ -131,27 +131,6 @@ type Option func(*Options)
 // context's training set must be the one passed to Train (or pass nil to
 // Train and the context's set is used).
 func WithTrainContext(c *TrainContext) Option { return func(o *Options) { o.ctx = c } }
-
-// NewOptions resolves a list of functional options.
-func NewOptions(opts ...Option) *Options {
-	o := &Options{}
-	for _, fn := range opts {
-		fn(o)
-	}
-	return o
-}
-
-// TrainContext returns the shared context, or nil when none was supplied.
-func (o *Options) TrainContext() *TrainContext { return o.ctx }
-
-// contextFor resolves the TrainContext a builder trains through: the
-// caller's (WithTrainContext), or else a fresh serial one over train.
-func (o *Options) contextFor(train *dataset.Dataset) (*TrainContext, error) {
-	if o.ctx != nil {
-		return o.ctx, nil
-	}
-	return NewTrainContext(train, 1)
-}
 
 // Params is a Spec's parameter set during building. Builders read each
 // parameter with a typed getter and a default, then call Finish, which
@@ -309,9 +288,11 @@ type Builder struct {
 	Name string
 	// Doc is a one-line usage hint listing the accepted parameters.
 	Doc string
-	// Build trains the classifier. Implementations must read every
-	// parameter they accept from p and then call p.Finish.
-	Build func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error)
+	// Build trains the classifier on c's training set, through c. Train
+	// resolves c: the caller's (WithTrainContext), or else a private
+	// one-worker context. Implementations must read every parameter they
+	// accept from p and then call p.Finish.
+	Build func(c *TrainContext, p *Params) (EarlyClassifier, error)
 }
 
 var (
@@ -392,23 +373,28 @@ func AlgorithmDocs() []string {
 // posterior-for-posterior) for any worker count; the registry-equivalence
 // battery pins this for every algorithm.
 func Train(spec Spec, train *dataset.Dataset, opts ...Option) (EarlyClassifier, error) {
-	o := NewOptions(opts...)
+	var o Options
+	for _, fn := range opts {
+		fn(&o)
+	}
 	b, ok := Lookup(spec.Algo)
 	if !ok {
 		return nil, fmt.Errorf("etsc: unknown algorithm %q (registered: %s)",
 			spec.Algo, strings.Join(Algorithms(), ", "))
 	}
-	if o.ctx != nil {
-		if train == nil {
-			train = o.ctx.Train()
-		} else if train != o.ctx.Train() {
-			return nil, errors.New("etsc: Train: training set differs from the TrainContext's")
+	c := o.ctx
+	switch {
+	case c != nil && train != nil && train != c.train:
+		return nil, errors.New("etsc: Train: training set differs from the TrainContext's")
+	case c == nil && train == nil:
+		return nil, errors.New("etsc: Train: nil training set (pass data or WithTrainContext)")
+	case c == nil:
+		var err error
+		if c, err = NewTrainContext(train, 1); err != nil {
+			return nil, err
 		}
 	}
-	if train == nil {
-		return nil, errors.New("etsc: Train: nil training set (pass data or WithTrainContext)")
-	}
-	return b.Build(train, newParams(b.Name, spec.Params), o)
+	return b.Build(c, newParams(b.Name, spec.Params))
 }
 
 // TrainSpecString is Train over the flag form of a spec.
@@ -436,23 +422,19 @@ func init() {
 	MustRegister(Builder{
 		Name: AlgoECTS,
 		Doc:  "ECTS 1NN with minimum prediction lengths; params: relaxed=bool (default false), support=int (default 0)",
-		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
+		Build: func(c *TrainContext, p *Params) (EarlyClassifier, error) {
 			relaxed := p.Bool("relaxed", false)
 			support := p.Int("support", 0)
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			ctx, err := o.contextFor(train)
-			if err != nil {
-				return nil, err
-			}
-			return trainECTS(ctx, relaxed, support)
+			return trainECTS(c, relaxed, support)
 		},
 	})
 	MustRegister(Builder{
 		Name: AlgoECDIRE,
 		Doc:  "ECDIRE class-discriminativeness gating; params: acc=float (default 0.9), snapshots=int (default 20), sharpness=float (default 3)",
-		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
+		Build: func(c *TrainContext, p *Params) (EarlyClassifier, error) {
 			cfg := DefaultECDIREConfig()
 			cfg.AccFraction = p.Float("acc", cfg.AccFraction)
 			cfg.Snapshots = p.Int("snapshots", cfg.Snapshots)
@@ -460,17 +442,13 @@ func init() {
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			ctx, err := o.contextFor(train)
-			if err != nil {
-				return nil, err
-			}
-			return trainECDIRE(ctx, cfg)
+			return trainECDIRE(c, cfg)
 		},
 	})
 	MustRegister(Builder{
 		Name: AlgoCostAware,
 		Doc:  "cost-based decision rule; params: misclass=float (default 1), delay=float (default 0.5), snapshots=int (default 20)",
-		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
+		Build: func(c *TrainContext, p *Params) (EarlyClassifier, error) {
 			cfg := DefaultCostAwareConfig()
 			cfg.MisclassCost = p.Float("misclass", cfg.MisclassCost)
 			cfg.DelayCost = p.Float("delay", cfg.DelayCost)
@@ -478,17 +456,13 @@ func init() {
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			ctx, err := o.contextFor(train)
-			if err != nil {
-				return nil, err
-			}
-			return trainCostAware(ctx, cfg)
+			return trainCostAware(c, cfg)
 		},
 	})
 	MustRegister(Builder{
 		Name: AlgoTEASER,
 		Doc:  "TEASER two-tier snapshot classifier; params: snapshots=int (default 20), v=int (default 3), znorm=bool (default true), sigma=float (default 2.5)",
-		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
+		Build: func(c *TrainContext, p *Params) (EarlyClassifier, error) {
 			cfg := DefaultTEASERConfig()
 			cfg.Snapshots = p.Int("snapshots", cfg.Snapshots)
 			cfg.V = p.Int("v", cfg.V)
@@ -497,17 +471,13 @@ func init() {
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			ctx, err := o.contextFor(train)
-			if err != nil {
-				return nil, err
-			}
-			return trainTEASER(ctx, cfg)
+			return trainTEASER(c, cfg)
 		},
 	})
 	MustRegister(Builder{
 		Name: AlgoEDSC,
 		Doc:  "early distinctive shapelets; params: method=che|kde, minlen, maxlen, lenstep, stride, maxseries, chek=float, kdeodds=float, maxshapelets",
-		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
+		Build: func(c *TrainContext, p *Params) (EarlyClassifier, error) {
 			method := CHE
 			switch m := strings.ToLower(p.String("method", "che")); m {
 			case "che":
@@ -529,17 +499,13 @@ func init() {
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			ctx, err := o.contextFor(train)
-			if err != nil {
-				return nil, err
-			}
-			return newEDSC(ctx.Train(), cfg, ctx.Workers())
+			return newEDSC(c.train, cfg, c.workers)
 		},
 	})
 	MustRegister(Builder{
 		Name: AlgoRelClass,
 		Doc:  "reliability-thresholded Gaussian models; params: tau=float (default 0.1), pooled=bool (LDG variant), samples, minstd=float, seed, minprefix",
-		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
+		Build: func(c *TrainContext, p *Params) (EarlyClassifier, error) {
 			cfg := DefaultRelClassConfig(p.Bool("pooled", false))
 			cfg.Tau = p.Float("tau", cfg.Tau)
 			cfg.Samples = p.Int("samples", cfg.Samples)
@@ -549,38 +515,34 @@ func init() {
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			// RelClass takes nothing from a TrainContext.
-			return trainRelClass(train, cfg)
+			// RelClass takes only the training set from its context.
+			return trainRelClass(c.train, cfg)
 		},
 	})
 	MustRegister(Builder{
 		Name: AlgoProbThreshold,
 		Doc:  "commit when the softmin posterior clears a threshold; params: threshold=float (default 0.8), minprefix=int (default 10)",
-		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
+		Build: func(c *TrainContext, p *Params) (EarlyClassifier, error) {
 			threshold := p.Float("threshold", 0.8)
 			minPrefix := p.Int("minprefix", 10)
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
 			// No training-time computation beyond label caching, so
-			// nothing to take from a TrainContext.
-			return trainProbThreshold(train, threshold, minPrefix)
+			// only the training set comes from the context.
+			return trainProbThreshold(c.train, threshold, minPrefix)
 		},
 	})
 	MustRegister(Builder{
 		Name: AlgoFixedPrefix,
 		Doc:  "1NN at one fixed prefix length; params: at=int (default half the series), znorm=bool (default true)",
-		Build: func(train *dataset.Dataset, p *Params, o *Options) (EarlyClassifier, error) {
-			at := p.Int("at", max(1, train.SeriesLen()/2))
+		Build: func(c *TrainContext, p *Params) (EarlyClassifier, error) {
+			at := p.Int("at", max(1, c.train.SeriesLen()/2))
 			znorm := p.Bool("znorm", true)
 			if err := p.Finish(); err != nil {
 				return nil, err
 			}
-			ctx, err := o.contextFor(train)
-			if err != nil {
-				return nil, err
-			}
-			return trainFixedPrefix(ctx, at, znorm)
+			return trainFixedPrefix(c, at, znorm)
 		},
 	})
 }

@@ -276,7 +276,7 @@ func TestRegistryRegister(t *testing.T) {
 	if err := Register(Builder{Name: "", Build: nil}); err == nil {
 		t.Error("anonymous builder accepted")
 	}
-	if err := Register(Builder{Name: "ects", Build: func(*dataset.Dataset, *Params, *Options) (EarlyClassifier, error) {
+	if err := Register(Builder{Name: "ects", Build: func(*TrainContext, *Params) (EarlyClassifier, error) {
 		return nil, nil
 	}}); err == nil {
 		t.Error("duplicate registration accepted")
@@ -293,20 +293,5 @@ func TestRegistryRegister(t *testing.T) {
 	}
 	if docs := AlgorithmDocs(); len(docs) != len(want) || !strings.HasPrefix(docs[2], "ects — ") {
 		t.Errorf("AlgorithmDocs() = %v", docs)
-	}
-}
-
-// TestOptionsAccessors covers the Options surface consumers read back.
-func TestOptionsAccessors(t *testing.T) {
-	train, _ := easySplit(t)
-	if o := NewOptions(); o.TrainContext() != nil {
-		t.Errorf("zero options: ctx=%v", o.TrainContext())
-	}
-	ctx, err := NewTrainContext(train, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o := NewOptions(WithTrainContext(ctx)); o.TrainContext() != ctx {
-		t.Errorf("options: ctx=%v, want %v", o.TrainContext(), ctx)
 	}
 }

@@ -1,7 +1,6 @@
 package etsc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -93,11 +92,8 @@ func DefaultRelClassConfig(pooled bool) RelClassConfig {
 // with no pairwise-distance component — so it takes nothing from a
 // TrainContext and every option path delegates here.
 func trainRelClass(train *dataset.Dataset, cfg RelClassConfig) (*RelClass, error) {
-	if train == nil || train.Len() < 2 {
-		return nil, errors.New("etsc: RelClass needs at least 2 training instances")
-	}
-	if err := train.Validate(); err != nil {
-		return nil, fmt.Errorf("etsc: RelClass: %w", err)
+	if err := checkTrain("RelClass", train); err != nil {
+		return nil, err
 	}
 	if cfg.Tau <= 0 || cfg.Tau >= 1 {
 		return nil, fmt.Errorf("etsc: RelClass τ must be in (0,1), got %v", cfg.Tau)
@@ -482,7 +478,7 @@ func (s *relClassSession) Extend(points []float64) Decision {
 
 // ForcedLabel implements EarlyClassifier: full-length MAP.
 func (r *RelClass) ForcedLabel(series []float64) int {
-	l := minIntE(len(series), r.full)
+	l := min(len(series), r.full)
 	scr := r.getScratch()
 	defer r.scratch.Put(scr)
 	r.logPosteriorInto(scr.lp, series, l)
@@ -491,7 +487,7 @@ func (r *RelClass) ForcedLabel(series []float64) int {
 
 // PosteriorPrefix implements PosteriorProvider.
 func (r *RelClass) PosteriorPrefix(prefix []float64) map[int]float64 {
-	l := minIntE(len(prefix), r.full)
+	l := min(len(prefix), r.full)
 	post := posteriorFromLog(r.logPosterior(prefix, l))
 	out := make(map[int]float64, len(post))
 	for i, p := range post {

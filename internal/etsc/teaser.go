@@ -1,7 +1,6 @@
 package etsc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -140,11 +139,8 @@ func trainTEASER(c *TrainContext, cfg TEASERConfig) (*TEASER, error) {
 // teaserSetup validates the configuration and builds the untrained model
 // with its snapshot lengths.
 func teaserSetup(train *dataset.Dataset, cfg TEASERConfig) (*TEASER, TEASERConfig, error) {
-	if train == nil || train.Len() < 2 {
-		return nil, cfg, errors.New("etsc: TEASER needs at least 2 training instances")
-	}
-	if err := train.Validate(); err != nil {
-		return nil, cfg, fmt.Errorf("etsc: TEASER: %w", err)
+	if err := checkTrain("TEASER", train); err != nil {
+		return nil, cfg, err
 	}
 	if cfg.Snapshots < 2 {
 		cfg.Snapshots = 2
@@ -155,26 +151,15 @@ func teaserSetup(train *dataset.Dataset, cfg TEASERConfig) (*TEASER, TEASERConfi
 	if cfg.GateSigma <= 0 {
 		cfg.GateSigma = 2.5
 	}
-	L := train.SeriesLen()
-	t := &TEASER{
+	return &TEASER{
 		Snapshots:   cfg.Snapshots,
 		V:           cfg.V,
 		ZNormPrefix: cfg.ZNormPrefix,
 		train:       train,
 		li:          newLabelIndex(train),
-		full:        L,
-	}
-	for k := 1; k <= cfg.Snapshots; k++ {
-		l := k * L / cfg.Snapshots
-		if l < 3 {
-			continue
-		}
-		if len(t.lengths) > 0 && t.lengths[len(t.lengths)-1] == l {
-			continue
-		}
-		t.lengths = append(t.lengths, l)
-	}
-	return t, cfg, nil
+		lengths:     snapshotLengths(train.SeriesLen(), cfg.Snapshots),
+		full:        train.SeriesLen(),
+	}, cfg, nil
 }
 
 // fitMasters trains one master per snapshot from leave-one-out posteriors
@@ -316,18 +301,6 @@ func (t *TEASER) slaveTopMargin(si int, prepared []float64, nearest2, nearest, p
 	return t.li.labels[ci], top, margin
 }
 
-// snapshotIndexFor returns the largest snapshot index whose length fits the
-// prefix, or -1.
-func (t *TEASER) snapshotIndexFor(prefixLen int) int {
-	idx := -1
-	for i, l := range t.lengths {
-		if l <= prefixLen {
-			idx = i
-		}
-	}
-	return idx
-}
-
 // Name implements EarlyClassifier.
 func (t *TEASER) Name() string {
 	if t.ZNormPrefix {
@@ -342,7 +315,7 @@ func (t *TEASER) FullLength() int { return t.full }
 // ClassifyPrefix implements EarlyClassifier statelessly by replaying all
 // snapshots that fit within the prefix and applying the consistency rule.
 func (t *TEASER) ClassifyPrefix(prefix []float64) Decision {
-	last := t.snapshotIndexFor(len(prefix))
+	last := snapshotAt(t.lengths, len(prefix))
 	if last < 0 {
 		return Decision{}
 	}
@@ -434,7 +407,7 @@ func (s *teaserSession) Extend(points []float64) Decision {
 // ForcedLabel implements EarlyClassifier: final-snapshot slave decision.
 func (t *TEASER) ForcedLabel(series []float64) int {
 	si := len(t.lengths) - 1
-	label, _, _ := t.slavePosterior(si, t.prepare(si, series[:minIntE(len(series), t.full)]), -1)
+	label, _, _ := t.slavePosterior(si, t.prepare(si, series[:min(len(series), t.full)]), -1)
 	return label
 }
 
@@ -442,7 +415,7 @@ func (t *TEASER) ForcedLabel(series []float64) int {
 // that fits the prefix: the slave's unit-sharpness softmin, reduced in
 // sorted label order like every other posterior.
 func (t *TEASER) PosteriorPrefix(prefix []float64) map[int]float64 {
-	si := t.snapshotIndexFor(len(prefix))
+	si := snapshotAt(t.lengths, len(prefix))
 	if si < 0 {
 		return nil
 	}

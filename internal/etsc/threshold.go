@@ -1,9 +1,7 @@
 package etsc
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"etsc/internal/dataset"
 	"etsc/internal/ts"
@@ -35,11 +33,8 @@ type ProbThreshold struct {
 // 0.8); minPrefix guards against trivial commitments on the first couple of
 // points.
 func trainProbThreshold(train *dataset.Dataset, threshold float64, minPrefix int) (*ProbThreshold, error) {
-	if train == nil || train.Len() < 2 {
-		return nil, errors.New("etsc: ProbThreshold needs at least 2 training instances")
-	}
-	if err := train.Validate(); err != nil {
-		return nil, fmt.Errorf("etsc: ProbThreshold: %w", err)
+	if err := checkTrain("ProbThreshold", train); err != nil {
+		return nil, err
 	}
 	if threshold <= 0 || threshold >= 1 {
 		return nil, fmt.Errorf("etsc: ProbThreshold threshold must be in (0,1), got %v", threshold)
@@ -143,15 +138,8 @@ func (s *probThresholdSession) Extend(points []float64) Decision {
 
 // ForcedLabel implements EarlyClassifier: full-length raw-ED 1NN.
 func (p *ProbThreshold) ForcedLabel(series []float64) int {
-	l := minIntE(len(series), p.full)
-	best, bestD := 0, math.Inf(1)
-	for _, in := range p.train.Instances {
-		d, ok := ts.SquaredEuclideanEA(series[:l], in.Series[:l], bestD)
-		if ok && d < bestD {
-			best, bestD = in.Label, d
-		}
-	}
-	return best
+	_, label := nearestNeighbor(p.train, series[:min(len(series), p.full)], -1)
+	return label
 }
 
 // PosteriorPrefix implements PosteriorProvider.
@@ -213,24 +201,21 @@ func (f *FixedPrefix) classifyAt(prefix []float64) int {
 
 // classifyAtInto is classifyAt with an optional caller-owned z-norm scratch
 // buffer of length At (nil allocates, as the pure path does); the session
-// passes its own so the decision step is allocation-free.
+// passes its own so the decision step is allocation-free. A prefix shorter
+// than At (ForcedLabel's degenerate case) is matched against the training
+// prefixes' first len(prefix) points.
 func (f *FixedPrefix) classifyAtInto(prefix, scratch []float64) int {
-	q := prefix[:f.At]
+	l := min(len(prefix), f.At)
+	q := prefix[:l]
 	if f.ZNorm {
 		if scratch == nil {
-			scratch = make([]float64, f.At)
+			scratch = make([]float64, l)
 		}
-		ts.ZNormInto(scratch[:f.At], q)
-		q = scratch[:f.At]
+		ts.ZNormInto(scratch[:l], q)
+		q = scratch[:l]
 	}
-	best, bestD := 0, math.Inf(1)
-	for _, in := range f.prefix.Instances {
-		d, ok := ts.SquaredEuclideanEA(q, in.Series, bestD)
-		if ok && d < bestD {
-			best, bestD = in.Label, d
-		}
-	}
-	return best
+	_, label := nearestNeighbor(f.prefix, q, -1)
+	return label
 }
 
 // NewIncrementalSession implements IncrementalClassifier: points are
@@ -270,23 +255,8 @@ func (s *fixedPrefixSession) Extend(points []float64) Decision {
 	return s.dec
 }
 
-// ForcedLabel implements EarlyClassifier.
+// ForcedLabel implements EarlyClassifier: the 1NN vote at At, or over
+// whatever overlap exists when the series is shorter than At.
 func (f *FixedPrefix) ForcedLabel(series []float64) int {
-	if len(series) >= f.At {
-		return f.classifyAt(series)
-	}
-	// Degenerate: series shorter than the decision point; nearest by
-	// whatever overlap exists.
-	q := ts.Series(series)
-	if f.ZNorm {
-		q = ts.ZNorm(q)
-	}
-	best, bestD := 0, math.Inf(1)
-	for _, in := range f.prefix.Instances {
-		d := ts.SquaredEuclidean(q, in.Series[:len(q)])
-		if d < bestD {
-			best, bestD = in.Label, d
-		}
-	}
-	return best
+	return f.classifyAt(series)
 }

@@ -69,6 +69,19 @@ func NewTrainContext(train *dataset.Dataset, workers int) (*TrainContext, error)
 	}, nil
 }
 
+// checkTrain is every trainer's training-set check: at least two instances,
+// and a set that passes dataset.Validate. algo names the trainer in the
+// error.
+func checkTrain(algo string, train *dataset.Dataset) error {
+	if train == nil || train.Len() < 2 {
+		return fmt.Errorf("etsc: %s needs at least 2 training instances", algo)
+	}
+	if err := train.Validate(); err != nil {
+		return fmt.Errorf("etsc: %s: %w", algo, err)
+	}
+	return nil
+}
+
 // Train returns the training set the context is built over (read-only).
 func (c *TrainContext) Train() *dataset.Dataset { return c.train }
 

@@ -62,7 +62,8 @@ func Lint(r io.Reader) error {
 //
 //   - every sample line parses (name, optional labels, float value,
 //     optional integer timestamp, which is checked and not kept),
-//   - metric and label names match the data model,
+//   - metric and label names match the data model, and no series repeats
+//     a label name,
 //   - a # TYPE line precedes a family's samples and names a known type,
 //   - each family is one group: a sample belongs to the most recent
 //     TYPE'd family (histograms may add _bucket/_sum/_count suffixes;
@@ -282,12 +283,13 @@ func lintName(name string, label bool) error {
 }
 
 // lintLabels validates the name="value",... pairs between a sample's
-// braces.
+// braces: valid, distinct names and quoted values.
 func lintLabels(body string) error {
 	if body == "" {
 		return nil
 	}
-	for _, pair := range splitLabelPairs(body) {
+	pairs := splitLabelPairs(body)
+	for i, pair := range pairs {
 		name, val, ok := strings.Cut(pair, "=")
 		if !ok {
 			return fmt.Errorf("label pair %q has no '='", pair)
@@ -297,6 +299,11 @@ func lintLabels(body string) error {
 		}
 		if len(val) < 2 || val[0] != '"' || val[len(val)-1] != '"' {
 			return fmt.Errorf("label %s value %q not quoted", name, val)
+		}
+		for _, prev := range pairs[:i] {
+			if prevName, _, _ := strings.Cut(prev, "="); prevName == name {
+				return fmt.Errorf("label %s repeated", name)
+			}
 		}
 	}
 	return nil

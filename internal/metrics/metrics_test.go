@@ -191,6 +191,7 @@ func TestLintRejects(t *testing.T) {
 		"inf != count":      "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n",
 		"unquoted label":    "# TYPE x counter\nx{a=1} 1\n",
 		"interleaved":       "# TYPE a counter\na 1\n# TYPE b counter\nb 1\na{x=\"1\"} 2\n",
+		"repeated label":    "# TYPE y counter\ny{a=\"1\",a=\"2\"} 1\n",
 	}
 	for name, body := range cases {
 		if err := Lint(strings.NewReader(body)); err == nil {

@@ -6,9 +6,10 @@
 // send, because a backend degrades only its own contribution: the backend
 // label keeps series keys unique across backends, an exposition that does
 // not parse is dropped whole, and a family is dropped when its TYPE
-// disagrees with an earlier backend's in table order, or when it bears
-// the name of one of the router's own families, whose series it could
-// repeat. Each drop is logged. A dead (or mid-scrape failing) backend
+// disagrees with an earlier backend's in table order, when it bears the
+// name of one of the router's own families, whose series it could
+// repeat, or when its samples already carry a backend label, which the
+// relabel would repeat. Each drop is logged. A dead (or mid-scrape failing) backend
 // contributes nothing; its absence is visible through
 // etsc_router_backend_alive.
 package router
@@ -20,6 +21,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"time"
 
 	"etsc/internal/metrics"
@@ -124,6 +126,9 @@ func (rt *Router) writeMetrics(w io.Writer, table []*backend, bodies [][]byte) {
 			case m != nil && m.Type != f.Type:
 				rt.logf("router: /metrics: dropped %q's family %s: TYPE %s, earlier %s", name, f.Name, f.Type, m.Type)
 				continue
+			case carriesBackend(f):
+				rt.logf("router: /metrics: dropped %q's family %s: its samples carry a backend label", name, f.Name)
+				continue
 			case m == nil:
 				m = &metrics.Family{Name: f.Name, Help: f.Help, Type: f.Type}
 				merged[f.Name] = m
@@ -144,4 +149,18 @@ func (rt *Router) writeMetrics(w io.Writer, table []*backend, bodies [][]byte) {
 	for _, name := range names {
 		merged[name].WriteTo(w)
 	}
+}
+
+// carriesBackend reports whether a sample of f already has a backend
+// label. Parse rejects a repeated label name, so a sample has one exactly
+// when its labels fail to parse beside a second backend label; the
+// substring test skips that parse for every sample that cannot have one.
+func carriesBackend(f metrics.Family) bool {
+	for _, s := range f.Samples {
+		if strings.Contains(s.Labels, "backend=") &&
+			metrics.Lint(strings.NewReader("# TYPE p untyped\np{backend=\"\","+s.Labels+"} 0\n")) != nil {
+			return true
+		}
+	}
+	return false
 }

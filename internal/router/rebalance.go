@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"etsc/internal/client"
@@ -25,30 +26,57 @@ type RebalanceMove struct {
 }
 
 // Rebalance converges every stream back onto its hash home: it lists the
-// streams on each alive backend, and any stream not sitting on
+// streams on every alive backend, and any stream not sitting on
 // table[placement.Index(id, N)] (with the home alive) is migrated there
 // one at a time. Single-flighted; a second concurrent call waits its
 // turn and re-examines.
+//
+// A stream found at its home keeps an override naming another backend
+// while that backend listed the stream too, or did not answer: the copy at
+// the home is then stale (a restarted home boot-restores checkpoints that
+// death recovery already moved away), the live copy is on the override's
+// backend, and that backend's migration clears the override once the live
+// copy has replaced the stale one. Every listing is taken before any stream
+// is examined, so table order does not decide which copy serves.
 func (rt *Router) Rebalance(ctx context.Context) RebalanceReport {
 	rt.opMu.Lock()
 	defer rt.opMu.Unlock()
 	var rep RebalanceReport
 	table := *rt.table.Load()
-	for _, b := range table {
-		if !b.alive.Load() {
-			continue
-		}
+	lists, listed := fanOut(table, func(b *backend) ([]client.StreamInfo, error) {
 		streams, err := b.c.Streams(ctx)
 		if err != nil {
 			rt.logf("router: rebalance: list %q: %v", b.name, err)
-			continue
 		}
-		for _, si := range streams {
+		return streams, err
+	})
+	// overrideStale reports whether the override of id, listed by its home
+	// at, may be dropped: it names at itself, a backend that left the
+	// table, or one that answered its listing without id.
+	overrideStale := func(id string, at *backend) bool {
+		ov := rt.overrides.Load()
+		if ov == nil {
+			return true
+		}
+		name, ok := (*ov)[id]
+		if !ok {
+			return true
+		}
+		for j, b := range table {
+			if b.name == name {
+				return b == at || listed[j] && !slices.ContainsFunc(lists[j], func(si client.StreamInfo) bool { return si.ID == id })
+			}
+		}
+		return true
+	}
+	for i, b := range table {
+		for _, si := range lists[i] {
 			rep.Examined++
 			target := table[home(si.ID, table)]
 			if target == b {
-				// Already home; drop any stale override left by recovery.
-				rt.setOverride(si.ID, "")
+				if overrideStale(si.ID, b) {
+					rt.setOverride(si.ID, "")
+				}
 				continue
 			}
 			if !target.alive.Load() {

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"etsc/internal/client"
@@ -276,5 +277,113 @@ func TestSetBackendsResharding(t *testing.T) {
 		if !reflect.DeepEqual(rep.Detections, want) {
 			t.Errorf("stream %s transcript diverged across resharding", ds.ID)
 		}
+	}
+}
+
+// hookTransport runs before on every backend call, then sends it.
+type hookTransport struct{ before func(*http.Request) }
+
+func (h hookTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	h.before(r)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRebalanceKeepsLiveCopyOverStaleHome pins that Rebalance serves a
+// displaced stream from its live copy until the migration home replaces
+// the stale copy there. The stream's home comes first in table order and
+// holds a stale copy, the shape a restarted home leaves after
+// boot-restoring a checkpoint that death recovery already moved; the live
+// copy sits on the survivor behind an override. A push that arrives while
+// Rebalance lists the survivor must land on the survivor, and the override
+// must still route there when the survivor's migration starts; the final
+// DELETE must report every pushed point.
+func TestRebalanceKeepsLiveCopyOverStaleHome(t *testing.T) {
+	f := newFleet(t, 2, fleetOpts{})
+	ctx := context.Background()
+	var ds hub.DemoStream
+	for _, s := range fleetStreams(t, f, 8, 2400) {
+		if f.homeOf(s.ID) == f.backends[0] {
+			ds = s
+			break
+		}
+	}
+	if ds.ID == "" {
+		t.Fatal("no demo stream hashes to the first backend")
+	}
+	homeB, survivor := f.backends[0], f.backends[1]
+	if _, err := f.c.PushAt(ctx, ds.ID, 0, ds.Data[:256]); err != nil {
+		t.Fatal(err)
+	}
+	homeB.hub.Flush()
+
+	var armed atomic.Bool
+	var pushed client.PushResponse
+	var pushErr error
+	var drainRoute string
+	var rt2 *Router
+	var c2 *client.Client
+	survivorHost := strings.TrimPrefix(survivor.http.URL, "http://")
+	rt2, err := New(Config{
+		Backends: []BackendSpec{{Name: homeB.name, URL: homeB.http.URL}, {Name: survivor.name, URL: survivor.http.URL}},
+		HTTPClient: &http.Client{Transport: hookTransport{before: func(r *http.Request) {
+			if !armed.Load() || r.Method != http.MethodGet || r.URL.Host != survivorHost {
+				return
+			}
+			switch r.URL.Path {
+			case "/v1/streams":
+				pushed, pushErr = c2.Push(ctx, ds.ID, ds.Data[256:512])
+				survivor.hub.Flush()
+			case "/v1/streams/" + ds.ID:
+				if drainRoute == "" {
+					drainRoute = rt2.resolve(ds.ID).name
+				}
+			}
+		}}},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs2 := httptest.NewServer(rt2)
+	defer hs2.Close()
+	if c2, err = client.New(hs2.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	// Move the live copy to the survivor, then put a stale copy back home.
+	snap, err := homeB.c.SnapshotStream(ctx, ds.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2 := *rt2.table.Load()
+	if err := rt2.migrate(ctx, ds.ID, t2[0], t2[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := homeB.c.RestoreStream(ctx, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	rep := rt2.Rebalance(ctx)
+	armed.Store(false)
+	if rep.Failed != 0 || rep.Moved != 1 {
+		t.Fatalf("rebalance report %+v, want one move and no failure", rep)
+	}
+	if pushErr != nil {
+		t.Fatalf("push during rebalance: %v", pushErr)
+	}
+	if pushed.Backend != survivor.name {
+		t.Errorf("push during rebalance answered by %q, want the live copy's %q", pushed.Backend, survivor.name)
+	}
+	if drainRoute != survivor.name {
+		t.Errorf("override routed to %q when the survivor's migration began, want %q", drainRoute, survivor.name)
+	}
+	homeB.hub.Flush()
+	final, err := c2.DeleteStream(ctx, ds.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Stats.Position != 512 {
+		t.Errorf("final position %d, want 512: a push acknowledged during rebalance was lost", final.Stats.Position)
 	}
 }

@@ -633,6 +633,55 @@ func TestMetricsSurvivesMalformedBackend(t *testing.T) {
 	}
 }
 
+// TestMetricsDropsBackendLabeledFamily pins that a backend family whose
+// samples already carry a backend label is dropped from the merge, since
+// the router's relabel would repeat the label name, while the merged
+// body still lints and keeps every family of the healthy backend.
+func TestMetricsDropsBackendLabeledFamily(t *testing.T) {
+	good := servetest.New(t, hub.Config{Workers: 1}, servetest.DemoKinds(t))
+	defer good.CloseHub(t)
+	good.Srv.EnableMetrics(nil)
+	labeled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "# TYPE x counter\nx{backend=\"z\"} 1\n")
+	}))
+	defer labeled.Close()
+	rt, err := New(Config{
+		Backends: []BackendSpec{{Name: "good", URL: good.HTTP.URL}, {Name: "labeled", URL: labeled.URL}},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+	merged, err := metrics.Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("merged exposition does not lint: %v\n%s", err, text)
+	}
+	have := map[string]bool{}
+	for _, f := range merged {
+		have[f.Name] = true
+	}
+	if have["x"] {
+		t.Errorf("merged exposition kept the backend-labeled family x:\n%s", text)
+	}
+	resp, err := http.Get(good.HTTP.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodFams, err := metrics.Parse(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range goodFams {
+		if !have[f.Name] {
+			t.Errorf("merged exposition lost the healthy backend's family %s", f.Name)
+		}
+	}
+}
+
 // TestNonCanonicalPathsAre404 pins dispatch on the path as sent: a path a
 // ServeMux would clean and answer with a 301, which a client follows as a
 // GET of another path, gets the 404 not_found envelope from a backend

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"sort"
 
+	"etsc/internal/client"
 	"etsc/internal/hub"
 	"etsc/internal/metrics"
 )
@@ -183,7 +184,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := s.reg
 	s.mu.Unlock()
 	if reg == nil {
-		http.Error(w, "metrics not enabled on this server", http.StatusNotFound)
+		WriteError(w, &client.APIError{Status: http.StatusNotFound, Code: client.CodeNotFound,
+			Message: "metrics not enabled on this server"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

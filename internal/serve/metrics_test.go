@@ -122,13 +122,17 @@ func TestMetricsEndpointFlat(t *testing.T) {
 	srv.CloseHub(t)
 }
 
-// TestMetricsDisabledIs404 pins that a server without EnableMetrics serves a
-// plain 404 from /metrics — the endpoint is always routed, never surprising.
+// TestMetricsDisabledIs404 pins that a server without EnableMetrics answers
+// /metrics with the 404 not_found JSON envelope — the endpoint is always
+// routed, never surprising.
 func TestMetricsDisabledIs404(t *testing.T) {
 	srv := servetest.New(t, hub.Config{Workers: 1}, servetest.DemoKinds(t))
 	status, body := servetest.RawStatus(t, http.MethodGet, srv.HTTP.URL+"/metrics", "")
 	if status != http.StatusNotFound {
 		t.Fatalf("GET /metrics without EnableMetrics: status %d, want 404", status)
+	}
+	if code := servetest.EnvelopeCode(t, body); code != client.CodeNotFound {
+		t.Errorf("404 envelope code %q, want %q", code, client.CodeNotFound)
 	}
 	if !strings.Contains(body, "not enabled") {
 		t.Errorf("404 body %q does not say metrics are disabled", body)

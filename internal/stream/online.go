@@ -13,9 +13,12 @@ import (
 // samples until it commits or its window completes. Memory is bounded by
 // one window of samples plus WindowLen/Stride live sessions.
 //
-// Online(stride, step).PushBatch(stream) produces exactly the detections of
+// Online(stride, step).PushBatch(stream) produces the detections of
 // Monitor{Stride: stride, Step: step}.Run(stream) (without suppression),
-// which TestOnlineMatchesBatch asserts.
+// plus detections of candidates whose window runs past the stream's end:
+// Online cannot know the stream ends there, while Monitor opens only
+// candidates whose whole window fits. Dropping those, the two agree
+// exactly, which TestOnlineMatchesBatch asserts.
 type Online struct {
 	classifier etsc.EarlyClassifier
 	stride     int

@@ -59,7 +59,7 @@ func DTW(a, b []float64, radius int) float64 {
 		return math.Inf(1)
 	}
 	if radius < 0 {
-		radius = maxInt(n, m)
+		radius = max(n, m)
 	}
 	// Band must be wide enough to connect (0,0) to (n-1,m-1).
 	if d := absInt(n - m); radius < d {
@@ -75,8 +75,8 @@ func DTW(a, b []float64, radius int) float64 {
 	prev[0] = 0
 
 	for i := 1; i <= n; i++ {
-		lo := maxInt(1, i-radius)
-		hi := minInt(m, i+radius)
+		lo := max(1, i-radius)
+		hi := min(m, i+radius)
 		cur[0] = inf
 		for j := 1; j < lo; j++ {
 			cur[j] = inf
@@ -111,20 +111,6 @@ func ZNormEuclidean(a, b []float64) float64 {
 	za := ZNorm(a)
 	zb := ZNorm(b)
 	return Euclidean(za, zb)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func absInt(a int) int {

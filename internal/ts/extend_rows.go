@@ -67,7 +67,7 @@ func GroupMinD2(best, q []float64, refs [][]float64, group []int32) {
 		best[g] = math.Inf(1)
 	}
 	for i := 0; i < len(refs); i += 4 {
-		block := refs[i:minInt(i+4, len(refs))]
+		block := refs[i:min(i+4, len(refs))]
 		var acc [4]float64
 		extendD2Rows(acc[:len(block)], q, block, 0)
 		for k, d := range acc[:len(block)] {
