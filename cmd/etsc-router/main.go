@@ -17,6 +17,8 @@
 // every backend's exposition relabeled with backend="name", and
 // POST /admin/rebalance converges placement back to pure hashing after
 // deaths or table changes. See internal/router for the ownership model.
+// -debug-addr opens a second listener serving net/http/pprof's profiles,
+// off by default.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"time"
 
 	"etsc/internal/router"
+	"etsc/internal/serve"
 )
 
 func main() {
@@ -43,6 +46,7 @@ func main() {
 		probeTO   = flag.Duration("probe-timeout", 0, "single health-probe timeout (0 = probe-interval)")
 		failThr   = flag.Int("fail-threshold", 3, "consecutive probe failures before a backend is declared dead")
 		routeWait = flag.Duration("route-wait", 2*time.Second, "how long a request waits out a dead owner before failing 503/unavailable")
+		debugAddr = flag.String("debug-addr", "", "listen address serving net/http/pprof under /debug/pprof/ (off when empty)")
 	)
 	flag.Parse()
 	if *backends == "" {
@@ -79,6 +83,11 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("etsc-router: listening on %s over %d backends", *addr, len(specs))
+	if *debugAddr != "" {
+		go func() {
+			log.Printf("etsc-router: -debug-addr: %v", http.ListenAndServe(*debugAddr, serve.DebugHandler()))
+		}()
+	}
 
 	select {
 	case err := <-errc:

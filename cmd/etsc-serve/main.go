@@ -25,6 +25,10 @@
 // push but evicts the stream's oldest queued batch, counting per-stream
 // sheds in stats and /metrics instead of refusing ingest.
 //
+// -debug-addr opens a second listener serving net/http/pprof's profiles
+// (go tool pprof http://HOST:PORT/debug/pprof/profile); it is off by
+// default, and the /v1 listener never serves them.
+//
 // On SIGINT/SIGTERM the server stops accepting requests, drains every
 // stream queue through hub.Close, and prints a final stats line — no
 // batch is lost mid-shutdown.
@@ -59,6 +63,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "scenario seed for the demo pipelines")
 		ckptDir   = flag.String("checkpoint", "", "durable checkpoint directory — boot restores every stream found there, then a background checkpointer persists all streams periodically and at shutdown")
 		ckptEvery = flag.Duration("checkpoint-interval", 30*time.Second, "interval between background checkpoint generations (with -checkpoint)")
+		debugAddr = flag.String("debug-addr", "", "listen address serving net/http/pprof under /debug/pprof/ (off when empty)")
 	)
 	specOverrides := map[string]string{}
 	flag.Func("spec", "replace a kind's detector: kind=algo:key=value,... (repeatable; trained on the kind's dataset)", func(s string) error {
@@ -141,6 +146,11 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("etsc-serve listening on %s (workers=%d policy=%s kinds=%s)",
 		*addr, *workers, pol, strings.Join(srv.KindNames(), ","))
+	if *debugAddr != "" {
+		go func() {
+			log.Printf("etsc-serve: -debug-addr: %v", http.ListenAndServe(*debugAddr, serve.DebugHandler()))
+		}()
+	}
 
 	select {
 	case err := <-errc:

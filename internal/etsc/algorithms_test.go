@@ -256,6 +256,30 @@ func TestTEASERConfigClamps(t *testing.T) {
 	}
 }
 
+// TestSnapshotTrainersRejectShortSeries pins the snapshot grid's one
+// check: series under 3 points leave ECDIRE's, CostAware's and TEASER's
+// grid empty, so training fails instead of returning a model that panics
+// (ECDIRE's fit and TEASER's ForcedLabel indexed the empty grid at -1).
+func TestSnapshotTrainersRejectShortSeries(t *testing.T) {
+	short := &dataset.Dataset{Name: "short", Instances: []dataset.Instance{
+		{Label: 0, Series: ts.Series{0, 1}},
+		{Label: 1, Series: ts.Series{1, 0}},
+		{Label: 0, Series: ts.Series{0, 2}},
+	}}
+	for _, tc := range []struct{ spec, algo string }{
+		{"ecdire", "ECDIRE"}, {"costaware", "CostAware"}, {"teaser", "TEASER"}, {"teaser:znorm=false", "TEASER"},
+	} {
+		c, err := Train(MustParseSpec(tc.spec), short)
+		if err == nil {
+			t.Errorf("%s trained %s on 2-point series", tc.spec, c.Name())
+			continue
+		}
+		if want := "etsc: " + tc.algo + " needs series of at least 3 points, got 2"; err.Error() != want {
+			t.Errorf("%s: error %q, want %q", tc.spec, err, want)
+		}
+	}
+}
+
 func TestProbThresholdValidation(t *testing.T) {
 	train, _ := easySplit(t)
 	if _, err := trainProbThreshold(train, 0, 1); err == nil {

@@ -98,12 +98,16 @@ func costAwareSetup(train *dataset.Dataset, cfg CostAwareConfig) (*CostAware, er
 	if cfg.Snapshots < 2 {
 		cfg.Snapshots = 2
 	}
+	lengths, err := snapshotLengths("CostAware", train.SeriesLen(), cfg.Snapshots)
+	if err != nil {
+		return nil, err
+	}
 	return &CostAware{
 		MisclassCost: cfg.MisclassCost,
 		DelayCost:    cfg.DelayCost,
 		Snapshots:    cfg.Snapshots,
 		train:        train,
-		lengths:      snapshotLengths(train.SeriesLen(), cfg.Snapshots),
+		lengths:      lengths,
 		full:         train.SeriesLen(),
 	}, nil
 }

@@ -58,15 +58,12 @@ func DefaultECDIREConfig() ECDIREConfig {
 // in-order partial sums of a serial scan, and the recall and margin
 // tallies are assembled in instance order.
 func trainECDIRE(c *TrainContext, cfg ECDIREConfig) (*ECDIRE, error) {
-	cfg, err := ecdireCheck(c.train, cfg)
+	e, err := ecdireSetup(c.train, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := ecdireSetup(c.train, cfg)
-	if len(e.lengths) > 0 {
-		if err := c.m.Ensure(e.lengths[len(e.lengths)-1]); err != nil {
-			return nil, err
-		}
+	if err := c.m.Ensure(e.lengths[len(e.lengths)-1]); err != nil {
+		return nil, err
 	}
 	// The softmin posterior of instance i's length-l raw prefix, with i
 	// itself excluded.
@@ -86,13 +83,14 @@ func trainECDIRE(c *TrainContext, cfg ECDIREConfig) (*ECDIRE, error) {
 	return e, nil
 }
 
-// ecdireCheck validates and normalizes the configuration.
-func ecdireCheck(train *dataset.Dataset, cfg ECDIREConfig) (ECDIREConfig, error) {
+// ecdireSetup validates and normalizes the configuration and builds the
+// untrained model with its snapshot lengths.
+func ecdireSetup(train *dataset.Dataset, cfg ECDIREConfig) (*ECDIRE, error) {
 	if err := checkTrain("ECDIRE", train); err != nil {
-		return cfg, err
+		return nil, err
 	}
 	if cfg.AccFraction <= 0 || cfg.AccFraction > 1 {
-		return cfg, fmt.Errorf("etsc: ECDIRE AccFraction must be in (0,1], got %v", cfg.AccFraction)
+		return nil, fmt.Errorf("etsc: ECDIRE AccFraction must be in (0,1], got %v", cfg.AccFraction)
 	}
 	if cfg.Snapshots < 2 {
 		cfg.Snapshots = 2
@@ -100,27 +98,27 @@ func ecdireCheck(train *dataset.Dataset, cfg ECDIREConfig) (ECDIREConfig, error)
 	if cfg.Sharpness <= 0 {
 		cfg.Sharpness = 3
 	}
-	return cfg, nil
-}
-
-// ecdireSetup builds the untrained model and its snapshot lengths.
-func ecdireSetup(train *dataset.Dataset, cfg ECDIREConfig) *ECDIRE {
+	lengths, err := snapshotLengths("ECDIRE", train.SeriesLen(), cfg.Snapshots)
+	if err != nil {
+		return nil, err
+	}
 	return &ECDIRE{
 		AccFraction: cfg.AccFraction,
 		Snapshots:   cfg.Snapshots,
 		train:       train,
-		lengths:     snapshotLengths(train.SeriesLen(), cfg.Snapshots),
+		lengths:     lengths,
 		safeIdx:     map[int]int{},
 		relThr:      map[int]float64{},
 		full:        train.SeriesLen(),
 		sharp:       cfg.Sharpness,
-	}
+	}, nil
 }
 
 // snapshotLengths is the snapshot grid ECDIRE, CostAware and TEASER share:
 // k·L/S for k = 1…S, skipping lengths under 3 points and repeats, so the
-// grid ascends strictly.
-func snapshotLengths(L, S int) []int {
+// grid ascends strictly. Series under 3 points leave the grid empty, which
+// no trainer can fit, so that is an error naming algo.
+func snapshotLengths(algo string, L, S int) ([]int, error) {
 	var lengths []int
 	for k := 1; k <= S; k++ {
 		l := k * L / S
@@ -128,7 +126,10 @@ func snapshotLengths(L, S int) []int {
 			lengths = append(lengths, l)
 		}
 	}
-	return lengths
+	if len(lengths) == 0 {
+		return nil, fmt.Errorf("etsc: %s needs series of at least 3 points, got %d", algo, L)
+	}
+	return lengths, nil
 }
 
 // snapshotAt returns the index of the largest snapshot length that fits a

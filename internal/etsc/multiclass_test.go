@@ -145,9 +145,9 @@ func TestTEASERPosteriorDeterministic(t *testing.T) {
 	for _, in := range test.Instances[:8] {
 		for si, l := range c.lengths {
 			prepared := c.prepare(si, in.Series[:l])
-			d2 := make([]float64, len(c.rows[si]))
-			for i, row := range c.rows[si] {
-				d2[i] = ts.SquaredEuclidean(prepared, row)
+			d2 := make([]float64, c.slaveSet(si).Len())
+			for i, in := range c.slaveSet(si).Instances {
+				d2[i] = ts.SquaredEuclidean(prepared, in.Series)
 			}
 			c.li.nearestFromSquaredDists(d2, nearest)
 			softminDenseInto(nearest, 1, post)

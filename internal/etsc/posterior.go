@@ -44,6 +44,15 @@ func (li *labelIndex) classes() int { return len(li.labels) }
 // minimized sqrt(d²): sqrt is monotone and correctly rounded, so the
 // minimal element and the stored value are identical.
 func (li *labelIndex) nearestFromSquaredDists(d2 []float64, nearest []float64) {
+	li.minSquaredDists(d2, nearest)
+	for c, d := range nearest {
+		nearest[c] = math.Sqrt(d)
+	}
+}
+
+// minSquaredDists fills nearest[c] with class c's strict-< minimum of d2,
+// +Inf when no element beats it (so a NaN never wins).
+func (li *labelIndex) minSquaredDists(d2 []float64, nearest []float64) {
 	for c := range nearest {
 		nearest[c] = math.Inf(1)
 	}
@@ -52,9 +61,6 @@ func (li *labelIndex) nearestFromSquaredDists(d2 []float64, nearest []float64) {
 		if d < nearest[c] {
 			nearest[c] = d
 		}
-	}
-	for c, d := range nearest {
-		nearest[c] = math.Sqrt(d)
 	}
 }
 

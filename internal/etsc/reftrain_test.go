@@ -50,11 +50,10 @@ func refTrainECTS(train *dataset.Dataset, relaxed bool, minSupport int) (*ECTS, 
 
 // refTrainECDIRE is the serial reference for trainECDIRE.
 func refTrainECDIRE(train *dataset.Dataset, cfg ECDIREConfig) (*ECDIRE, error) {
-	cfg, err := ecdireCheck(train, cfg)
+	e, err := ecdireSetup(train, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := ecdireSetup(train, cfg)
 	e.fit(func(i, l int) map[int]float64 {
 		return e.refLOOPosterior(train.Instances[i].Series[:l], i)
 	}, 1)

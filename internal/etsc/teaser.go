@@ -36,11 +36,13 @@ type TEASER struct {
 	train *dataset.Dataset
 	li    *labelIndex // dense class indexing for the session hot path
 	// sets holds each snapshot's slave training set: the prefixes
-	// z-normalized under ZNormPrefix, raw otherwise. rows views the same
-	// series as kernel rows for the session scan. Both are read-only after
-	// training, so sessions on a shared model scan them race-free.
+	// z-normalized under ZNormPrefix, raw otherwise. The session scan reads
+	// zs under ZNormPrefix and raw (the training series) otherwise. All are
+	// read-only after training, so sessions on a shared model scan them
+	// race-free.
 	sets    []*dataset.Dataset
-	rows    [][][]float64
+	zs      *zScan
+	raw     [][]float64
 	lengths []int
 	masters []oneClassGate
 	full    int
@@ -151,15 +153,25 @@ func teaserSetup(train *dataset.Dataset, cfg TEASERConfig) (*TEASER, TEASERConfi
 	if cfg.GateSigma <= 0 {
 		cfg.GateSigma = 2.5
 	}
-	return &TEASER{
+	lengths, err := snapshotLengths("TEASER", train.SeriesLen(), cfg.Snapshots)
+	if err != nil {
+		return nil, cfg, err
+	}
+	t := &TEASER{
 		Snapshots:   cfg.Snapshots,
 		V:           cfg.V,
 		ZNormPrefix: cfg.ZNormPrefix,
 		train:       train,
 		li:          newLabelIndex(train),
-		lengths:     snapshotLengths(train.SeriesLen(), cfg.Snapshots),
+		lengths:     lengths,
 		full:        train.SeriesLen(),
-	}, cfg, nil
+	}
+	if t.ZNormPrefix {
+		t.zs = newZScan(train, t.li)
+	} else {
+		t.raw = seriesRefs(train)
+	}
+	return t, cfg, nil
 }
 
 // fitMasters trains one master per snapshot from leave-one-out posteriors
@@ -203,15 +215,13 @@ func (t *TEASER) fitMasters(loo func(si, i int) (int, float64, float64), sigma f
 	}
 }
 
-// addSnapshot appends the next snapshot's slave training set and its
-// kernel rows, which are views of the set's series and copy no data.
+// addSnapshot appends the next snapshot's slave training set and, under
+// ZNormPrefix, the snapshot's constants of the session scan.
 func (t *TEASER) addSnapshot(set *dataset.Dataset) {
-	rows := make([][]float64, set.Len())
-	for i, in := range set.Instances {
-		rows[i] = in.Series
-	}
 	t.sets = append(t.sets, set)
-	t.rows = append(t.rows, rows)
+	if t.zs != nil {
+		t.zs.addSnapshot(t.train, set)
+	}
 }
 
 func (t *TEASER) slaveSet(si int) *dataset.Dataset { return t.sets[si] }
@@ -264,41 +274,11 @@ func nearestTopMargin(nearest map[int]float64) (label int, top, margin float64) 
 
 // prepare converts a raw incoming prefix into the slave's input space.
 func (t *TEASER) prepare(si int, prefix []float64) []float64 {
-	return t.prepareInto(si, prefix, nil)
-}
-
-// prepareInto is prepare with an optional caller-owned z-norm scratch of
-// capacity >= the snapshot length (nil allocates, as the pure path does).
-// ZNorm is ZNormInto plus an allocation, so both paths normalize
-// bit-identically.
-func (t *TEASER) prepareInto(si int, prefix, scratch []float64) []float64 {
-	l := len(t.slaveSet(si).Instances[0].Series)
-	p := prefix[:l]
+	p := prefix[:t.lengths[si]]
 	if t.ZNormPrefix {
-		if scratch == nil {
-			scratch = make([]float64, l)
-		}
-		ts.ZNormInto(scratch[:l], p)
-		return scratch[:l]
+		return ts.ZNorm(p)
 	}
 	return p
-}
-
-// slaveTopMargin is the session's allocation-free slave decision: the same
-// per-class nearest-distance reduction as slavePosterior (skip = none), but
-// over dense scratch, with the references scanned in blocks of four by
-// ts.GroupMinD2. Each distance is the same left-to-right fold as
-// SquaredEuclidean and a per-class strict minimum does not depend on scan
-// order, so the nearest distances, and therefore the (label, top, margin)
-// triple, are byte-identical to the map path's. nearest2, nearest, and
-// probs are class-indexed scratch owned by the caller.
-func (t *TEASER) slaveTopMargin(si int, prepared []float64, nearest2, nearest, probs []float64) (label int, top, margin float64) {
-	ts.GroupMinD2(nearest2, prepared, t.rows[si], t.li.classOf)
-	for c, d := range nearest2 {
-		nearest[c] = math.Sqrt(d)
-	}
-	ci, top, margin := topMarginDense(nearest, probs)
-	return t.li.labels[ci], top, margin
 }
 
 // Name implements EarlyClassifier.
@@ -343,28 +323,40 @@ func (t *TEASER) ClassifyPrefix(prefix []float64) Decision {
 // NewIncrementalSession implements IncrementalClassifier: the slave scan
 // evaluates each snapshot exactly once as the stream grows, carrying the
 // master-gated consistency streak across Extends — where the pure path
-// replays every covered snapshot at every opportunity. The z-norm and
-// per-class reduction scratch is session-owned, so steady-state Extends do
-// not allocate.
+// replays every covered snapshot at every opportunity. Under ZNormPrefix
+// the scan reads running sums each point advances (see scan); the raw
+// flavor reads a prefix-distance bank over the training series. The
+// session's scratch is one block allocated here, so steady-state Extends
+// do not allocate.
 func (t *TEASER) NewIncrementalSession() IncrementalSession {
-	k := t.li.classes()
-	return &teaserSession{
-		t:        t,
-		buf:      make([]float64, 0, t.full),
-		prep:     make([]float64, t.full),
-		nearest2: make([]float64, k),
-		nearest:  make([]float64, k),
-		probs:    make([]float64, k),
+	s := &teaserSession{t: t}
+	f, k, n := t.full, t.li.classes(), 0
+	if t.zs != nil {
+		n = t.train.Len()
+	} else {
+		s.bank = ts.NewPrefixDistBank(t.raw)
 	}
+	block := make([]float64, f+2*k+n)
+	next := func(size int) []float64 {
+		b := block[:size:size]
+		block = block[size:]
+		return b
+	}
+	s.buf = next(f)[:0]
+	s.nearest, s.probs = next(k), next(k)
+	s.dot = next(n)
+	return s
 }
 
 type teaserSession struct {
 	t           *TEASER
 	buf         []float64
-	prep        []float64 // z-norm scratch for snapshot prefixes
-	nearest2    []float64 // per-class min squared distance scratch
-	nearest     []float64 // per-class nearest distance scratch
-	probs       []float64 // posterior scratch
+	bank        *ts.PrefixDistBank // raw flavor: distances to the training series
+	dot         []float64          // ZNormPrefix: running sums P per reference, zScan order
+	sum         float64            // ZNormPrefix: running sum S
+	folded      int                // points folded into dot and sum
+	nearest     []float64          // per-class nearest (squared, then not) distance
+	probs       []float64          // posterior scratch
 	nextSnap    int
 	streak      int
 	streakLabel int
@@ -384,12 +376,16 @@ func (s *teaserSession) Extend(points []float64) Decision {
 	for s.nextSnap < len(t.lengths) && t.lengths[s.nextSnap] <= len(s.buf) {
 		si := s.nextSnap
 		s.nextSnap++
-		prepared := t.prepareInto(si, s.buf, s.prep)
-		label, top, margin := t.slaveTopMargin(si, prepared, s.nearest2, s.nearest, s.probs)
+		s.scan(si)
+		for c, d := range s.nearest {
+			s.nearest[c] = math.Sqrt(d)
+		}
+		ci, top, margin := topMarginDense(s.nearest, s.probs)
 		if !t.masters[si].accept(top, margin) {
 			s.streak = 0
 			continue
 		}
+		label := t.li.labels[ci]
 		if s.streak > 0 && label == s.streakLabel {
 			s.streak++
 		} else {
@@ -402,6 +398,43 @@ func (s *teaserSession) Extend(points []float64) Decision {
 		}
 	}
 	return Decision{}
+}
+
+// scan sets nearest[c] to class c's smallest squared distance from the
+// snapshot-si prefix, prepared as the slave prepares it, to that
+// snapshot's references: bit for bit the exhaustive scan's strict-<
+// minimum (+Inf when no distance beats it, so a NaN never wins), which is
+// what the map path (slavePosterior) takes the square root of, so the
+// session's (label, top, margin) is the map path's.
+func (s *teaserSession) scan(si int) {
+	t := s.t
+	x := s.buf[:t.lengths[si]]
+	if t.zs == nil {
+		s.bank.Extend(x[s.bank.Len():])
+		t.li.minSquaredDists(s.bank.D2(), s.nearest)
+		return
+	}
+	s.fold(len(x))
+	t.zs.nearest(si, x, s.dot, s.sum, s.nearest)
+}
+
+// fold advances the running sums to the first l points x_i of the stream:
+// P_k = Σ (x_i − x_0)·(R_k,i − R_k,0) per reference by one AXPY over the
+// point-major centred references per point, and S = Σ (x_i − x_0).
+func (s *teaserSession) fold(l int) {
+	z := s.t.zs
+	n := len(s.dot)
+	x0 := s.buf[0]
+	for i := max(s.folded, 1); i < l; i++ {
+		y := s.buf[i] - x0
+		s.sum += y
+		row := z.cent[i*n : (i+1)*n : (i+1)*n]
+		dot := s.dot[:len(row)]
+		for k, c := range row {
+			dot[k] += y * c
+		}
+	}
+	s.folded = max(s.folded, l)
 }
 
 // ForcedLabel implements EarlyClassifier: final-snapshot slave decision.

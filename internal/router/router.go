@@ -88,7 +88,6 @@
 package router
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -481,8 +480,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ep serve.Endpo
 		// Decode the whole request as the backend does, so a body it
 		// rejects gets the backend's own envelope.
 		var req client.CreateStreamRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			serve.WriteError(w, serve.BodyError(err))
+		if apiErr := serve.DecodeBody(body, &req); apiErr != nil {
+			serve.WriteError(w, apiErr)
 			return
 		}
 		if req.ID == "" {
@@ -492,10 +491,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ep serve.Endpo
 		id = req.ID
 	}
 	if ep == serve.EndpointPush {
-		var pos struct {
-			At *int `json:"at"`
-		}
-		idempotent = json.NewDecoder(bytes.NewReader(body)).Decode(&pos) == nil && pos.At != nil
+		var req client.PushRequest
+		idempotent = serve.DecodeBody(body, &req) == nil && req.At != nil
 	}
 
 	g := rt.gate(id)

@@ -286,6 +286,22 @@ func TestErrorContractMatchesBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A snapshot of a stream that no longer exists, so restoring it is
+	// refused only for the bytes after it.
+	if _, err := f.c.CreateStream(ctx, client.CreateStreamRequest{ID: "gone"}); err != nil {
+		t.Fatal(err)
+	}
+	goneSnap, err := f.c.SnapshotStream(ctx, "gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.c.DeleteStream(ctx, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	gone, err := json.Marshal(goneSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A watch the router wrongly accepts holds its feed open; the timeout
 	// turns that into a failure instead of a hang.
 	hc := &http.Client{Timeout: 2 * time.Second}
@@ -315,6 +331,10 @@ func TestErrorContractMatchesBackend(t *testing.T) {
 		{name: "since negative", method: http.MethodGet, path: "/v1/detections?stream=s&since=-1", owner: "s"},
 		{name: "push at negative", method: http.MethodPost, path: "/v1/streams/s/push", body: `{"points":[1],"at":-1}`, owner: "s"},
 		{name: "push malformed", method: http.MethodPost, path: "/v1/streams/s/push", body: `{"points":[1,`, owner: "s"},
+		{name: "push trailing value", method: http.MethodPost, path: "/v1/streams/s/push", body: `{"points":[1,2,3]}{"points":[4,5]}`, owner: "s"},
+		{name: "push null point", method: http.MethodPost, path: "/v1/streams/s/push", body: `{"points":[1,null,3]}`, owner: "s"},
+		{name: "create trailing value", method: http.MethodPost, path: "/v1/streams", body: `{"id":"t1"}{"id":"t2"}`, owner: "t1"},
+		{name: "restore trailing value", method: http.MethodPost, path: "/v1/streams/gone/snapshot", body: string(gone) + `{}`, owner: "gone"},
 		{name: "create malformed", method: http.MethodPost, path: "/v1/streams", body: `{"id":`},
 		{name: "create id not a string", method: http.MethodPost, path: "/v1/streams", body: `{"id":5}`},
 		{name: "create id with slash", method: http.MethodPost, path: "/v1/streams", body: `{"id":"a/b"}`, owner: "a/b"},

@@ -101,10 +101,13 @@ func TestV1ErrorPaths(t *testing.T) {
 		t.Errorf("restore with a bad engine attached a stream: %v", err)
 	}
 
-	// Malformed push body.
-	status, body = servetest.RawStatus(t, http.MethodPost, ts.URL+"/v1/streams/coop/push", `{"points":["a"]}`)
-	if status != http.StatusBadRequest || servetest.EnvelopeCode(t, body) != client.CodeBadJSON {
-		t.Errorf("malformed push: %d %s", status, body)
+	// Malformed push bodies: a second JSON value after the first and a
+	// null point are refused too, not truncated or read as 0.
+	for _, bad := range []string{`{"points":["a"]}`, `{"points":[1,2,3]}{"points":[4,5]}`, `{"points":[1,null,3]}`, `{"points":[1]} x`} {
+		status, body = servetest.RawStatus(t, http.MethodPost, ts.URL+"/v1/streams/coop/push", bad)
+		if status != http.StatusBadRequest || servetest.EnvelopeCode(t, body) != client.CodeBadJSON {
+			t.Errorf("malformed push %s: %d %s", bad, status, body)
+		}
 	}
 
 	// Wrong methods, structured 405s.

@@ -23,10 +23,11 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -276,12 +277,45 @@ func (s *Server) v1GetStream(w http.ResponseWriter, id string) {
 	WriteJSON(w, http.StatusOK, info)
 }
 
+// pushScratch is a push's pooled working memory: the body, and the
+// request it decodes into, whose points backing array and at pointee are
+// reused. hub.Push copies the points, so it all goes back to the pool when
+// the handler returns.
+type pushScratch struct {
+	body   bytes.Buffer
+	points []float64
+	at     int
+	req    client.PushRequest
+}
+
+var pushPool = sync.Pool{New: func() any { return new(pushScratch) }}
+
+// maxPooledPush bounds the body bytes a pooled pushScratch keeps, so one
+// huge push does not pin its buffers for good.
+const maxPooledPush = 1 << 20
+
 func (s *Server) v1Push(w http.ResponseWriter, r *http.Request, id string) {
-	var req client.PushRequest
-	if apiErr := decodeJSON(r, w, &req); apiErr != nil {
+	sc := pushPool.Get().(*pushScratch)
+	defer func() {
+		if sc.body.Cap() <= maxPooledPush && cap(sc.points)*8 <= maxPooledPush {
+			pushPool.Put(sc)
+		}
+	}()
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBody)); err != nil {
+		WriteError(w, BodyError(err))
+		return
+	}
+	sc.req = client.PushRequest{Points: sc.points[:0], At: &sc.at}
+	apiErr := DecodeBody(sc.body.Bytes(), &sc.req)
+	if cap(sc.req.Points) > cap(sc.points) {
+		sc.points = sc.req.Points[:0]
+	}
+	if apiErr != nil {
 		WriteError(w, apiErr)
 		return
 	}
+	req := &sc.req
 	var err error
 	if req.At != nil {
 		// Positioned replay: points below the stream's watermark are
@@ -510,13 +544,14 @@ func specStreamConfig(kind hub.Kind, spec string) (hub.StreamConfig, error) {
 
 // ---- /v1 helpers ----
 
-// decodeJSON reads a size-capped JSON body. A non-nil return is the
-// structured error to write.
+// decodeJSON reads a size-capped body and decodes it with DecodeBody. A
+// non-nil return is the structured error to write.
 func decodeJSON(r *http.Request, w http.ResponseWriter, into any) *client.APIError {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(into); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBody))
+	if err != nil {
 		return BodyError(err)
 	}
-	return nil
+	return DecodeBody(body, into)
 }
 
 func unknownStream(id string) *client.APIError {

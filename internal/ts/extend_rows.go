@@ -1,10 +1,5 @@
 package ts
 
-import (
-	"fmt"
-	"math"
-)
-
 // extendD2Rows advances every row's running squared-distance accumulation
 // by the same batch of query points: acc[i] picks up the aligned segment
 // refs[i][from : from+len(points)]. It is the batched form of extendD2 and
@@ -45,35 +40,5 @@ func extendD2Rows(acc []float64, points []float64, refs [][]float64, from int) {
 	}
 	for ; i < len(refs); i++ {
 		acc[i] = extendD2(acc[i], points, refs[i][from:from+n])
-	}
-}
-
-// GroupMinD2 sets best[g] to the smallest squared Euclidean distance from q
-// to the leading len(q) points of any row refs[i] with group[i] == g, and
-// to +Inf for a group no row belongs to. It is a full nearest-neighbour
-// scan with no early abandoning: rows run four at a time through
-// extendD2Rows, so every distance is the strict left-to-right fold and
-// equals SquaredEuclidean(q, refs[i][:len(q)]) bit for bit. Each distance
-// folds into its group's minimum with a strict <, so a NaN never wins and
-// the minima do not depend on row order. It panics, like
-// PrefixDistBank.Extend, if a row is shorter than q.
-func GroupMinD2(best, q []float64, refs [][]float64, group []int32) {
-	for i, ref := range refs {
-		if len(ref) < len(q) {
-			panic(fmt.Sprintf("ts: GroupMinD2 row %d length %d shorter than query %d", i, len(ref), len(q)))
-		}
-	}
-	for g := range best {
-		best[g] = math.Inf(1)
-	}
-	for i := 0; i < len(refs); i += 4 {
-		block := refs[i:min(i+4, len(refs))]
-		var acc [4]float64
-		extendD2Rows(acc[:len(block)], q, block, 0)
-		for k, d := range acc[:len(block)] {
-			if g := group[i+k]; d < best[g] {
-				best[g] = d
-			}
-		}
 	}
 }

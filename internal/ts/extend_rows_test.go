@@ -82,11 +82,7 @@ func TestExtendD2RowsNonFinite(t *testing.T) {
 
 // FuzzExtendD2Rows drives random ref counts, batch splits, and sample
 // values (including non-finite injections) through the blocked kernel and
-// checks bit-identity against the scalar per-reference walk. The same rows
-// then go through GroupMinD2 with a query prefix of random length (0
-// included), random group ids and one group no row belongs to, checked
-// against a scalar scan: extendD2 from 0 per row, then a strict-< minimum
-// per group.
+// checks bit-identity against the scalar per-reference walk.
 func FuzzExtendD2Rows(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(3))
 	f.Add(int64(42), uint8(8), uint8(1))
@@ -129,45 +125,7 @@ func FuzzExtendD2Rows(f *testing.F) {
 			}
 		}
 
-		q := query[:rng.Intn(L+1)]
-		groups := rng.Intn(4) + 1
-		group := make([]int32, n)
-		for i := range group {
-			group[i] = int32(rng.Intn(groups))
-		}
-		best := make([]float64, groups+1)
-		wantBest := make([]float64, groups+1)
-		for g := range wantBest {
-			wantBest[g] = math.Inf(1)
-		}
-		for i, ref := range refs {
-			if d := extendD2(0, q, ref[:len(q)]); d < wantBest[group[i]] {
-				wantBest[group[i]] = d
-			}
-		}
-		GroupMinD2(best, q, refs, group)
-		for g := range best {
-			if math.Float64bits(best[g]) != math.Float64bits(wantBest[g]) {
-				t.Fatalf("len(q)=%d group %d: GroupMinD2 %x != scalar %x",
-					len(q), g, math.Float64bits(best[g]), math.Float64bits(wantBest[g]))
-			}
-		}
 	})
-}
-
-// TestGroupMinD2PanicsOnShortRow pins the bounds contract: a row shorter
-// than the query is a caller bug, reported before any minimum is written.
-func TestGroupMinD2PanicsOnShortRow(t *testing.T) {
-	best := []float64{7}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GroupMinD2 accepted a row shorter than the query")
-		}
-		if best[0] != 7 {
-			t.Fatalf("best written before the panic: %v", best)
-		}
-	}()
-	GroupMinD2(best, []float64{1, 2, 3}, [][]float64{{1, 2, 3}, {1, 2}}, []int32{0, 0})
 }
 
 // BenchmarkExtendRows measures the blocked row kernel through
